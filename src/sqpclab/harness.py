@@ -14,6 +14,7 @@ separately as an operational failure, not a detection.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -41,13 +42,18 @@ class ValidationError(ValueError):
     """A configuration value is out of range or malformed."""
 
 
+_HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
+
+
 def bits_from_hex(text: str, length: int) -> tuple[int, ...]:
-    """Decode a hex string into `length` bits, most significant first."""
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise ValidationError(f"invalid hex secret {text!r}") from None
-    if value < 0 or value >= 1 << length:
+    """Decode a hex string into `length` bits, most significant first.
+
+    Only hex digits are accepted: no sign, prefix, underscore or whitespace.
+    """
+    if _HEX_DIGITS.fullmatch(text) is None:
+        raise ValidationError(f"invalid hex secret {text!r}")
+    value = int(text, 16)
+    if value >= 1 << length:
         raise ValidationError(
             f"secret {text!r} does not fit in {length} bits"
         )
@@ -74,6 +80,16 @@ class ExperimentSpec:
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         if self.attack not in ATTACK_NAMES:
             raise ValidationError(f"unknown attack {self.attack!r}")
+        integers = [
+            ("--secret-bits", self.secret_bits),
+            ("--trials", self.trials),
+            ("--seed", self.seed),
+        ]
+        if self.rounds_factor is not None:
+            integers.append(("--rounds-factor", self.rounds_factor))
+        for name, value in integers:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.secret_bits < 1:
             raise ValidationError("--secret-bits must be at least 1")
         if self.rounds_factor is not None and self.rounds_factor < 1:
@@ -83,6 +99,8 @@ class ExperimentSpec:
                 raise ValidationError(f"{name} must lie in [0, 1], got {p}")
         if self.trials < 1:
             raise ValidationError("--trials must be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"--seed must be nonnegative, got {self.seed}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValidationError(f"--threshold must lie in [0, 1], got {self.threshold}")
         self.explicit_secrets()  # raises on malformed explicit values
@@ -114,7 +132,9 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        return cls(**data)
+        spec = cls(**data)
+        spec.validate()
+        return spec
 
 
 @dataclass

@@ -11,6 +11,11 @@ Conventions:
       Simulator; each projection consumes exactly one uniform draw.
     - Measured qubits stay in their register, collapsed. Custody of qubits
       is the caller's bookkeeping; handles stay valid across merges.
+    - Registers point at interned, read-only states shared by every
+      Simulator. The state-vector code computes each transition of a state
+      (Z measurement at a position, Bell measurement at a position pair,
+      merge with another state) once and memoizes it on the state; the
+      intern table is emptied whenever it would exceed MAX_INTERNED_STATES.
 """
 from __future__ import annotations
 
@@ -20,6 +25,9 @@ from enum import Enum
 import numpy as np
 
 MAX_REGISTER_QUBITS = 4
+
+# Bound of the module-level intern table; reaching it empties the table.
+MAX_INTERNED_STATES = 4096
 
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -73,14 +81,6 @@ class QubitHandle:
     index: int
 
 
-class _Register:
-    __slots__ = ("num_qubits", "amplitudes")
-
-    def __init__(self, num_qubits: int, amplitudes: np.ndarray):
-        self.num_qubits = num_qubits
-        self.amplitudes = amplitudes
-
-
 def _bit_indices(num_qubits: int, qubit: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Amplitude indices where `qubit` (MSB-first) is 0 resp. 1."""
     shift = num_qubits - 1 - qubit
@@ -94,6 +94,111 @@ _BIT_INDEX_CACHE = {
     for n in range(1, MAX_REGISTER_QUBITS + 1)
     for q in range(n)
 }
+
+
+class _State:
+    """Interned, read-only register state plus its memoized transitions.
+
+    Every memo entry is a function of the amplitudes alone, so one state
+    serves every register and every Simulator that reaches it.
+    """
+
+    __slots__ = ("num_qubits", "amplitudes", "key", "z", "bell", "kron")
+
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray, key: tuple[int, bytes]):
+        amplitudes.flags.writeable = False
+        self.num_qubits = num_qubits
+        self.amplitudes = amplitudes
+        self.key = key
+        # pos -> [p1, [post-state per outcome]]
+        self.z: dict[int, list] = {}
+        # (pos_a, pos_b) -> [total, cumulative probs, [post-state per BellKind]]
+        self.bell: dict[tuple[int, int], list] = {}
+        # key of the appended state -> merged state
+        self.kron: dict[tuple[int, bytes], _State] = {}
+
+
+_STATES: dict[tuple[int, bytes], _State] = {}
+
+
+def _basis_amplitudes(bit: int) -> np.ndarray:
+    amps = np.zeros(2, dtype=complex)
+    amps[bit] = 1.0
+    return amps
+
+
+def _bell_amplitudes(kind: BellKind) -> np.ndarray:
+    return np.array(_BELL_AMPLITUDES[kind], dtype=complex)
+
+
+# Intern keys of the prepared states, so preparing skips building arrays.
+_BASIS_KEYS = {bit: (1, _basis_amplitudes(bit).tobytes()) for bit in (0, 1)}
+_BELL_KEYS = {kind: (2, _bell_amplitudes(kind).tobytes()) for kind in BellKind}
+
+
+def _intern(num_qubits: int, amplitudes: np.ndarray) -> _State:
+    """The shared state with these amplitudes; norm-checked when new."""
+    key = (num_qubits, amplitudes.tobytes())
+    state = _STATES.get(key)
+    if state is None:
+        _check_norm(amplitudes)
+        if len(_STATES) >= MAX_INTERNED_STATES:
+            _STATES.clear()
+        state = _STATES[key] = _State(num_qubits, amplitudes, key)
+    return state
+
+
+def _check_norm(amplitudes: np.ndarray) -> None:
+    norm_sq = float(np.vdot(amplitudes, amplitudes).real)
+    if abs(norm_sq - 1.0) > 1e-9:
+        raise QsimError(f"state norm drifted: |psi|^2 = {norm_sq!r}")
+
+
+def _z_weights(state: _State, pos: int) -> tuple[float, float]:
+    """Branch weights of outcomes 0 and 1 of a Z measurement at `pos`."""
+    zeros, ones = _BIT_INDEX_CACHE[(state.num_qubits, pos)]
+    amps = state.amplitudes
+    s0 = 0.0
+    for i in zeros:
+        c = amps.item(i)
+        s0 += c.real * c.real + c.imag * c.imag
+    s1 = 0.0
+    for i in ones:
+        c = amps.item(i)
+        s1 += c.real * c.real + c.imag * c.imag
+    return s0, s1
+
+
+def _z_post(state: _State, pos: int, outcome: int) -> _State:
+    s0, s1 = _z_weights(state, pos)
+    zeros, ones = _BIT_INDEX_CACHE[(state.num_qubits, pos)]
+    amps = state.amplitudes.copy()
+    killed = zeros if outcome == 1 else ones
+    for i in killed:
+        amps[i] = 0.0
+    amps *= 1.0 / np.sqrt(s1 if outcome == 1 else s0)
+    return _intern(state.num_qubits, amps)
+
+
+def _bell_overlaps(state: _State, pos_a: int, pos_b: int):
+    """Residual vector and weight per Bell kind, and the axis order used."""
+    n = state.num_qubits
+    rest = [i for i in range(n) if i not in (pos_a, pos_b)]
+    perm = [pos_a, pos_b] + rest
+    tensor = state.amplitudes.reshape([2] * n).transpose(perm).reshape(4, -1)
+    overlaps = _BELL_BASIS @ tensor  # rows: residual vector per Bell kind
+    probs = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
+    return overlaps, probs, perm
+
+
+def _bell_post(state: _State, pos_a: int, pos_b: int, chosen: int) -> _State:
+    overlaps, probs, perm = _bell_overlaps(state, pos_a, pos_b)
+    n = state.num_qubits
+    post = np.outer(
+        _BELL_BASIS[chosen], overlaps[chosen] / np.sqrt(probs[chosen])
+    )
+    inverse = np.argsort(perm)
+    return _intern(n, post.reshape([2] * n).transpose(inverse).reshape(-1))
 
 
 class Simulator:
@@ -111,7 +216,7 @@ class Simulator:
     ):
         self._rng = rng if rng is not None else np.random.default_rng(seed)
         self._max_qubits = max_qubits
-        self._registers: dict[int, _Register] = {}
+        self._registers: dict[int, _State] = {}
         # old register id -> (surviving register id, qubit index offset)
         self._forwards: dict[int, tuple[int, int]] = {}
         self._next_id = 0
@@ -122,14 +227,17 @@ class Simulator:
         """Fresh qubit in |0> or |1>."""
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        amps = np.zeros(2, dtype=complex)
-        amps[bit] = 1.0
-        return self._new_register(1, amps)
+        state = _STATES.get(_BASIS_KEYS[bit])
+        if state is None:
+            state = _intern(1, _basis_amplitudes(bit))
+        return self._new_register(state)
 
     def prepare_bell(self, kind: BellKind) -> tuple[QubitHandle, QubitHandle]:
         """Fresh Bell pair; returns the (first, second) half handles."""
-        amps = np.array(_BELL_AMPLITUDES[kind], dtype=complex)
-        first = self._new_register(2, amps)
+        state = _STATES.get(_BELL_KEYS[kind])
+        if state is None:
+            state = _intern(2, _bell_amplitudes(kind))
+        first = self._new_register(state)
         return first, QubitHandle(first.register_id, 1)
 
     # -- structure --------------------------------------------------------
@@ -140,22 +248,24 @@ class Simulator:
         Qubits of `a`'s register keep their indices; qubits of `b`'s
         register are appended after them. Existing handles stay valid.
         """
-        rid_a, reg_a, _ = self._resolve(a)
-        rid_b, reg_b, _ = self._resolve(b)
+        rid_a, state_a, _ = self._resolve(a)
+        rid_b, state_b, _ = self._resolve(b)
         if rid_a == rid_b:
             raise SameRegister(f"qubits already share register {rid_a}")
-        combined = reg_a.num_qubits + reg_b.num_qubits
+        combined = state_a.num_qubits + state_b.num_qubits
         if combined > self._max_qubits:
             raise CapacityExceeded(
                 f"merge would create a {combined}-qubit register "
                 f"(limit {self._max_qubits})"
             )
-        reg_a.amplitudes = np.kron(reg_a.amplitudes, reg_b.amplitudes)
-        offset = reg_a.num_qubits
-        reg_a.num_qubits = combined
+        merged = state_a.kron.get(state_b.key)
+        if merged is None:
+            merged = state_a.kron[state_b.key] = _intern(
+                combined, np.kron(state_a.amplitudes, state_b.amplitudes)
+            )
+        self._registers[rid_a] = merged
         del self._registers[rid_b]
-        self._forwards[rid_b] = (rid_a, offset)
-        self._check_norm(reg_a)
+        self._forwards[rid_b] = (rid_a, state_a.num_qubits)
 
     # -- measurement ------------------------------------------------------
 
@@ -166,23 +276,17 @@ class Simulator:
         measuring an eigenstate (or re-measuring a collapsed qubit) is
         exactly deterministic.
         """
-        _, reg, pos = self._resolve(q)
-        zeros, ones = _BIT_INDEX_CACHE[(reg.num_qubits, pos)]
-        amps = reg.amplitudes
-        s0 = 0.0
-        for i in zeros:
-            c = amps.item(i)
-            s0 += c.real * c.real + c.imag * c.imag
-        s1 = 0.0
-        for i in ones:
-            c = amps.item(i)
-            s1 += c.real * c.real + c.imag * c.imag
-        outcome = 1 if self._rng.random() < s1 / (s0 + s1) else 0
-        killed = zeros if outcome == 1 else ones
-        for i in killed:
-            amps[i] = 0.0
-        amps *= 1.0 / np.sqrt(s1 if outcome == 1 else s0)
-        self._check_norm(reg)
+        rid, state, pos = self._resolve(q)
+        memo = state.z.get(pos)
+        if memo is None:
+            s0, s1 = _z_weights(state, pos)
+            memo = state.z[pos] = [s1 / (s0 + s1), [None, None]]
+        outcome = 1 if self._rng.random() < memo[0] else 0
+        posts = memo[1]
+        post = posts[outcome]
+        if post is None:
+            post = posts[outcome] = _z_post(state, pos, outcome)
+        self._registers[rid] = post
         return outcome
 
     def measure_bell(self, a: QubitHandle, b: QubitHandle) -> BellKind:
@@ -192,33 +296,32 @@ class Simulator:
         """
         if self._resolve(a)[0] != self._resolve(b)[0]:
             self.merge(a, b)
-        _, reg, pos_a = self._resolve(a)
+        rid, state, pos_a = self._resolve(a)
         pos_b = self._resolve(b)[2]
         if pos_a == pos_b:
             raise InvalidHandle("Bell measurement needs two distinct qubits")
-        n = reg.num_qubits
-        rest = [i for i in range(n) if i not in (pos_a, pos_b)]
-        perm = [pos_a, pos_b] + rest
-        tensor = reg.amplitudes.reshape([2] * n).transpose(perm).reshape(4, -1)
-        overlaps = _BELL_BASIS @ tensor  # rows: residual vector per Bell kind
-        probs = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
-        total = probs.sum()
+        memo = state.bell.get((pos_a, pos_b))
+        if memo is None:
+            probs = _bell_overlaps(state, pos_a, pos_b)[1]
+            cumulative = []
+            running = 0.0
+            for p in probs:
+                running += p
+                cumulative.append(running)
+            memo = state.bell[(pos_a, pos_b)] = [
+                probs.sum(), cumulative, [None] * len(probs)
+            ]
+        total, cumulative, posts = memo
         draw = self._rng.random() * total
-        cumulative = 0.0
-        chosen = len(probs) - 1
-        for k, p in enumerate(probs):
-            cumulative += p
-            if draw < cumulative:
+        chosen = len(cumulative) - 1
+        for k, bound in enumerate(cumulative):
+            if draw < bound:
                 chosen = k
                 break
-        post = np.outer(
-            _BELL_BASIS[chosen], overlaps[chosen] / np.sqrt(probs[chosen])
-        )
-        inverse = np.argsort(perm)
-        reg.amplitudes = (
-            post.reshape([2] * n).transpose(inverse).reshape(-1)
-        )
-        self._check_norm(reg)
+        post = posts[chosen]
+        if post is None:
+            post = posts[chosen] = _bell_post(state, pos_a, pos_b, chosen)
+        self._registers[rid] = post
         return BellKind(chosen)
 
     # -- inspection (tests and diagnostics) -------------------------------
@@ -239,26 +342,20 @@ class Simulator:
 
     # -- internals --------------------------------------------------------
 
-    def _new_register(self, num_qubits: int, amps: np.ndarray) -> QubitHandle:
+    def _new_register(self, state: _State) -> QubitHandle:
         rid = self._next_id
         self._next_id += 1
-        self._registers[rid] = _Register(num_qubits, amps)
+        self._registers[rid] = state
         return QubitHandle(rid, 0)
 
-    def _resolve(self, q: QubitHandle) -> tuple[int, _Register, int]:
+    def _resolve(self, q: QubitHandle) -> tuple[int, _State, int]:
         if not isinstance(q, QubitHandle):
             raise InvalidHandle(f"not a qubit handle: {q!r}")
         rid, pos = q.register_id, q.index
         while rid in self._forwards:
             rid, off = self._forwards[rid]
             pos += off
-        reg = self._registers.get(rid)
-        if reg is None or not 0 <= pos < reg.num_qubits:
+        state = self._registers.get(rid)
+        if state is None or not 0 <= pos < state.num_qubits:
             raise InvalidHandle(f"unknown qubit {q!r}")
-        return rid, reg, pos
-
-    @staticmethod
-    def _check_norm(reg: _Register) -> None:
-        norm_sq = float(np.vdot(reg.amplitudes, reg.amplitudes).real)
-        if abs(norm_sq - 1.0) > 1e-9:
-            raise QsimError(f"state norm drifted: |psi|^2 = {norm_sq!r}")
+        return rid, state, pos

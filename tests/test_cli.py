@@ -183,6 +183,23 @@ def test_main_validation_error_exit_code(capsys):
     assert "--p-ctrl" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--seed", "-1"],
+        ["--secrets", "explicit:A_F,0x1"],
+        ["--secrets", "explicit:+1,1"],
+    ],
+)
+def test_main_rejects_bad_values_with_one_error_line(capsys, flags):
+    code = main(["--protocol", "jiang", "--trials", "1", *flags])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_main_exit_zero_even_when_trials_abort(capsys):
     """Aborts inside trials are data; the process still succeeds."""
     code = main(

@@ -72,6 +72,9 @@ def test_bits_from_hex():
         bits_from_hex("zz", 4)
     with pytest.raises(ValidationError):
         bits_from_hex("FF", 4)  # does not fit
+    for bad in ("A_F", "0x1", " 1", "+1", ""):  # int(text, 16) accepts most
+        with pytest.raises(ValidationError):
+            bits_from_hex(bad, 8)
 
 
 def test_explicit_secrets_parse():
@@ -97,14 +100,29 @@ def test_spec_validation_ranges():
         dict(protocol="jiang", p_detect=-0.1),
         dict(protocol="jiang", trials=0),
         dict(protocol="jiang", threshold=2.0),
+        dict(protocol="jiang", seed=-1),
     ):
         with pytest.raises(ValidationError):
             ExperimentSpec(**bad).validate()
 
 
+@pytest.mark.parametrize("field", ["secret_bits", "trials", "rounds_factor", "seed"])
+@pytest.mark.parametrize("value", [True, 2.5, 2.0, "3"])
+def test_spec_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        ExperimentSpec(protocol="jiang", **{field: value}).validate()
+
+
 def test_spec_round_trip():
     spec = ExperimentSpec(protocol="improved", attack="outside", seed=5)
     assert ExperimentSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_spec_from_dict_validates():
+    data = ExperimentSpec(protocol="jiang").to_dict()
+    for field, value in (("seed", -1), ("trials", 2.5), ("secret_bits", True)):
+        with pytest.raises(ValidationError):
+            ExperimentSpec.from_dict({**data, field: value})
 
 
 # -- trial generation -------------------------------------------------------------

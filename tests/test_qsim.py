@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from sqpclab import qsim
 from sqpclab.qsim import (
     BellKind,
     CapacityExceeded,
@@ -309,3 +310,74 @@ def test_shared_generator_between_simulators():
     sim = Simulator(rng=rng)
     a, _ = sim.prepare_bell(BellKind.PHI_PLUS)
     assert sim.measure_z(a) in (0, 1)
+
+
+# -- interned states ----------------------------------------------------------
+
+
+def _random_walk(seed, steps, clear_at=None):
+    """Seeded random operations over a pool of live qubits.
+
+    Returns, per step, the op's result and the exact amplitude bytes of the
+    registers of the pool. Empties the intern table before step `clear_at`.
+    """
+    sim = Simulator(seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    pool = []
+    trace = []
+    for step in range(steps):
+        if step == clear_at:
+            qsim._STATES.clear()
+        op = int(rng.integers(5)) if pool else int(rng.integers(2))
+        result = None
+        try:
+            if op == 0:
+                pool.append(sim.prepare_basis(int(rng.integers(2))))
+            elif op == 1:
+                pool.extend(sim.prepare_bell(BellKind(int(rng.integers(4)))))
+            elif op == 2:
+                a, b = rng.integers(len(pool), size=2)
+                sim.merge(pool[a], pool[b])
+            elif op == 3:
+                result = sim.measure_z(pool[int(rng.integers(len(pool)))])
+            else:
+                a, b = rng.integers(len(pool), size=2)
+                result = sim.measure_bell(pool[a], pool[b])
+        except (CapacityExceeded, SameRegister, InvalidHandle) as exc:
+            result = type(exc).__name__
+        pool = pool[-6:]
+        trace.append((result, [sim.amplitudes(q).tobytes() for q in pool]))
+    return trace
+
+
+def test_emptying_intern_table_midway_changes_nothing():
+    """Registers holding states dropped from the table behave the same."""
+    for seed in (1, 2, 3):
+        qsim._STATES.clear()
+        uninterrupted = _random_walk(seed, 600)
+        qsim._STATES.clear()
+        interrupted = _random_walk(seed, 600, clear_at=300)
+        assert interrupted == uninterrupted
+
+
+def test_intern_table_stays_within_bound(monkeypatch):
+    bound = 8
+    monkeypatch.setattr(qsim, "MAX_INTERNED_STATES", bound)
+    qsim._STATES.clear()
+    seen = set()
+    for seed in range(40):
+        _random_walk(seed, 50)
+        assert len(qsim._STATES) <= bound
+        seen.update(qsim._STATES)
+    assert len(seen) > bound  # the walk overflowed the table
+
+
+def test_amplitudes_are_a_writable_copy():
+    """Editing a copy touches neither its register nor other Simulators."""
+    first, second = Simulator(seed=0), Simulator(seed=1)
+    a, _ = first.prepare_bell(BellKind.PHI_PLUS)
+    b, _ = second.prepare_bell(BellKind.PHI_PLUS)
+    amps = first.amplitudes(a)
+    amps[0] = 5.0
+    for sim, q in ((first, a), (second, b)):
+        assert np.allclose(sim.amplitudes(q), [SQRT2_INV, 0, 0, SQRT2_INV])
