@@ -118,6 +118,9 @@ class _State:
         self.kron: dict[tuple[int, bytes], _State] = {}
 
 
+# Module level on purpose: a Simulator lives for one trial, so a table per
+# Simulator would recompute most transitions every trial. Entries are pure
+# functions of their key, so what the table holds never changes a result.
 _STATES: dict[tuple[int, bytes], _State] = {}
 
 
