@@ -1,10 +1,12 @@
-"""Channel interception strategies between TP and the participants.
+"""Channel attacks between TP and the participants, one table row each.
 
-Every qubit transmission passes through a strategy's `transmit` hook, which
-returns whatever the downstream side actually receives: the original qubit,
-a stored one, or a forgery. Strategies also get the public classical flow
-(choice announcements, end-of-protocol publications) so participant-grade
-adversaries can exploit it.
+Each attack is an `Attack` record in `ATTACKS`. One `ChannelStrategy` class
+carries out any row, and the harness reads the same row for its detection
+statistic and its secret-recovery gate. Every qubit transmission passes
+through the strategy's `transmit` hook, which returns whatever the
+downstream side actually receives: the original qubit, a held one, or a
+forgery. The strategy also sees the public classical flow (choice
+announcements, then the published `MaskRecord`) so an insider can exploit it.
 
 Knowledge model: an outside eavesdropper sees only qubits in transit; a
 malicious participant (Bob) additionally knows the pre-shared key and all
@@ -15,14 +17,50 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .protocol import ChannelEvent, Choice, Leg, Publication, RunContext, Variant
+from .protocol import ChannelEvent, Choice, Leg, MaskRecord, RunContext, Variant
 from .qsim import QubitHandle
 
-_FORWARD_LEGS = (Leg.FORWARD_TP_TO_ALICE, Leg.FORWARD_TP_TO_BOB)
+_ALICE, _BOB = Leg.FORWARD_TP_TO_ALICE, Leg.FORWARD_TP_TO_BOB
 
-_RETURN_TO_FORWARD = {
-    Leg.RETURN_ALICE_TO_TP: Leg.FORWARD_TP_TO_ALICE,
-    Leg.RETURN_BOB_TO_TP: Leg.FORWARD_TP_TO_BOB,
+_RETURN_TO_FORWARD = {Leg.RETURN_ALICE_TO_TP: _ALICE, Leg.RETURN_BOB_TO_TP: _BOB}
+
+
+@dataclass(frozen=True)
+class Attack:
+    """One channel attack, as data.
+
+    forged: forward legs whose genuine half is held while a random Z-basis
+        forgery goes on in its place.
+    swap_back: on the return leg of a forged leg, hold what the participant
+        sends and deliver the held genuine half, so TP sees intact pairs.
+    measured: forward legs Z-measured in transit and passed on collapsed.
+    insider: the adversary is Bob, who reads Alice's encoded bits and
+        decodes her secret from a published raw key.
+    case1_error: probability that TP's Bell outcome on a double-CTRL round
+        differs from the prepared kind.
+    """
+
+    name: str
+    forged: tuple[Leg, ...] = ()
+    swap_back: bool = False
+    measured: tuple[Leg, ...] = ()
+    insider: bool = False
+    case1_error: float = 0.0
+
+
+ATTACKS = {
+    attack.name: attack
+    for attack in (
+        Attack("none"),
+        # The paper's outside eavesdropper: swap every qubit in transit.
+        Attack("outside", forged=(_ALICE, _BOB), swap_back=True),
+        # The paper's malicious Bob: swap Alice's qubits, then decode her secret.
+        Attack("participant", forged=(_ALICE,), swap_back=True, insider=True),
+        # Probe: Bob forges Alice's forward leg only; her returns travel clean.
+        Attack("participant-forward", forged=(_ALICE,), insider=True, case1_error=0.75),
+        Attack("intercept-resend", forged=(_ALICE, _BOB), case1_error=0.75),
+        Attack("measure-resend", measured=(_ALICE, _BOB), case1_error=0.5),
+    )
 }
 
 
@@ -36,110 +74,74 @@ class AdversaryState:
 
 
 class ChannelStrategy:
-    """Base strategy: an untouched channel."""
+    """A channel that carries out one `Attack` row; the "none" row is untouched."""
 
-    name = "none"
-
-    def __init__(self):
+    def __init__(self, attack: Attack, shared_key: tuple[int, ...] | None = None):
+        self.attack = attack
+        self.name = attack.name
+        self.shared_key = shared_key
         self.ctx: RunContext | None = None
+        # return leg -> forward leg whose held genuine half it delivers
+        self._swap = {
+            back: forward
+            for back, forward in _RETURN_TO_FORWARD.items()
+            if attack.swap_back and forward in attack.forged
+        }
+        self.held: dict[tuple[Leg, int], QubitHandle] = {}
+        self.fake_bits: dict[tuple[Leg, int], int] = {}
+        # insider: Alice's encoded bit by calculate ordinal;
+        # measure-resend: Z outcome by 2 * round + (0 Alice, 1 Bob)
+        self.learned_bits: dict[int, int] = {}
+        self.recovered_secret: tuple[int, ...] | None = None
 
     def bind(self, ctx: RunContext) -> None:
         self.ctx = ctx
 
     def transmit(self, event: ChannelEvent) -> QubitHandle:
+        leg, i = event.leg, event.round_index
+        if leg in self.attack.forged:
+            self.held[(leg, i)] = event.qubit
+            bit = int(self.ctx.rng.integers(2))
+            self.fake_bits[(leg, i)] = bit
+            return self.ctx.sim.prepare_basis(bit)
+        if leg in self.attack.measured:
+            self.learned_bits[2 * i + (leg is _BOB)] = self.ctx.sim.measure_z(event.qubit)
+            return event.qubit
+        forward = self._swap.get(leg)
+        if forward is not None:
+            self.held[(leg, i)] = event.qubit  # never measured; Eve has no use for it
+            return self.held.pop((forward, i))
         return event.qubit
 
     def observe_choices(
         self, alice_choices: Sequence[Choice], bob_choices: Sequence[Choice]
     ) -> None:
-        pass
-
-    def observe_publication(self, publication: Publication) -> None:
-        pass
-
-    def state(self) -> AdversaryState:
-        return AdversaryState()
-
-    # shared helper for forging Z-basis qubits
-    def _fake_qubit(self) -> tuple[QubitHandle, int]:
-        bit = int(self.ctx.rng.integers(2))
-        return self.ctx.sim.prepare_basis(bit), bit
-
-
-class OutsideAttackStrategy(ChannelStrategy):
-    """Full swap attack by an outside eavesdropper.
-
-    Forward legs: store the genuine halves, hand the participants random
-    Z-basis forgeries. Return legs: retain whatever the participants send and
-    deliver the stored genuine halves, so TP's Bell check sees intact pairs.
-    """
-
-    name = "outside"
-
-    def __init__(self):
-        super().__init__()
-        self._stored: dict[tuple[Leg, int], QubitHandle] = {}
-        self._retained: dict[tuple[Leg, int], QubitHandle] = {}
-
-    def transmit(self, event: ChannelEvent) -> QubitHandle:
-        if event.leg in _FORWARD_LEGS:
-            self._stored[(event.leg, event.round_index)] = event.qubit
-            fake, _ = self._fake_qubit()
-            return fake
-        # Retained returns are never measured; Eve has no use for them.
-        self._retained[(event.leg, event.round_index)] = event.qubit
-        forward = _RETURN_TO_FORWARD[event.leg]
-        return self._stored.pop((forward, event.round_index))
-
-    def state(self) -> AdversaryState:
-        return AdversaryState(stored_qubits=dict(self._retained))
-
-
-class ParticipantAttackStrategy(ChannelStrategy):
-    """Malicious Bob: swap attack on Alice's legs plus secret extraction.
-
-    Bob keeps Alice's returned qubits, swaps the genuine halves back to TP,
-    measures the kept qubits from her announced SIFT rounds to learn her
-    encoded bits, and decodes her secret once she publishes her raw key.
-    """
-
-    name = "participant"
-
-    def __init__(self, shared_key: tuple[int, ...]):
-        super().__init__()
-        self.shared_key = shared_key
-        self._stored: dict[tuple[Leg, int], QubitHandle] = {}
-        self._retained: dict[tuple[Leg, int], QubitHandle] = {}
-        self.learned_bits: dict[int, int] = {}
-        self.recovered_secret: tuple[int, ...] | None = None
-
-    def transmit(self, event: ChannelEvent) -> QubitHandle:
-        if event.leg is Leg.FORWARD_TP_TO_ALICE:
-            self._stored[(event.leg, event.round_index)] = event.qubit
-            fake, _ = self._fake_qubit()
-            return fake
-        if event.leg is Leg.RETURN_ALICE_TO_TP:
-            self._retained[(event.leg, event.round_index)] = event.qubit
-            return self._stored.pop((Leg.FORWARD_TP_TO_ALICE, event.round_index))
-        return event.qubit  # Bob's own legs run clean
-
-    def observe_choices(self, alice_choices, bob_choices) -> None:
+        """An insider reads Alice's encoded bits: by measuring her held returns,
+        or, without swap-back, as her Z outcomes on his Z-basis forgeries.
+        The latter needs the improved variant: jiang encodes classically."""
+        attack = self.attack
+        if not attack.insider or not (
+            attack.swap_back or self.ctx.variant is Variant.IMPROVED
+        ):
+            return
         ordinal = 0
         for i, choice in enumerate(alice_choices):
             if choice is Choice.CTRL:
                 continue
-            kept = self._retained.get((Leg.RETURN_ALICE_TO_TP, i))
-            if kept is None:
-                continue
-            bit = self.ctx.sim.measure_z(kept)
+            if attack.swap_back:
+                bit = self.ctx.sim.measure_z(self.held[(Leg.RETURN_ALICE_TO_TP, i)])
+            else:
+                bit = self.fake_bits[(_ALICE, i)]
             if choice is Choice.SIFT_CALCULATE:
                 ordinal += 1
                 self.learned_bits[ordinal] = bit
 
-    def observe_publication(self, publication: Publication) -> None:
-        if publication.variant is not Variant.JIANG:
-            return  # only raw-key publication admits the decoding below
-        ra = publication.alice_values
+    def observe_publication(self, masks: MaskRecord) -> None:
+        """An insider decodes x_j = encoded_j ^ RA_j ^ K_j once jiang
+        publishes the raw keys; improved masks admit no such decoding."""
+        if not self.attack.insider or self.ctx.variant is not Variant.JIANG:
+            return
+        ra = masks.alice_masks
         bits = []
         for j in range(1, len(ra) + 1):
             if j not in self.learned_bits:
@@ -150,148 +152,15 @@ class ParticipantAttackStrategy(ChannelStrategy):
 
     def state(self) -> AdversaryState:
         return AdversaryState(
-            stored_qubits=dict(self._retained),
-            learned_bits=dict(self.learned_bits),
-            recovered_secret=self.recovered_secret,
+            dict(self.held), dict(self.learned_bits), self.recovered_secret
         )
-
-
-class ParticipantForwardOnlyStrategy(ChannelStrategy):
-    """Bob forges only the TP-to-Alice leg and leaves all returns untouched.
-
-    Probes whether trap checks alone would catch a participant: Alice's
-    calculate measurements become Bob-known, her traps travel clean, and
-    double-CTRL rounds give TP a forgery paired with a live Bell half.
-    """
-
-    name = "participant-forward"
-
-    def __init__(self, shared_key: tuple[int, ...]):
-        super().__init__()
-        self.shared_key = shared_key
-        self._stored: dict[tuple[Leg, int], QubitHandle] = {}
-        self._fake_bits: dict[int, int] = {}
-        self.learned_bits: dict[int, int] = {}
-
-    def transmit(self, event: ChannelEvent) -> QubitHandle:
-        if event.leg is Leg.FORWARD_TP_TO_ALICE:
-            self._stored[(event.leg, event.round_index)] = event.qubit
-            fake, bit = self._fake_qubit()
-            self._fake_bits[event.round_index] = bit
-            return fake
-        return event.qubit
-
-    def observe_choices(self, alice_choices, bob_choices) -> None:
-        if self.ctx.variant is not Variant.IMPROVED:
-            return  # jiang encodes classically; forged qubits teach nothing
-        ordinal = 0
-        for i, choice in enumerate(alice_choices):
-            if choice is Choice.SIFT_CALCULATE:
-                ordinal += 1
-                # Alice Z-measured Bob's Z-basis forgery, so he knows the result.
-                self.learned_bits[ordinal] = self._fake_bits[i]
-
-    def state(self) -> AdversaryState:
-        return AdversaryState(
-            stored_qubits=dict(self._stored),
-            learned_bits=dict(self.learned_bits),
-        )
-
-
-class InterceptResendStrategy(ChannelStrategy):
-    """Replace both forward legs with random Z-basis qubits; keep the
-    originals unmeasured; leave return legs alone."""
-
-    name = "intercept-resend"
-
-    def __init__(self):
-        super().__init__()
-        self._stored: dict[tuple[Leg, int], QubitHandle] = {}
-
-    def transmit(self, event: ChannelEvent) -> QubitHandle:
-        if event.leg in _FORWARD_LEGS:
-            self._stored[(event.leg, event.round_index)] = event.qubit
-            fake, _ = self._fake_qubit()
-            return fake
-        return event.qubit
-
-    def state(self) -> AdversaryState:
-        return AdversaryState(stored_qubits=dict(self._stored))
-
-
-class MeasureResendStrategy(ChannelStrategy):
-    """Z-measure each forward-leg qubit in transit and pass it on collapsed."""
-
-    name = "measure-resend"
-
-    def __init__(self):
-        super().__init__()
-        self.learned_bits: dict[int, int] = {}
-
-    def transmit(self, event: ChannelEvent) -> QubitHandle:
-        if event.leg in _FORWARD_LEGS:
-            bit = self.ctx.sim.measure_z(event.qubit)
-            key = event.round_index * 2 + (0 if event.leg is _FORWARD_LEGS[0] else 1)
-            self.learned_bits[key] = bit
-        return event.qubit
-
-    def state(self) -> AdversaryState:
-        return AdversaryState(learned_bits=dict(self.learned_bits))
-
-
-# -- construction ------------------------------------------------------------
-
-
-def honest_strategy() -> ChannelStrategy:
-    return ChannelStrategy()
-
-
-def outside_attack_strategy() -> OutsideAttackStrategy:
-    return OutsideAttackStrategy()
-
-
-def participant_attack_strategy(shared_key: tuple[int, ...]) -> ParticipantAttackStrategy:
-    return ParticipantAttackStrategy(shared_key)
-
-
-def participant_forward_only_strategy(
-    shared_key: tuple[int, ...],
-) -> ParticipantForwardOnlyStrategy:
-    return ParticipantForwardOnlyStrategy(shared_key)
-
-
-def intercept_resend_strategy() -> InterceptResendStrategy:
-    return InterceptResendStrategy()
-
-
-def measure_resend_strategy() -> MeasureResendStrategy:
-    return MeasureResendStrategy()
-
-
-ATTACK_NAMES = (
-    "none",
-    "outside",
-    "participant",
-    "participant-forward",
-    "intercept-resend",
-    "measure-resend",
-)
-
-_PARTICIPANT_ATTACKS = ("participant", "participant-forward")
 
 
 def make_strategy(name: str, shared_key: tuple[int, ...] | None = None):
-    """Build a fresh strategy instance by CLI name; None for an honest channel."""
-    if name == "none":
+    """A fresh strategy for the attack `name`; None for an untouched channel."""
+    if name not in ATTACKS:
+        raise ValueError(f"unknown attack {name!r}")
+    attack = ATTACKS[name]
+    if not (attack.forged or attack.measured):
         return None
-    if name == "outside":
-        return outside_attack_strategy()
-    if name == "participant":
-        return participant_attack_strategy(shared_key)
-    if name == "participant-forward":
-        return participant_forward_only_strategy(shared_key)
-    if name == "intercept-resend":
-        return intercept_resend_strategy()
-    if name == "measure-resend":
-        return measure_resend_strategy()
-    raise ValueError(f"unknown attack {name!r}")
+    return ChannelStrategy(attack, shared_key)

@@ -12,9 +12,9 @@ import csv
 import io
 import json
 import sys
-from enum import Enum
+from dataclasses import fields
 
-from .adversary import ATTACK_NAMES
+from .adversary import ATTACKS
 from .harness import (
     AggregateReport,
     ExperimentSpec,
@@ -23,40 +23,8 @@ from .harness import (
 )
 
 
-class OutputFormat(Enum):
-    TABLE = "table"
-    JSON = "json"
-    CSV = "csv"
-
-
-_SPEC_FIELDS = (
-    "protocol",
-    "attack",
-    "secret_bits",
-    "rounds_factor",
-    "p_ctrl",
-    "p_detect",
-    "trials",
-    "seed",
-    "threshold",
-    "secrets",
-)
-
-_AGGREGATE_FIELDS = (
-    "trials",
-    "detection_rate",
-    "detection_stderr",
-    "abort_rate",
-    "insufficient_rounds_rate",
-    "completed_trials",
-    "wrong_result_rate",
-    "wrong_result_stderr",
-    "secret_recovery_rate",
-    "case1_rounds_total",
-    "case1_errors_total",
-    "case1_error_rate",
-    "detection_by_trap_count",
-)
+_SPEC_FIELDS = tuple(f.name for f in fields(ExperimentSpec))
+_AGGREGATE_FIELDS = tuple(f.name for f in fields(AggregateReport) if f.name != "spec")
 
 CSV_HEADER = tuple(f"spec_{f}" for f in _SPEC_FIELDS) + _AGGREGATE_FIELDS
 
@@ -71,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="protocol variant to execute",
     )
     parser.add_argument(
-        "--attack", default="none", choices=ATTACK_NAMES,
+        "--attack", default="none", choices=ATTACKS,
         help="channel strategy (default: none)",
     )
     parser.add_argument(
@@ -110,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> tuple[ExperimentSpec, OutputFormat]:
-    """Map flags to a validated ExperimentSpec plus the chosen output format."""
+def parse_args(argv: list[str]) -> tuple[ExperimentSpec, str]:
+    """Map flags to a validated ExperimentSpec plus the chosen --output format."""
     args = build_parser().parse_args(argv)
     if args.p_detect is not None and args.protocol == "jiang":
         raise ValidationError("--p-detect is not accepted for the jiang protocol")
@@ -128,27 +96,25 @@ def parse_args(argv: list[str]) -> tuple[ExperimentSpec, OutputFormat]:
         secrets=args.secrets,
     )
     spec.validate()
-    return spec, OutputFormat(args.output)
+    return spec, args.output
 
 
-def emit_report(report: AggregateReport, fmt: OutputFormat) -> str:
-    if fmt is OutputFormat.JSON:
+def emit_report(report: AggregateReport, fmt: str) -> str:
+    """Render the report as `fmt`: "table", "json" or "csv"."""
+    if fmt == "json":
         return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    if fmt is OutputFormat.CSV:
+    if fmt == "csv":
         return _emit_csv(report)
     return _emit_table(report)
 
 
 def _emit_csv(report: AggregateReport) -> str:
     data = report.to_dict()
-    row = []
-    for name in _SPEC_FIELDS:
-        row.append(_csv_cell(data["spec"][name]))
-    for name in _AGGREGATE_FIELDS:
-        value = data[name]
-        if name == "detection_by_trap_count":
-            value = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        row.append(_csv_cell(value))
+    data["detection_by_trap_count"] = json.dumps(
+        data["detection_by_trap_count"], sort_keys=True, separators=(",", ":")
+    )
+    row = [_csv_cell(data["spec"][name]) for name in _SPEC_FIELDS]
+    row += [_csv_cell(data[name]) for name in _AGGREGATE_FIELDS]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -159,9 +125,7 @@ def _emit_csv(report: AggregateReport) -> str:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value) if not isinstance(value, str) else value
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _fmt_rate(rate: float | None, stderr: float | None = None) -> str:

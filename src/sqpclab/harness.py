@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .adversary import ATTACK_NAMES, make_strategy
+from .adversary import ATTACKS, make_strategy
 from .protocol import (
     AbortReason,
     KeyMaterial,
+    Leg,
     ProtocolConfig,
     SecretInput,
     TrialReport,
@@ -32,7 +33,7 @@ from .protocol import (
 
 # Smallest integer factors keeping the analytic shortfall probability at the
 # L=8 defaults at least an order of magnitude inside the 1e-3 budget
-# (binomial tails: jiang 4.2e-5, improved 7.8e-5).
+# (exact binomial tails: jiang 4.2277e-5, improved 7.7771e-5).
 DEFAULT_ROUNDS_FACTOR = {"jiang": 5, "improved": 11}
 
 SECRET_MODES = ("random", "equal", "unequal")
@@ -78,7 +79,7 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.protocol not in ("jiang", "improved"):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
-        if self.attack not in ATTACK_NAMES:
+        if self.attack not in ATTACKS:
             raise ValidationError(f"unknown attack {self.attack!r}")
         integers = [
             ("--secret-bits", self.secret_bits),
@@ -148,9 +149,6 @@ class TrapCountRow:
     stderr: float
     predicted: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class AggregateReport:
@@ -170,21 +168,48 @@ class AggregateReport:
     detection_by_trap_count: list[TrapCountRow] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["spec"] = self.spec.to_dict()
-        data["detection_by_trap_count"] = [
-            row.to_dict() for row in self.detection_by_trap_count
-        ]
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AggregateReport":
-        data = dict(data)
-        data["spec"] = ExperimentSpec.from_dict(data["spec"])
-        data["detection_by_trap_count"] = [
-            TrapCountRow(**row) for row in data["detection_by_trap_count"]
-        ]
-        return cls(**data)
+        """Parse and validate a `to_dict` result; raises ValidationError."""
+        try:
+            data = dict(data)
+            data["spec"] = ExperimentSpec.from_dict(data["spec"])
+            data["detection_by_trap_count"] = [
+                TrapCountRow(**row) for row in data["detection_by_trap_count"]
+            ]
+            report = cls(**data)
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed report: {exc!r}") from None
+        rows = report.detection_by_trap_count
+        for record in (report, *rows):
+            _check_ranges(record)
+        if (
+            report.trials < 1
+            or report.completed_trials > report.trials
+            or report.case1_errors_total > report.case1_rounds_total
+            or any(row.trials < 1 or row.detected > row.trials for row in rows)
+        ):
+            raise ValidationError("report counts are inconsistent")
+        return report
+
+
+def _check_ranges(record) -> None:
+    """Fields declared `int` must be nonnegative ints; fields declared `float`
+    must lie in [0, 1], or be None where the declaration allows it."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if f.type == "int":
+            ok = type(value) is int and value >= 0
+        elif f.type.startswith("float"):
+            ok = (value is None and f.type.endswith("| None")) or (
+                type(value) in (int, float) and 0.0 <= value <= 1.0
+            )
+        else:
+            continue
+        if not ok:
+            raise ValidationError(f"{f.name} out of range: {value!r}")
 
 
 def binomial_stderr(rate: float, n: int) -> float:
@@ -222,30 +247,27 @@ def wrong_result_model_jiang_outside(l_used: int) -> float:
     return 1.0 - 0.5**l_used
 
 
-CASE1_ERROR_RATES = {
-    "intercept-resend": 0.75,
-    "measure-resend": 0.5,
-    "participant-forward": 0.75,
-}
-
-
 def detection_model(variant: Variant, attack: str):
     """(statistic, prediction) pair for conditional detection tables.
 
     Returns (extract(report) -> k, predict(k) -> probability), or None for
-    configurations with no detectable signature.
+    configurations with no detectable signature. An attack that disturbs
+    case-1 pairs fails each Bell check with its `case1_error`. One that swaps
+    the genuine halves back passes the Bell check, but in the improved variant
+    TP Z-measures a genuine Bell half for each trap sent on a swapped leg,
+    which flips the trap with probability 1/2.
     """
-    if attack in CASE1_ERROR_RATES:
-        survive = 1.0 - CASE1_ERROR_RATES[attack]
-        return (
-            lambda r: r.case1_rounds,
-            lambda k: 1.0 - survive**k,
-        )
-    if variant is Variant.IMPROVED and attack == "outside":
-        return lambda r: r.n + r.m, lambda k: 1.0 - 0.5**k
-    if variant is Variant.IMPROVED and attack == "participant":
-        return lambda r: r.n, lambda k: 1.0 - 0.5**k
-    return None
+    row = ATTACKS[attack]
+    if row.case1_error:
+        p, extract = row.case1_error, lambda r: r.case1_rounds
+    elif variant is Variant.IMPROVED and row.swap_back:
+        alice = Leg.FORWARD_TP_TO_ALICE in row.forged
+        bob = Leg.FORWARD_TP_TO_BOB in row.forged
+        p, extract = 0.5, lambda r: alice * r.n + bob * r.m
+    else:
+        return None
+    survive = 1.0 - p
+    return extract, lambda k: 1.0 - survive**k
 
 
 # -- experiment execution ------------------------------------------------------
@@ -307,11 +329,11 @@ def run_experiment(spec: ExperimentSpec) -> AggregateReport:
 def aggregate(spec: ExperimentSpec, reports: list[TrialReport]) -> AggregateReport:
     trials = len(reports)
     detected = sum(r.detected for r in reports)
-    aborted = sum(r.aborted for r in reports)
+    aborted = sum(r.outcome.aborted for r in reports)
     insufficient = sum(
-        r.abort_reason is AbortReason.INSUFFICIENT_ROUNDS for r in reports
+        r.outcome.abort_reason is AbortReason.INSUFFICIENT_ROUNDS for r in reports
     )
-    completed = [r for r in reports if not r.aborted]
+    completed = [r for r in reports if not r.outcome.aborted]
 
     detection_rate = detected / trials
     wrong_rate = wrong_stderr = None
@@ -321,12 +343,11 @@ def aggregate(spec: ExperimentSpec, reports: list[TrialReport]) -> AggregateRepo
         wrong_stderr = binomial_stderr(wrong_rate, len(completed))
 
     recovery_rate = None
-    if spec.protocol == "jiang" and spec.attack in ("participant", "participant-forward"):
-        if completed:
-            recovered = sum(
-                r.adversary_recovered_secret_correct is True for r in completed
-            )
-            recovery_rate = recovered / len(completed)
+    if spec.protocol == "jiang" and ATTACKS[spec.attack].insider and completed:
+        recovered = sum(
+            r.adversary_recovered_secret_correct is True for r in completed
+        )
+        recovery_rate = recovered / len(completed)
 
     case1_total = sum(r.case1_rounds for r in reports)
     case1_errors = sum(r.case1_errors for r in reports)

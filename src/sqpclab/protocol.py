@@ -9,7 +9,7 @@ material.
 
 Variant differences:
     - jiang: SIFT encodes ``K XOR RA XOR x`` classically; raw keys RA/RB are
-      published in the clear at the end.
+      published in the clear at the end, in the `MaskRecord`.
     - improved: SIFT splits into SIFT(calculate), which measures the received
       qubit and re-encodes the result, and SIFT(detect), which sends a trap
       qubit; only the XOR masks ``RA XOR RA'`` are ever published.
@@ -18,6 +18,17 @@ Comparison pairing: participants' choices are independent, so TP pairs
 Alice's j-th SIFT(calculate) contribution with Bob's j-th, and each side
 indexes its key material by its own calculate ordinal. Under that pairing
 the masks cancel exactly and each comparison value equals ``x_j XOR y_j``.
+
+TP dispatches on each round's (Alice, Bob) choice pair, 4 pairs in jiang
+and 9 in improved: a double-CTRL round (case 1) is Bell-measured for the
+Bell check, and every SIFT qubit is Z-measured as a calculate value or a
+trap announcement.
+
+Channel interface: `run_protocol` drives any object with `bind(RunContext)`,
+`transmit(ChannelEvent) -> QubitHandle`, `observe_choices(alice, bob)`,
+`observe_publication(MaskRecord)` and `state() -> AdversaryState`. The
+adversary module's `ChannelStrategy` is the one implementation in the
+package; the variant a strategy needs comes from its bound `RunContext`.
 """
 from __future__ import annotations
 
@@ -154,45 +165,12 @@ class RoundRecord:
     tp_bell_outcome: BellKind | None = None
 
 
-def table_case(variant: Variant, alice: Choice, bob: Choice) -> int:
-    """Dispatch-table case number for a round's choice pair."""
-    if variant is Variant.JIANG:
-        cases = {
-            (Choice.CTRL, Choice.CTRL): 1,
-            (Choice.CTRL, Choice.SIFT_CALCULATE): 2,
-            (Choice.SIFT_CALCULATE, Choice.CTRL): 3,
-            (Choice.SIFT_CALCULATE, Choice.SIFT_CALCULATE): 4,
-        }
-    else:
-        cases = {
-            (Choice.CTRL, Choice.CTRL): 1,
-            (Choice.CTRL, Choice.SIFT_CALCULATE): 2,
-            (Choice.CTRL, Choice.SIFT_DETECT): 3,
-            (Choice.SIFT_CALCULATE, Choice.CTRL): 4,
-            (Choice.SIFT_DETECT, Choice.CTRL): 5,
-            (Choice.SIFT_CALCULATE, Choice.SIFT_DETECT): 6,
-            (Choice.SIFT_DETECT, Choice.SIFT_CALCULATE): 7,
-            (Choice.SIFT_CALCULATE, Choice.SIFT_CALCULATE): 8,
-            (Choice.SIFT_DETECT, Choice.SIFT_DETECT): 9,
-        }
-    return cases[(alice, bob)]
-
-
 @dataclass(frozen=True)
 class MaskRecord:
     """Published end-of-protocol values: RA/RB (jiang) or XOR masks (improved)."""
 
     alice_masks: tuple[int, ...]
     bob_masks: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Publication:
-    """What the participants announce in the final step, as the channel sees it."""
-
-    variant: Variant
-    alice_values: tuple[int, ...]
-    bob_values: tuple[int, ...]
 
 
 @dataclass
@@ -247,8 +225,6 @@ class TrialReport:
 
     outcome: ComparisonOutcome
     verdict_correct: bool | None  # None when aborted
-    aborted: bool
-    abort_reason: AbortReason | None
     n: int  # Alice trap count
     m: int  # Bob trap count
     case1_rounds: int
@@ -259,7 +235,7 @@ class TrialReport:
     @property
     def detected(self) -> bool:
         """True when a security check (Bell or trap) triggered the abort."""
-        return self.abort_reason in (
+        return self.outcome.abort_reason in (
             AbortReason.BELL_CHECK_FAILED,
             AbortReason.TRAP_CHECK_FAILED,
         )
@@ -439,111 +415,77 @@ def run_protocol(
         )
 
     # TP dispatch: Bell-measure double-CTRL rounds, Z-measure every qubit a
-    # SIFT participant sent; announce the trap results.
+    # SIFT participant sent; announce the trap results. Rounds are visited in
+    # order, so calculate outcomes arrive in each participant's ordinal order.
+    ma_by_ordinal: list[int] = []
+    mb_by_ordinal: list[int] = []
     for rec, (back_a, back_b) in zip(records, returned):
         if rec.alice_choice is Choice.CTRL and rec.bob_choice is Choice.CTRL:
             rec.tp_bell_outcome = sim.measure_bell(back_a, back_b)
             continue
         if rec.alice_choice is Choice.SIFT_CALCULATE:
             rec.ma = sim.measure_z(back_a)
+            ma_by_ordinal.append(rec.ma)
         elif rec.alice_choice is Choice.SIFT_DETECT:
             rec.tp_trap_a = sim.measure_z(back_a)
         if rec.bob_choice is Choice.SIFT_CALCULATE:
             rec.mb = sim.measure_z(back_b)
+            mb_by_ordinal.append(rec.mb)
         elif rec.bob_choice is Choice.SIFT_DETECT:
             rec.tp_trap_b = sim.measure_z(back_b)
 
     transcript = Transcript(variant=variant, rounds=records)
-    trap_check = verify_traps(transcript)
+    traps = verify_traps(transcript)
+    case1, errors = transcript.case1_stats()
 
-    def report(outcome: ComparisonOutcome) -> TrialReport:
-        case1, errors = transcript.case1_stats()
-        recovered = None
-        if channel is not None:
-            state = channel.state()
-            if state.recovered_secret is not None:
-                recovered = state.recovered_secret == cfg.secrets.x
-        truth = cfg.secrets.x == cfg.secrets.y
-        return TrialReport(
-            outcome=outcome,
-            verdict_correct=None if outcome.aborted else outcome.equal == truth,
-            aborted=outcome.aborted,
-            abort_reason=outcome.abort_reason,
-            n=trap_check.traps_alice,
-            m=trap_check.traps_bob,
-            case1_rounds=case1,
-            case1_errors=errors,
-            trap_mismatches=trap_check.mismatches,
-            adversary_recovered_secret_correct=recovered,
-        )
+    def rate(bad: int, total: int) -> float:
+        return bad / total if total else 0.0
 
     # Integrity checks: Bell outcomes on double-CTRL rounds, then traps.
-    case1, errors = transcript.case1_stats()
-    bell_error_rate = errors / case1 if case1 else 0.0
-    if bell_error_rate > cfg.threshold:
+    if rate(errors, case1) > cfg.threshold:
         outcome = ComparisonOutcome.make_aborted(AbortReason.BELL_CHECK_FAILED)
-        return outcome, transcript, report(outcome)
-    if variant is Variant.IMPROVED:
-        rate_a = (
-            trap_check.mismatches_alice / trap_check.traps_alice
-            if trap_check.traps_alice
-            else 0.0
-        )
-        rate_b = (
-            trap_check.mismatches_bob / trap_check.traps_bob
-            if trap_check.traps_bob
-            else 0.0
-        )
-        if rate_a > cfg.threshold or rate_b > cfg.threshold:
-            outcome = ComparisonOutcome.make_aborted(AbortReason.TRAP_CHECK_FAILED)
-            return outcome, transcript, report(outcome)
-
-    if alice.calc_count < L or bob.calc_count < L:
+    elif variant is Variant.IMPROVED and (
+        rate(traps.mismatches_alice, traps.traps_alice) > cfg.threshold
+        or rate(traps.mismatches_bob, traps.traps_bob) > cfg.threshold
+    ):
+        outcome = ComparisonOutcome.make_aborted(AbortReason.TRAP_CHECK_FAILED)
+    elif alice.calc_count < L or bob.calc_count < L:
         outcome = ComparisonOutcome.make_aborted(AbortReason.INSUFFICIENT_ROUNDS)
-        return outcome, transcript, report(outcome)
-
-    # Final step: participants publish, TP pairs ordinals and compares.
-    if variant is Variant.JIANG:
-        published_a, published_b = cfg.keys.ra, cfg.keys.rb
     else:
-        published_a = tuple(alice.masks)
-        published_b = tuple(bob.masks)
-    transcript.masks = MaskRecord(published_a, published_b)
-    if channel is not None:
-        channel.observe_publication(Publication(variant, published_a, published_b))
-
-    ma_by_ordinal = _measured_by_ordinal(records, side="alice")
-    mb_by_ordinal = _measured_by_ordinal(records, side="bob")
-    r_values = []
-    for j in range(L):
+        # Final step: participants publish (raw keys in jiang, XOR masks in
+        # improved), TP pairs ordinals and compares.
         if variant is Variant.JIANG:
-            r_values.append(
-                compute_r_jiang(
-                    ma_by_ordinal[j], mb_by_ordinal[j], cfg.keys.ra[j], cfg.keys.rb[j]
-                )
-            )
+            transcript.masks = MaskRecord(cfg.keys.ra, cfg.keys.rb)
+            compute_r = compute_r_jiang
         else:
-            r_values.append(
-                compute_r_improved(
-                    ma_by_ordinal[j], mb_by_ordinal[j], published_a[j], published_b[j]
-                )
-            )
-    transcript.r_values = tuple(r_values)
+            transcript.masks = MaskRecord(tuple(alice.masks), tuple(bob.masks))
+            compute_r = compute_r_improved
+        if channel is not None:
+            channel.observe_publication(transcript.masks)
+        pub_a, pub_b = transcript.masks.alice_masks, transcript.masks.bob_masks
+        transcript.r_values = tuple(
+            compute_r(ma_by_ordinal[j], mb_by_ordinal[j], pub_a[j], pub_b[j])
+            for j in range(L)
+        )
+        outcome = ComparisonOutcome.make_equal()
+        for j, r in enumerate(transcript.r_values):
+            if r != 0:
+                outcome = ComparisonOutcome.make_not_equal(j + 1)
+                break
 
-    outcome = ComparisonOutcome.make_equal()
-    for j, r in enumerate(r_values):
-        if r != 0:
-            outcome = ComparisonOutcome.make_not_equal(j + 1)
-            break
-    return outcome, transcript, report(outcome)
-
-
-def _measured_by_ordinal(records: list[RoundRecord], side: str) -> list[int]:
-    """TP's calculate-round Z outcomes, ordered by the participant's ordinal."""
-    values: dict[int, int] = {}
-    for rec in records:
-        ordinal = rec.alice_ordinal if side == "alice" else rec.bob_ordinal
-        measured = rec.ma if side == "alice" else rec.mb
-        if ordinal is not None and measured is not None:
-            values[ordinal] = measured
-    return [values[j] for j in sorted(values)]
+    recovered = None
+    if channel is not None:
+        state = channel.state()
+        if state.recovered_secret is not None:
+            recovered = state.recovered_secret == cfg.secrets.x
+    truth = cfg.secrets.x == cfg.secrets.y
+    return outcome, transcript, TrialReport(
+        outcome=outcome,
+        verdict_correct=None if outcome.aborted else outcome.equal == truth,
+        n=traps.traps_alice,
+        m=traps.traps_bob,
+        case1_rounds=case1,
+        case1_errors=errors,
+        trap_mismatches=traps.mismatches,
+        adversary_recovered_secret_correct=recovered,
+    )

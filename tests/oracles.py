@@ -3,6 +3,9 @@
 Everything here is explicit linear algebra or exhaustive enumeration and
 shares no code with the package under test.
 """
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -73,6 +76,28 @@ def measure_resend_case1_error() -> float:
                 weight = abs(vec[2 * a + b]) ** 2
                 match += weight * bell_probs_of_product(a, b)[i] / 4.0
     return 1.0 - match
+
+
+def forward_only_case1_error() -> float:
+    """P(Bell outcome != original kind) when only Alice's half is replaced by
+    a uniform Z-basis forgery and Bob's genuine half comes back, averaged
+    over kinds and forged bits."""
+    match = 0.0
+    for i, name in enumerate(BELL_ORDER):
+        for bit in (0, 1):
+            match += bell_probs_fresh_vs_half(bit, name)[i] / 8.0
+    return 1.0 - match
+
+
+def insufficient_rounds_probability(rounds: int, p_calc: Fraction, length: int) -> float:
+    """P(Alice or Bob makes fewer than `length` calculate rounds in `rounds`
+    rounds), each round a calculate round with probability `p_calc`
+    independently per participant: exact binomial tails in rationals."""
+    q = sum(
+        comb(rounds, k) * p_calc**k * (1 - p_calc) ** (rounds - k)
+        for k in range(length)
+    )
+    return float(1 - (1 - q) ** 2)
 
 
 def jiang_outside_wrong_result_single_bit() -> float:

@@ -1,25 +1,27 @@
 """Tests for the channel attack strategies."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from sqpclab.adversary import (
+    ATTACKS,
     AdversaryState,
     make_strategy,
-    outside_attack_strategy,
-    participant_attack_strategy,
-    participant_forward_only_strategy,
 )
+from sqpclab.harness import detection_model
 from sqpclab.protocol import (
     Choice,
     KeyMaterial,
     Leg,
+    MaskRecord,
     ProtocolConfig,
-    Publication,
+    RunContext,
     SecretInput,
     Variant,
     run_protocol,
 )
-from sqpclab.qsim import BellKind
+from sqpclab.qsim import BellKind, Simulator
 
 import oracles
 
@@ -115,7 +117,7 @@ def test_outside_attack_custody():
         def state(self):
             return self.inner.state()
 
-    recorder = Recorder(outside_attack_strategy())
+    recorder = Recorder(make_strategy("outside"))
     cfg = make_config((1, 0, 1), (1, 0, 1), seed=5)
     run_protocol(Variant.JIANG, cfg, recorder, seed=5)
 
@@ -139,9 +141,11 @@ def test_outside_attack_custody():
 
 def test_participant_recovery_algebra():
     """Decoding example: learned 0, published raw bit 0, key bit 1 gives 1."""
-    strategy = participant_attack_strategy(shared_key=(1,))
+    strategy = make_strategy("participant", shared_key=(1,))
+    rng = np.random.default_rng(0)
+    strategy.bind(RunContext(Simulator(rng=rng), rng, Variant.JIANG, 1, 1))
     strategy.learned_bits = {1: 0}
-    strategy.observe_publication(Publication(Variant.JIANG, (0,), (0,)))
+    strategy.observe_publication(MaskRecord((0,), (0,)))
     assert strategy.recovered_secret == (1,)
 
 
@@ -341,5 +345,53 @@ def test_adversary_state_defaults():
 
 
 def test_forward_only_strategy_factory():
-    strategy = participant_forward_only_strategy((1, 0))
+    strategy = make_strategy("participant-forward", shared_key=(1, 0))
     assert strategy.shared_key == (1, 0)
+
+
+def test_attack_table_matches_oracles():
+    """Every row's case-1 error rate and every (protocol, attack) detection
+    model against values derived independently of the table."""
+    case1_error = {
+        "none": 0.0,
+        "outside": 0.0,  # genuine halves swapped back: intact pairs
+        "participant": 0.0,
+        "participant-forward": oracles.forward_only_case1_error(),
+        "intercept-resend": oracles.intercept_resend_case1_error(),
+        "measure-resend": oracles.measure_resend_case1_error(),
+    }
+    assert set(ATTACKS) == set(case1_error)
+    for name, attack in ATTACKS.items():
+        assert attack.name == name
+        assert attack.case1_error == pytest.approx(case1_error[name], abs=1e-12)
+
+    statistic = {
+        "case1": lambda r: r.case1_rounds,
+        "n": lambda r: r.n,
+        "n+m": lambda r: r.n + r.m,
+    }
+    expected = {
+        ("jiang", "none"): None,
+        ("jiang", "outside"): None,
+        ("jiang", "participant"): None,
+        ("jiang", "participant-forward"): ("case1", 0.75),
+        ("jiang", "intercept-resend"): ("case1", 0.75),
+        ("jiang", "measure-resend"): ("case1", 0.5),
+        ("improved", "none"): None,
+        ("improved", "outside"): ("n+m", 0.5),
+        ("improved", "participant"): ("n", 0.5),
+        ("improved", "participant-forward"): ("case1", 0.75),
+        ("improved", "intercept-resend"): ("case1", 0.75),
+        ("improved", "measure-resend"): ("case1", 0.5),
+    }
+    report = SimpleNamespace(n=3, m=5, case1_rounds=7)
+    for (protocol, name), want in expected.items():
+        model = detection_model(Variant(protocol), name)
+        if want is None:
+            assert model is None, (protocol, name)
+            continue
+        extract, predict = model
+        stat, p = want
+        assert extract(report) == statistic[stat](report), (protocol, name)
+        for k in range(6):
+            assert predict(k) == pytest.approx(1.0 - (1.0 - p) ** k, abs=1e-15)

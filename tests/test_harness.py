@@ -1,4 +1,6 @@
 """Tests for the experiment runner, aggregation, and analytic oracles."""
+from fractions import Fraction
+
 import pytest
 
 from sqpclab.harness import (
@@ -136,7 +138,7 @@ def test_secret_modes():
     # unequal secrets must give NotEqual whenever the run completes
     for t in range(30):
         report = run_trial(unequal, t)
-        if not report.aborted:
+        if not report.outcome.aborted:
             assert report.outcome.equal is False
             assert report.verdict_correct is True
 
@@ -221,6 +223,71 @@ def test_aggregate_report_round_trip():
     )
     report = run_experiment(spec)
     assert AggregateReport.from_dict(report.to_dict()) == report
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("trials",), -5),
+        (("trials",), 0),
+        (("trials",), 2.5),
+        (("completed_trials",), True),
+        (("case1_rounds_total",), "7"),
+        (("detection_rate",), 7.0),
+        (("abort_rate",), -0.1),
+        (("detection_stderr",), None),
+        (("wrong_result_rate",), float("nan")),
+        (("secret_recovery_rate",), 1.5),
+        (("completed_trials",), 61),
+        (("case1_errors_total",), 10**6),
+        (("detection_by_trap_count", 0, "detected"), 10**6),
+        (("detection_by_trap_count", 0, "trials"), 0),
+        (("detection_by_trap_count", 0, "k"), -1),
+        (("detection_by_trap_count", 0, "predicted"), 2.0),
+        (("detection_by_trap_count", 0), [1, 2, 3]),
+        (("detection_by_trap_count", 0, "extra"), 1),
+        (("spec", "trials"), -5),
+        (("spec",), None),
+    ],
+)
+def test_aggregate_report_from_dict_validates(path, value):
+    """Counts, rates, their consistency and the trap rows are all checked."""
+    spec = ExperimentSpec(
+        protocol="improved", attack="outside", trials=60, secret_bits=2, seed=1
+    )
+    data = run_experiment(spec).to_dict()
+    AggregateReport.from_dict(data)  # the untouched report loads
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ValidationError):
+        AggregateReport.from_dict(data)
+
+
+def test_aggregate_report_from_dict_rejects_missing_field():
+    data = run_experiment(ExperimentSpec(protocol="jiang", trials=5)).to_dict()
+    del data["case1_error_rate"]
+    with pytest.raises(ValidationError):
+        AggregateReport.from_dict(data)
+
+
+def test_default_rounds_factor_shortfall_tails():
+    """The default factors keep the exact InsufficientRounds probability at
+    L=8 below 1e-4, and one factor less would not (README quotes the tails)."""
+    p_calc = {"jiang": Fraction(1, 2), "improved": Fraction(1, 4)}
+    quoted = {"jiang": "4.2277e-05", "improved": "7.7771e-05"}
+    for protocol, factor in DEFAULT_ROUNDS_FACTOR.items():
+        spec = ExperimentSpec(protocol=protocol)
+        assert spec.num_rounds() == factor * 8
+        tail = oracles.insufficient_rounds_probability(
+            spec.num_rounds(), p_calc[protocol], 8
+        )
+        assert f"{tail:.4e}" == quoted[protocol]
+        fewer = oracles.insufficient_rounds_probability(
+            (factor - 1) * 8, p_calc[protocol], 8
+        )
+        assert tail < 1e-4 <= fewer
 
 
 def test_insufficient_rounds_are_not_detections():

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sqpclab.adversary import AdversaryState, honest_strategy
+from sqpclab.adversary import ATTACKS, AdversaryState, ChannelStrategy
 from sqpclab.qsim import BellKind
 from sqpclab.protocol import (
     AbortReason,
@@ -20,7 +20,6 @@ from sqpclab.protocol import (
     compute_r_improved,
     compute_r_jiang,
     run_protocol,
-    table_case,
     verify_traps,
 )
 
@@ -177,17 +176,17 @@ def test_key_flip_leaves_protocol_verdict_unchanged():
 
 
 def test_case_dispatch_completeness():
-    """Every round lands in exactly one table case and TP's recorded action
-    matches that case's prescription."""
+    """Every round lands in exactly one table case, keyed by its choice pair,
+    and TP's recorded action matches that case's prescription."""
     for variant, num_cases in ((Variant.JIANG, 4), (Variant.IMPROVED, 9)):
         seen = set()
         for seed in range(30):
             cfg = make_config((1, 0), (0, 0), seed=seed, rounds=40)
             _, transcript, _ = run_protocol(variant, cfg, seed=seed)
             for rec in transcript.rounds:
-                case = table_case(variant, rec.alice_choice, rec.bob_choice)
+                case = (rec.alice_choice, rec.bob_choice)
                 seen.add(case)
-                is_case1 = case == 1
+                is_case1 = case == (Choice.CTRL, Choice.CTRL)
                 assert (rec.tp_bell_outcome is not None) == is_case1
                 assert (rec.ma is not None) == (
                     rec.alice_choice is Choice.SIFT_CALCULATE
@@ -204,7 +203,11 @@ def test_case_dispatch_completeness():
                 assert (rec.alice_ordinal is not None) == (
                     rec.alice_choice is Choice.SIFT_CALCULATE
                 )
-        assert seen == set(range(1, num_cases + 1))
+        assert len(seen) == num_cases
+        choices = (Choice.CTRL, Choice.SIFT_CALCULATE) + (
+            (Choice.SIFT_DETECT,) if variant is Variant.IMPROVED else ()
+        )
+        assert seen == set(itertools.product(choices, repeat=2))
 
 
 def test_jiang_transcripts_never_contain_detect():
@@ -301,7 +304,8 @@ def test_honest_strategy_matches_channel_free_run():
     cfg = make_config((0, 1, 0), (0, 1, 0), seed=7)
     for variant in Variant:
         _, bare, _ = run_protocol(variant, cfg, channel=None, seed=17)
-        _, wrapped, _ = run_protocol(variant, cfg, channel=honest_strategy(), seed=17)
+        honest = ChannelStrategy(ATTACKS["none"])
+        _, wrapped, _ = run_protocol(variant, cfg, channel=honest, seed=17)
         assert bare == wrapped
 
 
