@@ -15,7 +15,6 @@ from .qsim import (
 )
 from .protocol import (
     AbortReason,
-    ChannelEvent,
     Choice,
     ComparisonOutcome,
     KeyMaterial,
@@ -35,7 +34,6 @@ from .protocol import (
     verify_traps,
 )
 from .adversary import (
-    AdversaryState,
     ChannelStrategy,
     make_strategy,
 )
@@ -52,11 +50,9 @@ from .harness import (
 
 __all__ = [
     "AbortReason",
-    "AdversaryState",
     "AggregateReport",
     "BellKind",
     "CapacityExceeded",
-    "ChannelEvent",
     "ChannelStrategy",
     "Choice",
     "ComparisonOutcome",

@@ -14,11 +14,13 @@ public announcements. Nobody colludes with TP.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
-from .protocol import ChannelEvent, Choice, Leg, MaskRecord, RunContext, Variant
-from .qsim import QubitHandle
+import numpy as np
+
+from .protocol import Choice, Leg, MaskRecord, Variant
+from .qsim import QubitHandle, Simulator
 
 _ALICE, _BOB = Leg.FORWARD_TP_TO_ALICE, Leg.FORWARD_TP_TO_BOB
 
@@ -64,23 +66,21 @@ ATTACKS = {
 }
 
 
-@dataclass
-class AdversaryState:
-    """What an adversary holds at the end of a run."""
-
-    stored_qubits: dict[tuple[Leg, int], QubitHandle] = field(default_factory=dict)
-    learned_bits: dict[int, int] = field(default_factory=dict)
-    recovered_secret: tuple[int, ...] | None = None
-
-
 class ChannelStrategy:
-    """A channel that carries out one `Attack` row; the "none" row is untouched."""
+    """A channel that carries out one `Attack` row; the "none" row is untouched.
+
+    What the adversary holds after a run: `held`, the qubits kept back by
+    (leg, round); `learned_bits`; and `recovered_secret`, the decoded secret
+    or None, which `run_protocol` reads for its report.
+    """
 
     def __init__(self, attack: Attack, shared_key: tuple[int, ...] | None = None):
         self.attack = attack
         self.name = attack.name
         self.shared_key = shared_key
-        self.ctx: RunContext | None = None
+        self.sim: Simulator | None = None
+        self.rng: np.random.Generator | None = None
+        self.variant: Variant | None = None
         # return leg -> forward leg whose held genuine half it delivers
         self._swap = {
             back: forward
@@ -94,24 +94,23 @@ class ChannelStrategy:
         self.learned_bits: dict[int, int] = {}
         self.recovered_secret: tuple[int, ...] | None = None
 
-    def bind(self, ctx: RunContext) -> None:
-        self.ctx = ctx
+    def bind(self, sim: Simulator, rng: np.random.Generator, variant: Variant) -> None:
+        self.sim, self.rng, self.variant = sim, rng, variant
 
-    def transmit(self, event: ChannelEvent) -> QubitHandle:
-        leg, i = event.leg, event.round_index
+    def transmit(self, leg: Leg, round_index: int, qubit: QubitHandle) -> QubitHandle:
         if leg in self.attack.forged:
-            self.held[(leg, i)] = event.qubit
-            bit = int(self.ctx.rng.integers(2))
-            self.fake_bits[(leg, i)] = bit
-            return self.ctx.sim.prepare_basis(bit)
+            self.held[(leg, round_index)] = qubit
+            bit = int(self.rng.integers(2))
+            self.fake_bits[(leg, round_index)] = bit
+            return self.sim.prepare_basis(bit)
         if leg in self.attack.measured:
-            self.learned_bits[2 * i + (leg is _BOB)] = self.ctx.sim.measure_z(event.qubit)
-            return event.qubit
+            self.learned_bits[2 * round_index + (leg is _BOB)] = self.sim.measure_z(qubit)
+            return qubit
         forward = self._swap.get(leg)
         if forward is not None:
-            self.held[(leg, i)] = event.qubit  # never measured; Eve has no use for it
-            return self.held.pop((forward, i))
-        return event.qubit
+            self.held[(leg, round_index)] = qubit  # never measured; Eve has no use for it
+            return self.held.pop((forward, round_index))
+        return qubit
 
     def observe_choices(
         self, alice_choices: Sequence[Choice], bob_choices: Sequence[Choice]
@@ -121,7 +120,7 @@ class ChannelStrategy:
         The latter needs the improved variant: jiang encodes classically."""
         attack = self.attack
         if not attack.insider or not (
-            attack.swap_back or self.ctx.variant is Variant.IMPROVED
+            attack.swap_back or self.variant is Variant.IMPROVED
         ):
             return
         ordinal = 0
@@ -129,7 +128,7 @@ class ChannelStrategy:
             if choice is Choice.CTRL:
                 continue
             if attack.swap_back:
-                bit = self.ctx.sim.measure_z(self.held[(Leg.RETURN_ALICE_TO_TP, i)])
+                bit = self.sim.measure_z(self.held[(Leg.RETURN_ALICE_TO_TP, i)])
             else:
                 bit = self.fake_bits[(_ALICE, i)]
             if choice is Choice.SIFT_CALCULATE:
@@ -139,7 +138,7 @@ class ChannelStrategy:
     def observe_publication(self, masks: MaskRecord) -> None:
         """An insider decodes x_j = encoded_j ^ RA_j ^ K_j once jiang
         publishes the raw keys; improved masks admit no such decoding."""
-        if not self.attack.insider or self.ctx.variant is not Variant.JIANG:
+        if not self.attack.insider or self.variant is not Variant.JIANG:
             return
         ra = masks.alice_masks
         bits = []
@@ -149,11 +148,6 @@ class ChannelStrategy:
             bits.append(self.learned_bits[j] ^ ra[j - 1] ^ self.shared_key[j - 1])
         if bits:
             self.recovered_secret = tuple(bits)
-
-    def state(self) -> AdversaryState:
-        return AdversaryState(
-            dict(self.held), dict(self.learned_bits), self.recovered_secret
-        )
 
 
 def make_strategy(name: str, shared_key: tuple[int, ...] | None = None):

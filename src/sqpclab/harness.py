@@ -95,15 +95,11 @@ class ExperimentSpec:
             raise ValidationError("--secret-bits must be at least 1")
         if self.rounds_factor is not None and self.rounds_factor < 1:
             raise ValidationError("--rounds-factor must be at least 1")
-        for name, p in (("--p-ctrl", self.p_ctrl), ("--p-detect", self.p_detect)):
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {p}")
         if self.trials < 1:
             raise ValidationError("--trials must be at least 1")
         if self.seed < 0:
             raise ValidationError(f"--seed must be nonnegative, got {self.seed}")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValidationError(f"--threshold must lie in [0, 1], got {self.threshold}")
+        _check_ranges(self, flags=True)  # p_ctrl, p_detect, threshold
         self.explicit_secrets()  # raises on malformed explicit values
 
     def resolved_rounds_factor(self) -> int:
@@ -133,7 +129,10 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        spec = cls(**data)
+        try:
+            spec = cls(**data)
+        except TypeError as exc:
+            raise ValidationError(f"malformed spec: {exc}") from None
         spec.validate()
         return spec
 
@@ -195,21 +194,27 @@ class AggregateReport:
         return report
 
 
-def _check_ranges(record) -> None:
+def _check_ranges(record, flags: bool = False) -> None:
     """Fields declared `int` must be nonnegative ints; fields declared `float`
-    must lie in [0, 1], or be None where the declaration allows it."""
+    must lie in [0, 1], or be None where the declaration allows it. With
+    `flags`, messages name each field by its command-line flag."""
     for f in fields(record):
         value = getattr(record, f.name)
         if f.type == "int":
             ok = type(value) is int and value >= 0
+            want = "be a nonnegative integer"
         elif f.type.startswith("float"):
             ok = (value is None and f.type.endswith("| None")) or (
-                type(value) in (int, float) and 0.0 <= value <= 1.0
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and 0.0 <= value <= 1.0
             )
+            want = "lie in [0, 1]"
         else:
             continue
         if not ok:
-            raise ValidationError(f"{f.name} out of range: {value!r}")
+            name = "--" + f.name.replace("_", "-") if flags else f.name
+            raise ValidationError(f"{name} must {want}, got {value!r}")
 
 
 def binomial_stderr(rate: float, n: int) -> float:

@@ -24,15 +24,15 @@ and 9 in improved: a double-CTRL round (case 1) is Bell-measured for the
 Bell check, and every SIFT qubit is Z-measured as a calculate value or a
 trap announcement.
 
-Channel interface: `run_protocol` drives any object with `bind(RunContext)`,
-`transmit(ChannelEvent) -> QubitHandle`, `observe_choices(alice, bob)`,
-`observe_publication(MaskRecord)` and `state() -> AdversaryState`. The
-adversary module's `ChannelStrategy` is the one implementation in the
-package; the variant a strategy needs comes from its bound `RunContext`.
+Channel interface: `run_protocol` drives any object with
+`bind(sim, rng, variant)`, `transmit(leg, round_index, qubit) -> QubitHandle`,
+`observe_choices(alice, bob)`, `observe_publication(MaskRecord)` and a
+`recovered_secret` attribute (None, or the secret bits it decoded). The
+adversary module's `ChannelStrategy` is the one implementation in the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -67,33 +67,12 @@ class Leg(Enum):
 
 
 @dataclass(frozen=True)
-class ChannelEvent:
-    """One qubit in transit; carries custody of the handle."""
-
-    leg: Leg
-    round_index: int
-    qubit: QubitHandle
-
-
-@dataclass(frozen=True)
 class ComparisonOutcome:
     """Protocol verdict: Equal, NotEqual at an ordinal, or Aborted."""
 
     equal: bool | None
     first_differing_ordinal: int | None = None
     abort_reason: AbortReason | None = None
-
-    @classmethod
-    def make_equal(cls) -> "ComparisonOutcome":
-        return cls(equal=True)
-
-    @classmethod
-    def make_not_equal(cls, ordinal: int) -> "ComparisonOutcome":
-        return cls(equal=False, first_differing_ordinal=ordinal)
-
-    @classmethod
-    def make_aborted(cls, reason: AbortReason) -> "ComparisonOutcome":
-        return cls(equal=None, abort_reason=reason)
 
     @property
     def aborted(self) -> bool:
@@ -268,17 +247,6 @@ def compute_r_improved(ma: int, mb: int, mask_a: int, mask_b: int) -> int:
 # -- protocol execution ------------------------------------------------------
 
 
-@dataclass
-class RunContext:
-    """Run-scoped facilities handed to a channel strategy at bind time."""
-
-    sim: Simulator
-    rng: np.random.Generator
-    variant: Variant
-    num_rounds: int
-    secret_bits: int
-
-
 class _Party:
     """Per-participant protocol state: choices, encodings, traps, masks."""
 
@@ -346,10 +314,8 @@ def _draw_choice(
     return Choice.SIFT_CALCULATE
 
 
-def _transmit(channel, leg: Leg, round_index: int, qubit: QubitHandle) -> QubitHandle:
-    if channel is None:
-        return qubit
-    return channel.transmit(ChannelEvent(leg, round_index, qubit))
+def _untouched(leg: Leg, round_index: int, qubit: QubitHandle) -> QubitHandle:
+    return qubit
 
 
 def run_protocol(
@@ -363,7 +329,7 @@ def run_protocol(
 
     A single RNG stream drives every random decision and measurement of the
     run, so a seed fixes the whole transcript. `channel` is any object with
-    the strategy interface (see adversary module); None means an untouched
+    the channel interface (see the module docstring); None means an untouched
     channel.
     """
     if rng is None:
@@ -373,8 +339,11 @@ def run_protocol(
     alice = _Party(cfg.secrets.x, cfg.keys.ra, cfg.keys.k)
     bob = _Party(cfg.secrets.y, cfg.keys.rb, cfg.keys.k)
 
-    if channel is not None:
-        channel.bind(RunContext(sim, rng, variant, cfg.num_rounds, L))
+    if channel is None:
+        transmit = _untouched
+    else:
+        channel.bind(sim, rng, variant)
+        transmit = channel.transmit
 
     records: list[RoundRecord] = []
     returned: list[tuple[QubitHandle, QubitHandle]] = []
@@ -382,16 +351,16 @@ def run_protocol(
     for i in range(cfg.num_rounds):
         kind = BellKind(int(rng.integers(4)))
         half_a, half_b = sim.prepare_bell(kind)
-        recv_a = _transmit(channel, Leg.FORWARD_TP_TO_ALICE, i, half_a)
-        recv_b = _transmit(channel, Leg.FORWARD_TP_TO_BOB, i, half_b)
+        recv_a = transmit(Leg.FORWARD_TP_TO_ALICE, i, half_a)
+        recv_b = transmit(Leg.FORWARD_TP_TO_BOB, i, half_b)
 
         choice_a = _draw_choice(variant, rng, cfg.p_ctrl, cfg.p_detect)
         out_a, ord_a, trap_a = alice.act(variant, choice_a, recv_a, sim, rng)
         choice_b = _draw_choice(variant, rng, cfg.p_ctrl, cfg.p_detect)
         out_b, ord_b, trap_b = bob.act(variant, choice_b, recv_b, sim, rng)
 
-        back_a = _transmit(channel, Leg.RETURN_ALICE_TO_TP, i, out_a)
-        back_b = _transmit(channel, Leg.RETURN_BOB_TO_TP, i, out_b)
+        back_a = transmit(Leg.RETURN_ALICE_TO_TP, i, out_a)
+        back_b = transmit(Leg.RETURN_BOB_TO_TP, i, out_b)
 
         records.append(
             RoundRecord(
@@ -443,14 +412,14 @@ def run_protocol(
 
     # Integrity checks: Bell outcomes on double-CTRL rounds, then traps.
     if rate(errors, case1) > cfg.threshold:
-        outcome = ComparisonOutcome.make_aborted(AbortReason.BELL_CHECK_FAILED)
+        outcome = ComparisonOutcome(None, abort_reason=AbortReason.BELL_CHECK_FAILED)
     elif variant is Variant.IMPROVED and (
         rate(traps.mismatches_alice, traps.traps_alice) > cfg.threshold
         or rate(traps.mismatches_bob, traps.traps_bob) > cfg.threshold
     ):
-        outcome = ComparisonOutcome.make_aborted(AbortReason.TRAP_CHECK_FAILED)
+        outcome = ComparisonOutcome(None, abort_reason=AbortReason.TRAP_CHECK_FAILED)
     elif alice.calc_count < L or bob.calc_count < L:
-        outcome = ComparisonOutcome.make_aborted(AbortReason.INSUFFICIENT_ROUNDS)
+        outcome = ComparisonOutcome(None, abort_reason=AbortReason.INSUFFICIENT_ROUNDS)
     else:
         # Final step: participants publish (raw keys in jiang, XOR masks in
         # improved), TP pairs ordinals and compares.
@@ -467,17 +436,15 @@ def run_protocol(
             compute_r(ma_by_ordinal[j], mb_by_ordinal[j], pub_a[j], pub_b[j])
             for j in range(L)
         )
-        outcome = ComparisonOutcome.make_equal()
+        outcome = ComparisonOutcome(True)
         for j, r in enumerate(transcript.r_values):
             if r != 0:
-                outcome = ComparisonOutcome.make_not_equal(j + 1)
+                outcome = ComparisonOutcome(False, first_differing_ordinal=j + 1)
                 break
 
     recovered = None
-    if channel is not None:
-        state = channel.state()
-        if state.recovered_secret is not None:
-            recovered = state.recovered_secret == cfg.secrets.x
+    if channel is not None and channel.recovered_secret is not None:
+        recovered = channel.recovered_secret == cfg.secrets.x
     truth = cfg.secrets.x == cfg.secrets.y
     return outcome, transcript, TrialReport(
         outcome=outcome,

@@ -11,6 +11,8 @@ Conventions:
       Simulator; each projection consumes exactly one uniform draw.
     - Measured qubits stay in their register, collapsed. Custody of qubits
       is the caller's bookkeeping; handles stay valid across merges.
+    - A register holds at most MAX_REGISTER_QUBITS qubits; a merge past
+      that raises CapacityExceeded.
     - Registers point at interned, read-only states shared by every
       Simulator. The state-vector code computes each transition of a state
       (Z measurement at a position, Bell measurement at a position pair,
@@ -19,8 +21,8 @@ Conventions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +75,7 @@ _BELL_AMPLITUDES = {
 _BELL_BASIS = np.array([_BELL_AMPLITUDES[k] for k in BellKind], dtype=complex)
 
 
-@dataclass(frozen=True)
-class QubitHandle:
+class QubitHandle(NamedTuple):
     """Address of one qubit: register id plus position at creation time."""
 
     register_id: int
@@ -215,10 +216,8 @@ class Simulator:
         self,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
-        max_qubits: int = MAX_REGISTER_QUBITS,
     ):
         self._rng = rng if rng is not None else np.random.default_rng(seed)
-        self._max_qubits = max_qubits
         self._registers: dict[int, _State] = {}
         # old register id -> (surviving register id, qubit index offset)
         self._forwards: dict[int, tuple[int, int]] = {}
@@ -256,10 +255,10 @@ class Simulator:
         if rid_a == rid_b:
             raise SameRegister(f"qubits already share register {rid_a}")
         combined = state_a.num_qubits + state_b.num_qubits
-        if combined > self._max_qubits:
+        if combined > MAX_REGISTER_QUBITS:
             raise CapacityExceeded(
                 f"merge would create a {combined}-qubit register "
-                f"(limit {self._max_qubits})"
+                f"(limit {MAX_REGISTER_QUBITS})"
             )
         merged = state_a.kron.get(state_b.key)
         if merged is None:

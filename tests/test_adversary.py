@@ -4,11 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sqpclab.adversary import (
-    ATTACKS,
-    AdversaryState,
-    make_strategy,
-)
+from sqpclab.adversary import ATTACKS, make_strategy
 from sqpclab.harness import detection_model
 from sqpclab.protocol import (
     Choice,
@@ -16,7 +12,6 @@ from sqpclab.protocol import (
     Leg,
     MaskRecord,
     ProtocolConfig,
-    RunContext,
     SecretInput,
     Variant,
     run_protocol,
@@ -96,16 +91,16 @@ def test_outside_attack_custody():
             self.forward_in = {}
             self.delivered = {}
 
-        def bind(self, ctx):
-            self.inner.bind(ctx)
+        def bind(self, sim, rng, variant):
+            self.inner.bind(sim, rng, variant)
 
-        def transmit(self, event):
-            out = self.inner.transmit(event)
-            key = (event.leg, event.round_index)
+        def transmit(self, leg, round_index, qubit):
+            out = self.inner.transmit(leg, round_index, qubit)
+            key = (leg, round_index)
             assert key not in self.delivered  # one delivery per leg and round
             self.delivered[key] = out
-            if event.leg in (Leg.FORWARD_TP_TO_ALICE, Leg.FORWARD_TP_TO_BOB):
-                self.forward_in[key] = event.qubit
+            if leg in (Leg.FORWARD_TP_TO_ALICE, Leg.FORWARD_TP_TO_BOB):
+                self.forward_in[key] = qubit
             return out
 
         def observe_choices(self, a, b):
@@ -114,8 +109,9 @@ def test_outside_attack_custody():
         def observe_publication(self, pub):
             self.inner.observe_publication(pub)
 
-        def state(self):
-            return self.inner.state()
+        @property
+        def recovered_secret(self):
+            return self.inner.recovered_secret
 
     recorder = Recorder(make_strategy("outside"))
     cfg = make_config((1, 0, 1), (1, 0, 1), seed=5)
@@ -143,7 +139,7 @@ def test_participant_recovery_algebra():
     """Decoding example: learned 0, published raw bit 0, key bit 1 gives 1."""
     strategy = make_strategy("participant", shared_key=(1,))
     rng = np.random.default_rng(0)
-    strategy.bind(RunContext(Simulator(rng=rng), rng, Variant.JIANG, 1, 1))
+    strategy.bind(Simulator(rng=rng), rng, Variant.JIANG)
     strategy.learned_bits = {1: 0}
     strategy.observe_publication(MaskRecord((0,), (0,)))
     assert strategy.recovered_secret == (1,)
@@ -156,7 +152,7 @@ def test_participant_attack_recovers_secret_every_trial():
             Variant.JIANG, cfg, "participant", seed
         )
         assert not report.detected
-        assert strategy.state().recovered_secret == cfg.secrets.x
+        assert strategy.recovered_secret == cfg.secrets.x
         assert report.adversary_recovered_secret_correct is True
 
 
@@ -164,7 +160,7 @@ def test_participant_learned_bits_match_alice_encodings():
     """Bob's measurements of the kept qubits read Alice's encoded bits."""
     cfg = make_config((1, 0, 1), (1, 1, 1), seed=9)
     _, transcript, _, strategy = run_attacked(Variant.JIANG, cfg, "participant", 9)
-    learned = strategy.state().learned_bits
+    learned = strategy.learned_bits
     for rec in transcript.rounds:
         if rec.alice_ordinal is not None:
             k, ra, x = cfg.keys.k, cfg.keys.ra, cfg.secrets.x
@@ -186,7 +182,7 @@ def test_participant_attack_vs_improved_trips_alice_traps_only():
         assert check.mismatches_bob == 0  # Bob's own legs run clean
         traps_a += check.traps_alice
         bad_a += check.mismatches_alice
-        assert strategy.state().recovered_secret is None  # no raw key published
+        assert strategy.recovered_secret is None  # no raw key published
     assert traps_a > 800
     assert abs(bad_a / traps_a - 0.5) < oracles.four_sigma(0.5, traps_a)
 
@@ -238,7 +234,7 @@ def test_intercept_resend_without_case1_rounds_is_undetected():
 def test_intercept_resend_keeps_originals_unmeasured():
     cfg = make_config((1, 0), (1, 0), seed=3, rounds=12)
     _, _, _, strategy = run_attacked(Variant.JIANG, cfg, "intercept-resend", 3)
-    assert len(strategy.state().stored_qubits) == 24  # both legs, every round
+    assert len(strategy.held) == 24  # both legs, every round
 
 
 # -- measure-resend ------------------------------------------------------------------
@@ -279,7 +275,7 @@ def test_forward_only_learns_alice_calculate_bits_improved():
         _, transcript, _, strategy = run_attacked(
             Variant.IMPROVED, cfg, "participant-forward", seed
         )
-        learned = strategy.state().learned_bits
+        learned = strategy.learned_bits
         for rec in transcript.rounds:
             if rec.alice_ordinal is not None:
                 assert learned[rec.alice_ordinal] == rec.ma
@@ -318,9 +314,8 @@ def test_forward_only_case1_outcomes_uniform():
 def test_forward_only_learns_nothing_from_jiang():
     cfg = make_config((1, 0, 1), (1, 0, 1), seed=4)
     _, _, report, strategy = run_attacked(Variant.JIANG, cfg, "participant-forward", 4)
-    state = strategy.state()
-    assert state.learned_bits == {}
-    assert state.recovered_secret is None
+    assert strategy.learned_bits == {}
+    assert strategy.recovered_secret is None
     assert report.adversary_recovered_secret_correct is None
 
 
@@ -335,13 +330,6 @@ def test_make_strategy_names():
         assert make_strategy(name, shared_key=(0, 1)).name == name
     with pytest.raises(ValueError):
         make_strategy("quantum-cat")
-
-
-def test_adversary_state_defaults():
-    state = AdversaryState()
-    assert state.stored_qubits == {}
-    assert state.learned_bits == {}
-    assert state.recovered_secret is None
 
 
 def test_forward_only_strategy_factory():

@@ -127,6 +127,24 @@ def test_spec_from_dict_validates():
             ExperimentSpec.from_dict({**data, field: value})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExperimentSpec.from_dict({"protocol": "jiang", "bogus": 1}),
+        lambda: ExperimentSpec.from_dict({"attack": "outside"}),  # no protocol
+        lambda: ExperimentSpec(protocol="jiang", threshold=None).validate(),
+        lambda: ExperimentSpec(protocol="jiang", p_ctrl="x").validate(),
+        lambda: ExperimentSpec(protocol="improved", p_detect=None).validate(),
+        lambda: ExperimentSpec(protocol="improved", p_detect=[0.5]).validate(),
+    ],
+    ids=["unknown-key", "missing-key", "threshold-none", "p-ctrl-str",
+         "p-detect-none", "p-detect-list"],
+)
+def test_spec_malformed_input_raises_validation_error(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 # -- trial generation -------------------------------------------------------------
 
 

@@ -4,11 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
-from sqpclab.adversary import ATTACKS, AdversaryState, ChannelStrategy
+from sqpclab.adversary import ATTACKS, ChannelStrategy
 from sqpclab.qsim import BellKind
 from sqpclab.protocol import (
     AbortReason,
-    ChannelEvent,
     Choice,
     KeyMaterial,
     Leg,
@@ -252,23 +251,22 @@ def test_trap_check_vacuous_without_detect_rounds():
 class _ReplaceReturnsWithBellHalves:
     """Test channel: every returned qubit is swapped for half of a fresh pair."""
 
-    def bind(self, ctx):
-        self.ctx = ctx
+    recovered_secret = None
 
-    def transmit(self, event):
-        if event.leg in (Leg.RETURN_ALICE_TO_TP, Leg.RETURN_BOB_TO_TP):
-            half, _ = self.ctx.sim.prepare_bell(BellKind.PHI_PLUS)
+    def bind(self, sim, rng, variant):
+        self.sim = sim
+
+    def transmit(self, leg, round_index, qubit):
+        if leg in (Leg.RETURN_ALICE_TO_TP, Leg.RETURN_BOB_TO_TP):
+            half, _ = self.sim.prepare_bell(BellKind.PHI_PLUS)
             return half
-        return event.qubit
+        return qubit
 
     def observe_choices(self, a, b):
         pass
 
     def observe_publication(self, pub):
         pass
-
-    def state(self):
-        return AdversaryState()
 
 
 def test_trap_mismatch_rate_against_maximally_mixed_half():
@@ -299,6 +297,45 @@ def test_same_seed_identical_transcript():
         assert t1 == t2
 
 
+class _MinimalPassThrough:
+    """The whole channel interface and nothing else: four methods and the
+    `recovered_secret` attribute."""
+
+    __slots__ = ("recovered_secret", "calls")
+
+    def __init__(self):
+        self.recovered_secret = None
+        self.calls = []
+
+    def bind(self, sim, rng, variant):
+        self.calls.append("bind")
+
+    def transmit(self, leg, round_index, qubit):
+        self.calls.append((leg, round_index))
+        return qubit
+
+    def observe_choices(self, alice_choices, bob_choices):
+        self.calls.append("choices")
+
+    def observe_publication(self, masks):
+        self.calls.append("publication")
+
+
+def test_minimal_channel_interface_matches_channel_free_run():
+    """A channel with only the documented interface drives both variants and,
+    passing every qubit through, leaves the transcript unchanged."""
+    cfg = make_config((1, 0, 1), (1, 0, 1), seed=3)
+    for variant in Variant:
+        _, bare, _ = run_protocol(variant, cfg, channel=None, seed=21)
+        channel = _MinimalPassThrough()
+        outcome, wrapped, report = run_protocol(variant, cfg, channel=channel, seed=21)
+        assert wrapped == bare
+        assert not outcome.aborted
+        assert report.adversary_recovered_secret_correct is None
+        legs = [(leg, i) for i in range(cfg.num_rounds) for leg in Leg]
+        assert channel.calls == ["bind", *legs, "choices", "publication"]
+
+
 def test_honest_strategy_matches_channel_free_run():
     """The identity strategy leaves the transcript bit-identical."""
     cfg = make_config((0, 1, 0), (0, 1, 0), seed=7)
@@ -326,9 +363,3 @@ def test_config_validation():
         make_config((1,), (1,), p_ctrl=1.5)
 
 
-def test_channel_event_is_frozen():
-    from sqpclab.qsim import QubitHandle
-
-    event = ChannelEvent(Leg.FORWARD_TP_TO_BOB, 3, QubitHandle(0, 0))
-    with pytest.raises(AttributeError):
-        event.round_index = 4
