@@ -28,10 +28,8 @@ from .protocol import (
     Variant,
     compute_ma_jiang,
     compute_mask_improved,
-    compute_r_improved,
-    compute_r_jiang,
+    compute_r,
     run_protocol,
-    verify_traps,
 )
 from .adversary import (
     ChannelStrategy,
@@ -76,12 +74,10 @@ __all__ = [
     "analytic_detection_participant",
     "compute_ma_jiang",
     "compute_mask_improved",
-    "compute_r_improved",
-    "compute_r_jiang",
+    "compute_r",
     "make_strategy",
     "run_experiment",
     "run_protocol",
     "tp_inference_test",
-    "verify_traps",
     "wrong_result_model_jiang_outside",
 ]

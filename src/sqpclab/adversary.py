@@ -76,7 +76,6 @@ class ChannelStrategy:
 
     def __init__(self, attack: Attack, shared_key: tuple[int, ...] | None = None):
         self.attack = attack
-        self.name = attack.name
         self.shared_key = shared_key
         self.sim: Simulator | None = None
         self.rng: np.random.Generator | None = None

@@ -6,6 +6,10 @@ that mixing rule is part of the report contract, so identical specs give
 bit-identical reports. Within a trial the draw order is fixed: shared key,
 Alice raw key, Bob raw key, secrets, then the protocol run itself.
 
+Aggregation streams: `run_experiment` folds each trial's `TrialReport` into
+integer `TrialCounts` as the trial finishes, and `aggregate` turns those
+counts into the `AggregateReport`, so memory does not grow with T.
+
 Rate conventions: detection_rate counts security aborts (Bell or trap check)
 over all trials; wrong_result_rate and secret_recovery_rate are conditioned
 on trials that completed (no abort); InsufficientRounds aborts are tracked
@@ -79,8 +83,6 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.protocol not in ("jiang", "improved"):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
-        if self.attack not in ATTACKS:
-            raise ValidationError(f"unknown attack {self.attack!r}")
         integers = [
             ("--secret-bits", self.secret_bits),
             ("--trials", self.trials),
@@ -97,9 +99,9 @@ class ExperimentSpec:
             raise ValidationError("--rounds-factor must be at least 1")
         if self.trials < 1:
             raise ValidationError("--trials must be at least 1")
-        if self.seed < 0:
-            raise ValidationError(f"--seed must be nonnegative, got {self.seed}")
-        _check_ranges(self, flags=True)  # p_ctrl, p_detect, threshold
+        _check_ranges(self, flags=True)  # str fields, --seed >= 0, rates in [0, 1]
+        if self.attack not in ATTACKS:
+            raise ValidationError(f"unknown attack {self.attack!r}")
         self.explicit_secrets()  # raises on malformed explicit values
 
     def resolved_rounds_factor(self) -> int:
@@ -195,12 +197,16 @@ class AggregateReport:
 
 
 def _check_ranges(record, flags: bool = False) -> None:
-    """Fields declared `int` must be nonnegative ints; fields declared `float`
-    must lie in [0, 1], or be None where the declaration allows it. With
-    `flags`, messages name each field by its command-line flag."""
+    """Fields declared `str` must be strings; fields declared `int` must be
+    nonnegative ints; fields declared `float` must lie in [0, 1], or be None
+    where the declaration allows it. With `flags`, messages name each field
+    by its command-line flag."""
     for f in fields(record):
         value = getattr(record, f.name)
-        if f.type == "int":
+        if f.type == "str":
+            ok = isinstance(value, str)
+            want = "be a string"
+        elif f.type == "int":
             ok = type(value) is int and value >= 0
             want = "be a nonnegative integer"
         elif f.type.startswith("float"):
@@ -324,76 +330,78 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
     return report
 
 
+@dataclass
+class TrialCounts:
+    """Integer tallies of an experiment's trials; `wrong` and `recovered`
+    count completed trials, `cells` maps (k, detected) to a trial count."""
+
+    trials: int = 0
+    detected: int = 0
+    aborted: int = 0
+    insufficient: int = 0
+    wrong: int = 0
+    recovered: int = 0
+    case1_rounds: int = 0
+    case1_errors: int = 0
+    cells: dict[tuple[int, bool], int] = field(default_factory=dict)
+
+
 def run_experiment(spec: ExperimentSpec) -> AggregateReport:
     """Run all trials and aggregate; per-trial aborts are data, not errors."""
     spec.validate()
-    reports = [run_trial(spec, t) for t in range(spec.trials)]
-    return aggregate(spec, reports)
-
-
-def aggregate(spec: ExperimentSpec, reports: list[TrialReport]) -> AggregateReport:
-    trials = len(reports)
-    detected = sum(r.detected for r in reports)
-    aborted = sum(r.outcome.aborted for r in reports)
-    insufficient = sum(
-        r.outcome.abort_reason is AbortReason.INSUFFICIENT_ROUNDS for r in reports
-    )
-    completed = [r for r in reports if not r.outcome.aborted]
-
-    detection_rate = detected / trials
-    wrong_rate = wrong_stderr = None
-    if completed:
-        wrong = sum(not r.verdict_correct for r in completed)
-        wrong_rate = wrong / len(completed)
-        wrong_stderr = binomial_stderr(wrong_rate, len(completed))
-
-    recovery_rate = None
-    if spec.protocol == "jiang" and ATTACKS[spec.attack].insider and completed:
-        recovered = sum(
-            r.adversary_recovered_secret_correct is True for r in completed
-        )
-        recovery_rate = recovered / len(completed)
-
-    case1_total = sum(r.case1_rounds for r in reports)
-    case1_errors = sum(r.case1_errors for r in reports)
-    case1_rate = case1_errors / case1_total if case1_total else None
-
-    table: list[TrapCountRow] = []
     model = detection_model(Variant(spec.protocol), spec.attack)
-    if model is not None:
-        extract, predict = model
-        cells: dict[int, list[TrialReport]] = {}
-        for r in reports:
-            cells.setdefault(extract(r), []).append(r)
-        for k in sorted(cells):
-            group = cells[k]
-            hits = sum(r.detected for r in group)
-            rate = hits / len(group)
-            table.append(
-                TrapCountRow(
-                    k=k,
-                    trials=len(group),
-                    detected=hits,
-                    detection_rate=rate,
-                    stderr=binomial_stderr(rate, len(group)),
-                    predicted=predict(k),
-                )
-            )
+    extract = None if model is None else model[0]
+    counts = TrialCounts()
+    for t in range(spec.trials):
+        report = run_trial(spec, t)
+        counts.trials += 1
+        counts.detected += report.detected
+        counts.case1_rounds += report.case1_rounds
+        counts.case1_errors += report.case1_errors
+        reason = report.outcome.abort_reason
+        if reason is None:
+            counts.wrong += not report.verdict_correct
+            counts.recovered += report.adversary_recovered_secret_correct is True
+        else:
+            counts.aborted += 1
+            counts.insufficient += reason is AbortReason.INSUFFICIENT_ROUNDS
+        if extract is not None:
+            cell = (extract(report), report.detected)
+            counts.cells[cell] = counts.cells.get(cell, 0) + 1
+    return aggregate(spec, counts)
 
+
+def aggregate(spec: ExperimentSpec, counts: TrialCounts) -> AggregateReport:
+    """The report of an experiment, from its trial tallies."""
+    trials, completed = counts.trials, counts.trials - counts.aborted
+    detection_rate = counts.detected / trials
+    wrong_rate = counts.wrong / completed if completed else None
+    insider = spec.protocol == "jiang" and ATTACKS[spec.attack].insider
+    table: list[TrapCountRow] = []
+    if counts.cells:
+        _, predict = detection_model(Variant(spec.protocol), spec.attack)
+        for k in sorted({k for k, _ in counts.cells}):
+            hits = counts.cells.get((k, True), 0)
+            group = hits + counts.cells.get((k, False), 0)
+            rate = hits / group
+            stderr = binomial_stderr(rate, group)
+            table.append(TrapCountRow(k, group, hits, rate, stderr, predict(k)))
     return AggregateReport(
         spec=spec,
         trials=trials,
         detection_rate=detection_rate,
         detection_stderr=binomial_stderr(detection_rate, trials),
-        abort_rate=aborted / trials,
-        insufficient_rounds_rate=insufficient / trials,
-        completed_trials=len(completed),
+        abort_rate=counts.aborted / trials,
+        insufficient_rounds_rate=counts.insufficient / trials,
+        completed_trials=completed,
         wrong_result_rate=wrong_rate,
-        wrong_result_stderr=wrong_stderr,
-        secret_recovery_rate=recovery_rate,
-        case1_rounds_total=case1_total,
-        case1_errors_total=case1_errors,
-        case1_error_rate=case1_rate,
+        wrong_result_stderr=binomial_stderr(wrong_rate, completed) if completed else None,
+        secret_recovery_rate=counts.recovered / completed if insider and completed else None,
+        case1_rounds_total=counts.case1_rounds,
+        case1_errors_total=counts.case1_errors,
+        case1_error_rate=(
+            counts.case1_errors / counts.case1_rounds if counts.case1_rounds else None
+        ),
         detection_by_trap_count=table,
     )
 

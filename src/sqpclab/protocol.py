@@ -22,7 +22,9 @@ the masks cancel exactly and each comparison value equals ``x_j XOR y_j``.
 TP dispatches on each round's (Alice, Bob) choice pair, 4 pairs in jiang
 and 9 in improved: a double-CTRL round (case 1) is Bell-measured for the
 Bell check, and every SIFT qubit is Z-measured as a calculate value or a
-trap announcement.
+trap announcement. TP counts its checks in that same pass (case-1 rounds and
+wrong Bell outcomes; per side, traps sent and announcements that disagree),
+and the integrity checks and the `TrialReport` read those counts.
 
 Channel interface: `run_protocol` drives any object with
 `bind(sim, rng, variant)`, `transmit(leg, round_index, qubit) -> QubitHandle`,
@@ -159,44 +161,6 @@ class Transcript:
     masks: MaskRecord | None = None
     r_values: tuple[int, ...] | None = None
 
-    def case1_stats(self) -> tuple[int, int]:
-        """(number of case-1 rounds, number with a wrong Bell outcome)."""
-        total = errors = 0
-        for rec in self.rounds:
-            if rec.tp_bell_outcome is not None:
-                total += 1
-                if rec.tp_bell_outcome != rec.original_kind:
-                    errors += 1
-        return total, errors
-
-
-@dataclass(frozen=True)
-class TrapCheck:
-    mismatches_alice: int
-    mismatches_bob: int
-    traps_alice: int  # n
-    traps_bob: int  # m
-
-    @property
-    def mismatches(self) -> int:
-        return self.mismatches_alice + self.mismatches_bob
-
-
-def verify_traps(transcript: Transcript) -> TrapCheck:
-    """Count trap rounds per participant and TP announcements that disagree
-    with the originally prepared trap bit."""
-    n = m = bad_a = bad_b = 0
-    for rec in transcript.rounds:
-        if rec.trap_sent_a is not None:
-            n += 1
-            if rec.tp_trap_a is not None and rec.tp_trap_a != rec.trap_sent_a:
-                bad_a += 1
-        if rec.trap_sent_b is not None:
-            m += 1
-            if rec.tp_trap_b is not None and rec.tp_trap_b != rec.trap_sent_b:
-                bad_b += 1
-    return TrapCheck(bad_a, bad_b, n, m)
-
 
 @dataclass
 class TrialReport:
@@ -228,9 +192,10 @@ def compute_ma_jiang(k_bit: int, ra_bit: int, x_bit: int) -> int:
     return k_bit ^ ra_bit ^ x_bit
 
 
-def compute_r_jiang(ma: int, mb: int, ra: int, rb: int) -> int:
-    """TP's per-ordinal comparison value; equals x XOR y for honest inputs."""
-    return ma ^ mb ^ ra ^ rb
+def compute_r(ma: int, mb: int, pub_a: int, pub_b: int) -> int:
+    """TP's per-ordinal comparison value; equals x XOR y for honest inputs.
+    `pub_a`/`pub_b` are the published raw-key bits (jiang) or XOR masks (improved)."""
+    return ma ^ mb ^ pub_a ^ pub_b
 
 
 def compute_mask_improved(k_bit: int, ra_bit: int, x_bit: int, ma_bit: int) -> int:
@@ -239,16 +204,11 @@ def compute_mask_improved(k_bit: int, ra_bit: int, x_bit: int, ma_bit: int) -> i
     return ra_bit ^ ra_prime
 
 
-def compute_r_improved(ma: int, mb: int, mask_a: int, mask_b: int) -> int:
-    """TP's per-ordinal comparison value from the published XOR masks."""
-    return ma ^ mb ^ mask_a ^ mask_b
-
-
 # -- protocol execution ------------------------------------------------------
 
 
 class _Party:
-    """Per-participant protocol state: choices, encodings, traps, masks."""
+    """Per-participant protocol state: key material, calculate count, masks."""
 
     def __init__(
         self,
@@ -262,7 +222,6 @@ class _Party:
         self.length = len(secret)
         self.calc_count = 0
         self.masks: list[int] = []  # improved variant, ordinals 1..L
-        self.encoded: list[int] = []  # bit carried by each calculate qubit
 
     def act(
         self,
@@ -300,7 +259,6 @@ class _Party:
                         bit,
                     )
                 )
-        self.encoded.append(bit)
         return sim.prepare_basis(bit), j, None
 
 
@@ -388,34 +346,36 @@ def run_protocol(
     # order, so calculate outcomes arrive in each participant's ordinal order.
     ma_by_ordinal: list[int] = []
     mb_by_ordinal: list[int] = []
+    case1 = bell_errors = traps_a = traps_b = bad_a = bad_b = 0
     for rec, (back_a, back_b) in zip(records, returned):
         if rec.alice_choice is Choice.CTRL and rec.bob_choice is Choice.CTRL:
             rec.tp_bell_outcome = sim.measure_bell(back_a, back_b)
+            case1 += 1
+            bell_errors += rec.tp_bell_outcome != rec.original_kind
             continue
         if rec.alice_choice is Choice.SIFT_CALCULATE:
             rec.ma = sim.measure_z(back_a)
             ma_by_ordinal.append(rec.ma)
         elif rec.alice_choice is Choice.SIFT_DETECT:
             rec.tp_trap_a = sim.measure_z(back_a)
+            traps_a += 1
+            bad_a += rec.tp_trap_a != rec.trap_sent_a
         if rec.bob_choice is Choice.SIFT_CALCULATE:
             rec.mb = sim.measure_z(back_b)
             mb_by_ordinal.append(rec.mb)
         elif rec.bob_choice is Choice.SIFT_DETECT:
             rec.tp_trap_b = sim.measure_z(back_b)
+            traps_b += 1
+            bad_b += rec.tp_trap_b != rec.trap_sent_b
 
     transcript = Transcript(variant=variant, rounds=records)
-    traps = verify_traps(transcript)
-    case1, errors = transcript.case1_stats()
 
-    def rate(bad: int, total: int) -> float:
-        return bad / total if total else 0.0
-
-    # Integrity checks: Bell outcomes on double-CTRL rounds, then traps.
-    if rate(errors, case1) > cfg.threshold:
+    # Integrity checks, Bell then traps; an error-free check passes, even an empty one.
+    if bell_errors and bell_errors / case1 > cfg.threshold:
         outcome = ComparisonOutcome(None, abort_reason=AbortReason.BELL_CHECK_FAILED)
     elif variant is Variant.IMPROVED and (
-        rate(traps.mismatches_alice, traps.traps_alice) > cfg.threshold
-        or rate(traps.mismatches_bob, traps.traps_bob) > cfg.threshold
+        bad_a and bad_a / traps_a > cfg.threshold
+        or bad_b and bad_b / traps_b > cfg.threshold
     ):
         outcome = ComparisonOutcome(None, abort_reason=AbortReason.TRAP_CHECK_FAILED)
     elif alice.calc_count < L or bob.calc_count < L:
@@ -425,10 +385,8 @@ def run_protocol(
         # improved), TP pairs ordinals and compares.
         if variant is Variant.JIANG:
             transcript.masks = MaskRecord(cfg.keys.ra, cfg.keys.rb)
-            compute_r = compute_r_jiang
         else:
             transcript.masks = MaskRecord(tuple(alice.masks), tuple(bob.masks))
-            compute_r = compute_r_improved
         if channel is not None:
             channel.observe_publication(transcript.masks)
         pub_a, pub_b = transcript.masks.alice_masks, transcript.masks.bob_masks
@@ -449,10 +407,10 @@ def run_protocol(
     return outcome, transcript, TrialReport(
         outcome=outcome,
         verdict_correct=None if outcome.aborted else outcome.equal == truth,
-        n=traps.traps_alice,
-        m=traps.traps_bob,
+        n=traps_a,
+        m=traps_b,
         case1_rounds=case1,
-        case1_errors=errors,
-        trap_mismatches=traps.mismatches,
+        case1_errors=bell_errors,
+        trap_mismatches=bad_a + bad_b,
         adversary_recovered_secret_correct=recovered,
     )

@@ -5,6 +5,7 @@ shares no code with the package under test.
 """
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,6 +121,35 @@ def jiang_outside_wrong_result_single_bit() -> float:
                 for rb in (0, 1):
                     outcomes.append(za ^ zb ^ ra ^ rb)
     return sum(outcomes) / len(outcomes)
+
+
+class CheckCounts(NamedTuple):
+    n: int  # traps Alice sent
+    m: int  # traps Bob sent
+    bad_a: int  # TP announcements that disagree with Alice's trap bit
+    bad_b: int
+    case1_rounds: int
+    case1_errors: int  # case-1 rounds whose Bell outcome is not the prepared kind
+
+    @property
+    def mismatches(self) -> int:
+        return self.bad_a + self.bad_b
+
+
+def recount_checks(rounds) -> CheckCounts:
+    """TP's check statistics, recounted from a transcript's round records."""
+    n = m = bad_a = bad_b = case1 = errors = 0
+    for rec in rounds:
+        if rec.trap_sent_a is not None:
+            n += 1
+            bad_a += rec.tp_trap_a != rec.trap_sent_a
+        if rec.trap_sent_b is not None:
+            m += 1
+            bad_b += rec.tp_trap_b != rec.trap_sent_b
+        if rec.tp_bell_outcome is not None:
+            case1 += 1
+            errors += rec.tp_bell_outcome != rec.original_kind
+    return CheckCounts(n, m, bad_a, bad_b, case1, errors)
 
 
 def four_sigma(p: float, n: int) -> float:

@@ -25,8 +25,7 @@ from sqpclab.protocol import (
     Variant,
     compute_ma_jiang,
     compute_mask_improved,
-    compute_r_improved,
-    compute_r_jiang,
+    compute_r,
     run_protocol,
 )
 from sqpclab.qsim import BellKind, Simulator
@@ -119,12 +118,12 @@ def test_criterion_02_xor_algebra_oracles():
     for x, y, k, ra, rb in itertools.product((0, 1), repeat=5):
         ma = compute_ma_jiang(k, ra, x)
         mb = compute_ma_jiang(k, rb, y)
-        if compute_r_jiang(ma, mb, ra, rb) != x ^ y:
+        if compute_r(ma, mb, ra, rb) != x ^ y:
             failures.append(f"jiang chain broke at {(x, y, k, ra, rb)}")
     for x, y, k, ra, rb, ma, mb in itertools.product((0, 1), repeat=7):
         mask_a = compute_mask_improved(k, ra, x, ma)
         mask_b = compute_mask_improved(k, rb, y, mb)
-        if compute_r_improved(ma, mb, mask_a, mask_b) != x ^ y:
+        if compute_r(ma, mb, mask_a, mask_b) != x ^ y:
             failures.append(f"improved chain broke at {(x, y, k, ra, rb, ma, mb)}")
     for k, ra, x, ma in itertools.product((0, 1), repeat=4):
         if compute_mask_improved(k, ra, x, ma) != compute_mask_improved(k, 1 - ra, x, ma):

@@ -176,12 +176,10 @@ def test_participant_attack_vs_improved_trips_alice_traps_only():
         _, transcript, report, strategy = run_attacked(
             Variant.IMPROVED, cfg, "participant", seed
         )
-        from sqpclab.protocol import verify_traps
-
-        check = verify_traps(transcript)
-        assert check.mismatches_bob == 0  # Bob's own legs run clean
-        traps_a += check.traps_alice
-        bad_a += check.mismatches_alice
+        check = oracles.recount_checks(transcript.rounds)
+        assert check.bad_b == 0  # Bob's own legs run clean
+        traps_a += check.n
+        bad_a += check.bad_a
         assert strategy.recovered_secret is None  # no raw key published
     assert traps_a > 800
     assert abs(bad_a / traps_a - 0.5) < oracles.four_sigma(0.5, traps_a)
@@ -325,9 +323,9 @@ def test_forward_only_learns_nothing_from_jiang():
 def test_make_strategy_names():
     assert make_strategy("none") is None
     for name in ("outside", "intercept-resend", "measure-resend"):
-        assert make_strategy(name).name == name
+        assert make_strategy(name).attack.name == name
     for name in ("participant", "participant-forward"):
-        assert make_strategy(name, shared_key=(0, 1)).name == name
+        assert make_strategy(name, shared_key=(0, 1)).attack.name == name
     with pytest.raises(ValueError):
         make_strategy("quantum-cat")
 

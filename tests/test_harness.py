@@ -1,4 +1,5 @@
 """Tests for the experiment runner, aggregation, and analytic oracles."""
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -136,9 +137,11 @@ def test_spec_from_dict_validates():
         lambda: ExperimentSpec(protocol="jiang", p_ctrl="x").validate(),
         lambda: ExperimentSpec(protocol="improved", p_detect=None).validate(),
         lambda: ExperimentSpec(protocol="improved", p_detect=[0.5]).validate(),
+        lambda: ExperimentSpec.from_dict({"protocol": "jiang", "attack": []}),
+        lambda: ExperimentSpec.from_dict({"protocol": "jiang", "secrets": None}),
     ],
     ids=["unknown-key", "missing-key", "threshold-none", "p-ctrl-str",
-         "p-detect-none", "p-detect-list"],
+         "p-detect-none", "p-detect-list", "attack-list", "secrets-none"],
 )
 def test_spec_malformed_input_raises_validation_error(build):
     with pytest.raises(ValidationError):
@@ -233,6 +236,22 @@ def test_stderr_shrinks_with_trials():
     assert 0.0 < large.detection_stderr < small.detection_stderr
     ratio = small.detection_stderr / large.detection_stderr
     assert 5.0 < ratio < 20.0  # nominal factor 10 at T = 10^2 vs 10^4
+
+
+def test_experiment_memory_does_not_grow_with_trials():
+    """Trials are folded into counts as they finish: ten times the trials
+    must not raise the peak traced memory of an experiment."""
+
+    def peak(trials: int) -> int:
+        tracemalloc.start()
+        try:
+            run_experiment(ExperimentSpec(protocol="jiang", secret_bits=1, trials=trials))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(500)  # warm-up: fills the simulator's interned-state table
+    assert peak(5000) <= peak(500) + 64 * 1024
 
 
 def test_aggregate_report_round_trip():

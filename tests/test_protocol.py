@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sqpclab.adversary import ATTACKS, ChannelStrategy
+from sqpclab.adversary import ATTACKS, ChannelStrategy, make_strategy
 from sqpclab.qsim import BellKind
 from sqpclab.protocol import (
     AbortReason,
@@ -16,10 +16,8 @@ from sqpclab.protocol import (
     Variant,
     compute_ma_jiang,
     compute_mask_improved,
-    compute_r_improved,
-    compute_r_jiang,
+    compute_r,
     run_protocol,
-    verify_traps,
 )
 
 import oracles
@@ -50,18 +48,18 @@ def test_compute_ma_jiang_examples_and_exhaustive():
 
 def test_jiang_chain_recovers_xor_over_all_32_inputs():
     """End-to-end comparison value equals x XOR y for every input combination."""
-    assert compute_r_jiang(0, 0, 0, 0) == 0
+    assert compute_r(0, 0, 0, 0) == 0
     for x, y, k, ra, rb in itertools.product((0, 1), repeat=5):
         ma = compute_ma_jiang(k, ra, x)
         mb = compute_ma_jiang(k, rb, y)
-        assert compute_r_jiang(ma, mb, ra, rb) == x ^ y
+        assert compute_r(ma, mb, ra, rb) == x ^ y
 
 
 def test_jiang_chain_worked_example():
     ma = compute_ma_jiang(1, 0, 1)
     mb = compute_ma_jiang(1, 1, 0)
     assert (ma, mb) == (0, 0)
-    assert compute_r_jiang(ma, mb, 0, 1) == 1  # x=1, y=0
+    assert compute_r(ma, mb, 0, 1) == 1  # x=1, y=0
 
 
 def test_mask_is_independent_of_raw_key_over_all_16_inputs():
@@ -73,18 +71,18 @@ def test_mask_is_independent_of_raw_key_over_all_16_inputs():
 
 
 def test_improved_chain_recovers_xor_over_all_128_inputs():
-    assert compute_r_improved(0, 0, 0, 0) == 0
+    assert compute_r(0, 0, 0, 0) == 0
     for x, y, k, ra, rb, ma, mb in itertools.product((0, 1), repeat=7):
         mask_a = compute_mask_improved(k, ra, x, ma)
         mask_b = compute_mask_improved(k, rb, y, mb)
-        assert compute_r_improved(ma, mb, mask_a, mask_b) == x ^ y
+        assert compute_r(ma, mb, mask_a, mask_b) == x ^ y
 
 
 def test_improved_chain_worked_example():
     mask_a = compute_mask_improved(1, 0, 1, 1)
     mask_b = compute_mask_improved(1, 1, 0, 0)
     assert (mask_a, mask_b) == (1, 1)
-    assert compute_r_improved(1, 0, mask_a, mask_b) == 1  # x=1, y=0
+    assert compute_r(1, 0, mask_a, mask_b) == 1  # x=1, y=0
 
 
 def test_key_cancellation_exhaustive():
@@ -94,7 +92,7 @@ def test_key_cancellation_exhaustive():
         for k in (0, 1):
             ma = compute_ma_jiang(k, ra, x)
             mb = compute_ma_jiang(k, rb, y)
-            values.add(compute_r_jiang(ma, mb, ra, rb))
+            values.add(compute_r(ma, mb, ra, rb))
         assert values == {x ^ y}
 
 
@@ -232,19 +230,44 @@ def test_honest_case1_fidelity():
 
 
 def test_honest_trap_check_clean():
+    """TP's tallies in the report equal a recount from the round records for
+    every (protocol, attack) pair; an honest run has no trap mismatches."""
     cfg = make_config((1, 0, 1), (1, 0, 1), seed=2)
     _, transcript, report = run_protocol(Variant.IMPROVED, cfg, seed=5)
-    check = verify_traps(transcript)
+    check = oracles.recount_checks(transcript.rounds)
     assert check.mismatches == 0
-    assert (check.traps_alice, check.traps_bob) == (report.n, report.m)
+    assert (check.n, check.m) == (report.n, report.m)
+    mismatches = case1_errors = 0
+    for variant, attack in itertools.product(Variant, ATTACKS):
+        for seed in range(4):
+            strategy = make_strategy(attack, shared_key=cfg.keys.k)
+            _, transcript, report = run_protocol(variant, cfg, strategy, seed=seed)
+            check = oracles.recount_checks(transcript.rounds)
+            counted = (
+                report.n,
+                report.m,
+                report.trap_mismatches,
+                report.case1_rounds,
+                report.case1_errors,
+            )
+            assert counted == (
+                check.n,
+                check.m,
+                check.mismatches,
+                check.case1_rounds,
+                check.case1_errors,
+            ), (variant, attack, seed)
+            mismatches += check.mismatches
+            case1_errors += check.case1_errors
+    assert mismatches and case1_errors  # the attacks exercise both counts
 
 
 def test_trap_check_vacuous_without_detect_rounds():
     """p_detect = 0 means no traps and nothing to flag."""
     cfg = make_config((1, 0), (1, 0), seed=2, p_detect=0.0)
     outcome, transcript, report = run_protocol(Variant.IMPROVED, cfg, seed=5)
-    check = verify_traps(transcript)
-    assert (check.traps_alice, check.traps_bob, check.mismatches) == (0, 0, 0)
+    check = oracles.recount_checks(transcript.rounds)
+    assert (check.n, check.m, check.mismatches) == (0, 0, 0)
     assert not outcome.aborted
 
 
@@ -278,8 +301,8 @@ def test_trap_mismatch_rate_against_maximally_mixed_half():
         _, transcript, _ = run_protocol(
             Variant.IMPROVED, cfg, _ReplaceReturnsWithBellHalves(), seed=seed
         )
-        check = verify_traps(transcript)
-        traps += check.traps_alice + check.traps_bob
+        check = oracles.recount_checks(transcript.rounds)
+        traps += check.n + check.m
         mismatches += check.mismatches
     assert traps > 300
     assert abs(mismatches / traps - 0.5) < oracles.four_sigma(0.5, traps)
