@@ -25,6 +25,7 @@ from .protocol import (
     SecretInput,
     Transcript,
     TrialReport,
+    ValidationError,
     Variant,
     compute_ma_jiang,
     compute_mask_improved,
@@ -38,12 +39,8 @@ from .adversary import (
 from .harness import (
     AggregateReport,
     ExperimentSpec,
-    ValidationError,
-    analytic_detection_outside,
-    analytic_detection_participant,
     run_experiment,
     tp_inference_test,
-    wrong_result_model_jiang_outside,
 )
 
 __all__ = [
@@ -70,8 +67,6 @@ __all__ = [
     "TrialReport",
     "ValidationError",
     "Variant",
-    "analytic_detection_outside",
-    "analytic_detection_participant",
     "compute_ma_jiang",
     "compute_mask_improved",
     "compute_r",
@@ -79,5 +74,4 @@ __all__ = [
     "run_experiment",
     "run_protocol",
     "tp_inference_test",
-    "wrong_result_model_jiang_outside",
 ]

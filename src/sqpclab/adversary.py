@@ -111,9 +111,7 @@ class ChannelStrategy:
             return self.held.pop((forward, round_index))
         return qubit
 
-    def observe_choices(
-        self, alice_choices: Sequence[Choice], bob_choices: Sequence[Choice]
-    ) -> None:
+    def observe_choices(self, alice_choices: Sequence[Choice]) -> None:
         """An insider reads Alice's encoded bits: by measuring her held returns,
         or, without swap-back, as her Z outcomes on his Z-basis forgeries.
         The latter needs the improved variant: jiang encodes classically."""

@@ -80,23 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: list[str]) -> tuple[ExperimentSpec, str]:
     """Map flags to a validated ExperimentSpec plus the chosen --output format."""
-    args = build_parser().parse_args(argv)
-    if args.p_detect is not None and args.protocol == "jiang":
+    args = vars(build_parser().parse_args(argv))
+    fmt = args.pop("output")
+    if args["p_detect"] is None:
+        del args["p_detect"]  # the spec default applies
+    elif args["protocol"] == "jiang":
         raise ValidationError("--p-detect is not accepted for the jiang protocol")
-    spec = ExperimentSpec(
-        protocol=args.protocol,
-        attack=args.attack,
-        secret_bits=args.secret_bits,
-        rounds_factor=args.rounds_factor,
-        p_ctrl=args.p_ctrl,
-        p_detect=0.5 if args.p_detect is None else args.p_detect,
-        trials=args.trials,
-        seed=args.seed,
-        threshold=args.threshold,
-        secrets=args.secrets,
-    )
+    spec = ExperimentSpec(**args)
     spec.validate()
-    return spec, args.output
+    return spec, fmt
 
 
 def emit_report(report: AggregateReport, fmt: str) -> str:

@@ -1,4 +1,4 @@
-"""Monte Carlo experiment runner and analytic oracles.
+"""Monte Carlo experiment runner and the attacks' detection model.
 
 An experiment is T independent protocol runs under one configuration.
 Trial i draws its generator from ``np.random.SeedSequence([seed, i])``;
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,9 @@ from .protocol import (
     ProtocolConfig,
     SecretInput,
     TrialReport,
+    ValidationError,
     Variant,
+    check_fields,
     run_protocol,
 )
 
@@ -41,10 +43,6 @@ from .protocol import (
 DEFAULT_ROUNDS_FACTOR = {"jiang": 5, "improved": 11}
 
 SECRET_MODES = ("random", "equal", "unequal")
-
-
-class ValidationError(ValueError):
-    """A configuration value is out of range or malformed."""
 
 
 _HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
@@ -71,11 +69,12 @@ class ExperimentSpec:
 
     protocol: str
     attack: str = "none"
-    secret_bits: int = 8
-    rounds_factor: int | None = None  # None resolves to the variant default
+    secret_bits: int = field(default=8, metadata={"min": 1})
+    # None resolves to the variant default
+    rounds_factor: int | None = field(default=None, metadata={"min": 1})
     p_ctrl: float = 0.5
     p_detect: float = 0.5
-    trials: int = 1000
+    trials: int = field(default=1000, metadata={"min": 1})
     seed: int = 0
     threshold: float = 0.0
     secrets: str = "random"  # random | equal | unequal | explicit:HEX,HEX
@@ -83,23 +82,7 @@ class ExperimentSpec:
     def validate(self) -> None:
         if self.protocol not in ("jiang", "improved"):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
-        integers = [
-            ("--secret-bits", self.secret_bits),
-            ("--trials", self.trials),
-            ("--seed", self.seed),
-        ]
-        if self.rounds_factor is not None:
-            integers.append(("--rounds-factor", self.rounds_factor))
-        for name, value in integers:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.secret_bits < 1:
-            raise ValidationError("--secret-bits must be at least 1")
-        if self.rounds_factor is not None and self.rounds_factor < 1:
-            raise ValidationError("--rounds-factor must be at least 1")
-        if self.trials < 1:
-            raise ValidationError("--trials must be at least 1")
-        _check_ranges(self, flags=True)  # str fields, --seed >= 0, rates in [0, 1]
+        check_fields(self, flags=True)
         if self.attack not in ATTACKS:
             raise ValidationError(f"unknown attack {self.attack!r}")
         self.explicit_secrets()  # raises on malformed explicit values
@@ -185,7 +168,7 @@ class AggregateReport:
             raise ValidationError(f"malformed report: {exc!r}") from None
         rows = report.detection_by_trap_count
         for record in (report, *rows):
-            _check_ranges(record)
+            check_fields(record)
         if (
             report.trials < 1
             or report.completed_trials > report.trials
@@ -196,33 +179,6 @@ class AggregateReport:
         return report
 
 
-def _check_ranges(record, flags: bool = False) -> None:
-    """Fields declared `str` must be strings; fields declared `int` must be
-    nonnegative ints; fields declared `float` must lie in [0, 1], or be None
-    where the declaration allows it. With `flags`, messages name each field
-    by its command-line flag."""
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if f.type == "str":
-            ok = isinstance(value, str)
-            want = "be a string"
-        elif f.type == "int":
-            ok = type(value) is int and value >= 0
-            want = "be a nonnegative integer"
-        elif f.type.startswith("float"):
-            ok = (value is None and f.type.endswith("| None")) or (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and 0.0 <= value <= 1.0
-            )
-            want = "lie in [0, 1]"
-        else:
-            continue
-        if not ok:
-            name = "--" + f.name.replace("_", "-") if flags else f.name
-            raise ValidationError(f"{name} must {want}, got {value!r}")
-
-
 def binomial_stderr(rate: float, n: int) -> float:
     """Standard error of a binomial proportion estimate."""
     if n <= 0:
@@ -230,32 +186,7 @@ def binomial_stderr(rate: float, n: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / n)
 
 
-# -- analytic oracles ---------------------------------------------------------
-
-
-def analytic_detection_outside(n: int, m: int) -> float:
-    """Detection probability of the full swap attack given n + m traps."""
-    if n < 0 or m < 0:
-        raise ValueError("trap counts must be nonnegative")
-    return 1.0 - 0.5 ** (n + m)
-
-
-def analytic_detection_participant(n: int) -> float:
-    """Detection probability of malicious Bob given n traps from Alice."""
-    if n < 0:
-        raise ValueError("trap count must be nonnegative")
-    return 1.0 - 0.5**n
-
-
-def wrong_result_model_jiang_outside(l_used: int) -> float:
-    """Probability the swapped-channel jiang run reports NotEqual when X = Y.
-
-    Each comparison value becomes an independent fair coin because the raw
-    keys are uniform and independent of the parities TP measures.
-    """
-    if l_used < 0:
-        raise ValueError("l_used must be nonnegative")
-    return 1.0 - 0.5**l_used
+# -- detection model -----------------------------------------------------------
 
 
 def detection_model(variant: Variant, attack: str):

@@ -28,13 +28,17 @@ and the integrity checks and the `TrialReport` read those counts.
 
 Channel interface: `run_protocol` drives any object with
 `bind(sim, rng, variant)`, `transmit(leg, round_index, qubit) -> QubitHandle`,
-`observe_choices(alice, bob)`, `observe_publication(MaskRecord)` and a
+`observe_choices(alice_choices)`, `observe_publication(MaskRecord)` and a
 `recovered_secret` attribute (None, or the secret bits it decoded). The
 adversary module's `ChannelStrategy` is the one implementation in the package.
+
+Config and report dataclasses are checked against their own declarations by
+`check_fields`, so each field's type and range is stated once, where the
+field is declared.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -66,6 +70,45 @@ class Leg(Enum):
     FORWARD_TP_TO_BOB = "forward_tp_to_bob"
     RETURN_ALICE_TO_TP = "return_alice_to_tp"
     RETURN_BOB_TO_TP = "return_bob_to_tp"
+
+
+class ValidationError(ValueError):
+    """A configuration value is out of range or malformed."""
+
+
+def check_fields(record, flags: bool = False) -> None:
+    """Check each field of a dataclass instance against its declaration.
+
+    `str` fields must be strings. `int` fields must be ints, at least the
+    field's `min` metadata, or nonnegative without one. `float` fields must
+    lie in [0, 1]. A field declared `| None` may be None; fields of any other
+    type are not checked. With `flags`, messages name each field by its
+    command-line flag.
+    """
+    for f in fields(record):
+        value = getattr(record, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional == "None":
+            continue
+        name = "--" + f.name.replace("_", "-") if flags else f.name
+        if kind == "str" and not isinstance(value, str):
+            raise ValidationError(f"{name} must be a string, got {value!r}")
+        if kind == "int":
+            low = f.metadata.get("min", 0)
+            if type(value) is not int:
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if low and value < low:
+                raise ValidationError(f"{name} must be at least {low}")
+            if value < 0:
+                raise ValidationError(
+                    f"{name} must be a nonnegative integer, got {value!r}"
+                )
+        if kind == "float" and not (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and 0.0 <= value <= 1.0
+        ):
+            raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +153,7 @@ class KeyMaterial:
 class ProtocolConfig:
     secrets: SecretInput
     keys: KeyMaterial
-    num_rounds: int
+    num_rounds: int = field(metadata={"min": 1})
     p_ctrl: float = 0.5
     p_detect: float = 0.5
     threshold: float = 0.0
@@ -118,13 +161,8 @@ class ProtocolConfig:
     def __post_init__(self):
         L = self.secrets.length
         if not (len(self.keys.k) == len(self.keys.ra) == len(self.keys.rb) == L):
-            raise ValueError("key material length must match secret length")
-        if self.num_rounds < 1:
-            raise ValueError("num_rounds must be positive")
-        for name, p in (("p_ctrl", self.p_ctrl), ("p_detect", self.p_detect),
-                        ("threshold", self.threshold)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
+            raise ValidationError("key material length must match secret length")
+        check_fields(self)
 
 
 @dataclass
@@ -336,10 +374,7 @@ def run_protocol(
 
     # Choices (and which SIFTs are detect) become public before TP measures.
     if channel is not None:
-        channel.observe_choices(
-            [rec.alice_choice for rec in records],
-            [rec.bob_choice for rec in records],
-        )
+        channel.observe_choices([rec.alice_choice for rec in records])
 
     # TP dispatch: Bell-measure double-CTRL rounds, Z-measure every qubit a
     # SIFT participant sent; announce the trap results. Rounds are visited in

@@ -141,7 +141,8 @@ def test_criterion_03_outside_attack_vs_jiang():
     failures = []
     if report.detection_rate != 0.0:
         failures.append(f"detected at rate {report.detection_rate}")
-    predicted = 1.0 - 0.5**8
+    # Each of the 8 comparison values is nonzero independently.
+    predicted = 1.0 - (1.0 - oracles.jiang_outside_wrong_result_single_bit()) ** 8
     tol = oracles.four_sigma(predicted, report.completed_trials)
     if abs(report.wrong_result_rate - predicted) > tol:
         failures.append(

@@ -103,8 +103,8 @@ def test_outside_attack_custody():
                 self.forward_in[key] = qubit
             return out
 
-        def observe_choices(self, a, b):
-            self.inner.observe_choices(a, b)
+        def observe_choices(self, alice_choices):
+            self.inner.observe_choices(alice_choices)
 
         def observe_publication(self, pub):
             self.inner.observe_publication(pub)

@@ -199,6 +199,29 @@ def test_main_rejects_bad_values_with_one_error_line(capsys, flags):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    ("flags", "message"),
+    [
+        (["--seed", "-1"], "--seed must be a nonnegative integer, got -1"),
+        (["--secret-bits", "0"], "--secret-bits must be at least 1"),
+        (["--trials", "0"], "--trials must be at least 1"),
+        (["--rounds-factor", "0"], "--rounds-factor must be at least 1"),
+        (["--p-ctrl", "1.5"], "--p-ctrl must lie in [0, 1], got 1.5"),
+        (["--threshold", "-1"], "--threshold must lie in [0, 1], got -1.0"),
+        (["--p-detect", "0.5"], "--p-detect is not accepted for the jiang protocol"),
+        (["--secrets", "sideways"], "unknown secrets mode 'sideways'"),
+        (["--secrets", "explicit:AF"], "--secrets explicit form is explicit:HEX,HEX"),
+        (["--secrets", "explicit:zz,01"], "invalid hex secret 'zz'"),
+        (["--secrets", "explicit:FFF,01"], "secret 'FFF' does not fit in 8 bits"),
+    ],
+)
+def test_main_error_message_is_exact(capsys, flags, message):
+    assert main(["--protocol", "jiang", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_main_exit_zero_even_when_trials_abort(capsys):
     """Aborts inside trials are data; the process still succeeds."""
     code = main(

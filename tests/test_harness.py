@@ -9,45 +9,17 @@ from sqpclab.harness import (
     AggregateReport,
     ExperimentSpec,
     ValidationError,
-    analytic_detection_outside,
-    analytic_detection_participant,
     binomial_stderr,
     bits_from_hex,
     run_experiment,
     run_trial,
     tp_inference_test,
-    wrong_result_model_jiang_outside,
 )
 
 import oracles
 
 
-# -- analytic formulas ---------------------------------------------------------
-
-
-def test_outside_detection_formula():
-    assert analytic_detection_outside(0, 0) == 0.0
-    assert analytic_detection_outside(1, 1) == 0.75
-    assert analytic_detection_outside(20, 20) >= 1.0 - 1e-12
-    with pytest.raises(ValueError):
-        analytic_detection_outside(-1, 0)
-
-
-def test_participant_detection_formula():
-    assert analytic_detection_participant(0) == 0.0
-    assert analytic_detection_participant(1) == 0.5
-    assert analytic_detection_participant(10) == 0.9990234375
-    with pytest.raises(ValueError):
-        analytic_detection_participant(-2)
-
-
-def test_wrong_result_model():
-    assert wrong_result_model_jiang_outside(0) == 0.0
-    assert wrong_result_model_jiang_outside(1) == 0.5
-    assert wrong_result_model_jiang_outside(1) == pytest.approx(
-        oracles.jiang_outside_wrong_result_single_bit()
-    )
-    assert wrong_result_model_jiang_outside(8) == pytest.approx(1.0 - 1.0 / 256)
+# -- statistics -----------------------------------------------------------------
 
 
 def test_binomial_stderr():
@@ -212,7 +184,7 @@ def test_detection_table_structure():
     assert rows == sorted(rows, key=lambda r: r.k)
     assert sum(r.trials for r in rows) == report.trials
     for row in rows:
-        assert row.predicted == analytic_detection_outside(row.k, 0)
+        assert row.predicted == 1.0 - 0.5**row.k
         assert 0.0 <= row.detection_rate <= 1.0
 
 

@@ -13,6 +13,7 @@ from sqpclab.protocol import (
     Leg,
     ProtocolConfig,
     SecretInput,
+    ValidationError,
     Variant,
     compute_ma_jiang,
     compute_mask_improved,
@@ -285,7 +286,7 @@ class _ReplaceReturnsWithBellHalves:
             return half
         return qubit
 
-    def observe_choices(self, a, b):
+    def observe_choices(self, alice_choices):
         pass
 
     def observe_publication(self, pub):
@@ -337,7 +338,7 @@ class _MinimalPassThrough:
         self.calls.append((leg, round_index))
         return qubit
 
-    def observe_choices(self, alice_choices, bob_choices):
+    def observe_choices(self, alice_choices):
         self.calls.append("choices")
 
     def observe_publication(self, masks):
@@ -386,3 +387,18 @@ def test_config_validation():
         make_config((1,), (1,), p_ctrl=1.5)
 
 
+@pytest.mark.parametrize(
+    ("name", "value", "message"),
+    [
+        ("rounds", 0, "num_rounds must be at least 1"),
+        ("rounds", 2.5, "num_rounds must be an integer, got 2.5"),
+        ("rounds", True, "num_rounds must be an integer, got True"),
+        ("p_ctrl", "x", "p_ctrl must lie in [0, 1], got 'x'"),
+        ("threshold", None, "threshold must lie in [0, 1], got None"),
+    ],
+)
+def test_config_rejects_malformed_fields(name, value, message):
+    """Every ProtocolConfig field is checked against its declaration."""
+    with pytest.raises(ValidationError) as err:
+        make_config((1,), (1,), **{name: value})
+    assert str(err.value) == message
