@@ -23,8 +23,9 @@ from .protocol import Choice, Leg, MaskRecord, Variant
 from .qsim import QubitHandle, Simulator
 
 _ALICE, _BOB = Leg.FORWARD_TP_TO_ALICE, Leg.FORWARD_TP_TO_BOB
+_ALICE_RETURN = Leg.RETURN_ALICE_TO_TP
 
-_RETURN_TO_FORWARD = {Leg.RETURN_ALICE_TO_TP: _ALICE, Leg.RETURN_BOB_TO_TP: _BOB}
+_RETURN_TO_FORWARD = {_ALICE_RETURN: _ALICE, Leg.RETURN_BOB_TO_TP: _BOB}
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,7 @@ class ChannelStrategy:
 
     def __init__(self, attack: Attack, shared_key: tuple[int, ...] | None = None):
         self.attack = attack
+        self._forged, self._measured = attack.forged, attack.measured
         self.shared_key = shared_key
         self.sim: Simulator | None = None
         self.rng: np.random.Generator | None = None
@@ -97,12 +99,12 @@ class ChannelStrategy:
         self.sim, self.rng, self.variant = sim, rng, variant
 
     def transmit(self, leg: Leg, round_index: int, qubit: QubitHandle) -> QubitHandle:
-        if leg in self.attack.forged:
-            self.held[(leg, round_index)] = qubit
-            bit = int(self.rng.integers(2))
-            self.fake_bits[(leg, round_index)] = bit
+        if leg in self._forged:
+            key = (leg, round_index)
+            self.held[key] = qubit
+            bit = self.fake_bits[key] = int(self.rng.integers(2))
             return self.sim.prepare_basis(bit)
-        if leg in self.attack.measured:
+        if leg in self._measured:
             self.learned_bits[2 * round_index + (leg is _BOB)] = self.sim.measure_z(qubit)
             return qubit
         forward = self._swap.get(leg)
@@ -125,7 +127,7 @@ class ChannelStrategy:
             if choice is Choice.CTRL:
                 continue
             if attack.swap_back:
-                bit = self.sim.measure_z(self.held[(Leg.RETURN_ALICE_TO_TP, i)])
+                bit = self.sim.measure_z(self.held[(_ALICE_RETURN, i)])
             else:
                 bit = self.fake_bits[(_ALICE, i)]
             if choice is Choice.SIFT_CALCULATE:

@@ -6,6 +6,13 @@ that mixing rule is part of the report contract, so identical specs give
 bit-identical reports. Within a trial the draw order is fixed: shared key,
 Alice raw key, Bob raw key, secrets, then the protocol run itself.
 
+Draw layout: K, RA, RB and the drawn secrets (x, then y unless the mode is
+equal; none in explicit mode) come from one ``integers(0, 2, size=n*L)``
+call, sliced in that order; an unequal-mode redraw of y follows as a call
+of its own. Each bounded bit consumes exactly one 32-bit draw from the
+generator, whose unused half-words carry over between calls, so one call
+of n*L bits yields the same bits and leaves the same state as n calls of L.
+
 Aggregation streams: `run_experiment` folds each trial's `TrialReport` into
 integer `TrialCounts` as the trial finishes, and `aggregate` turns those
 counts into the `AggregateReport`, so memory does not grow with T.
@@ -224,30 +231,23 @@ def _random_bits(rng: np.random.Generator, n: int) -> tuple[int, ...]:
     return tuple(int(b) for b in rng.integers(0, 2, size=n))
 
 
-def _trial_secrets(
-    spec: ExperimentSpec, rng: np.random.Generator
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    explicit = spec.explicit_secrets()
-    if explicit is not None:
-        return explicit
-    x = _random_bits(rng, spec.secret_bits)
-    if spec.secrets == "equal":
-        return x, x
-    y = _random_bits(rng, spec.secret_bits)
-    if spec.secrets == "unequal":
-        while y == x:
-            y = _random_bits(rng, spec.secret_bits)
-    return x, y
-
-
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
     """One protocol run under the experiment configuration."""
     rng = trial_rng(spec.seed, trial_index)
     L = spec.secret_bits
-    keys = KeyMaterial(
-        k=_random_bits(rng, L), ra=_random_bits(rng, L), rb=_random_bits(rng, L)
-    )
-    x, y = _trial_secrets(spec, rng)
+    explicit = spec.explicit_secrets()
+    n = 3 if explicit is not None else 4 if spec.secrets == "equal" else 5
+    bits = rng.integers(0, 2, size=n * L).tolist()
+    k, ra, rb, *drawn = (tuple(bits[j : j + L]) for j in range(0, n * L, L))
+    keys = KeyMaterial(k, ra, rb)
+    if explicit is not None:
+        x, y = explicit
+    elif spec.secrets == "equal":
+        x = y = drawn[0]
+    else:
+        x, y = drawn
+        while spec.secrets == "unequal" and y == x:
+            y = _random_bits(rng, L)
     cfg = ProtocolConfig(
         secrets=SecretInput(x, y),
         keys=keys,

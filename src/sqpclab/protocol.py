@@ -40,6 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
+from operator import index
 
 import numpy as np
 
@@ -71,9 +73,24 @@ class Leg(Enum):
     RETURN_ALICE_TO_TP = "return_alice_to_tp"
     RETURN_BOB_TO_TP = "return_bob_to_tp"
 
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is equivalent to Enum's Python-level one: channels key their
+    # per-qubit bookkeeping by (leg, round).
+    __hash__ = object.__hash__
+
 
 class ValidationError(ValueError):
     """A configuration value is out of range or malformed."""
+
+
+@cache
+def _field_plan(cls: type) -> tuple[tuple[str, str, bool, int], ...]:
+    """(name, kind, optional, min) of each field of `cls`, from its declaration."""
+    plan = []
+    for f in fields(cls):
+        kind, _, optional = f.type.partition(" | ")
+        plan.append((f.name, kind, optional == "None", f.metadata.get("min", 0)))
+    return tuple(plan)
 
 
 def check_fields(record, flags: bool = False) -> None:
@@ -83,18 +100,16 @@ def check_fields(record, flags: bool = False) -> None:
     field's `min` metadata, or nonnegative without one. `float` fields must
     lie in [0, 1]. A field declared `| None` may be None; fields of any other
     type are not checked. With `flags`, messages name each field by its
-    command-line flag.
+    command-line flag. The declarations are read once per class.
     """
-    for f in fields(record):
-        value = getattr(record, f.name)
-        kind, _, optional = f.type.partition(" | ")
-        if value is None and optional == "None":
+    for name, kind, optional, low in _field_plan(type(record)):
+        value = getattr(record, name)
+        if value is None and optional:
             continue
-        name = "--" + f.name.replace("_", "-") if flags else f.name
+        name = "--" + name.replace("_", "-") if flags else name
         if kind == "str" and not isinstance(value, str):
             raise ValidationError(f"{name} must be a string, got {value!r}")
         if kind == "int":
-            low = f.metadata.get("min", 0)
             if type(value) is not int:
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
             if low and value < low:
@@ -109,6 +124,20 @@ def check_fields(record, flags: bool = False) -> None:
             and 0.0 <= value <= 1.0
         ):
             raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+_BITS = frozenset((0, 1))
+
+
+def _check_bits(name: str, *sequences) -> None:
+    """Raise ValidationError unless each sequence is a tuple of integer bits."""
+    for bits in sequences:
+        try:
+            if isinstance(bits, tuple) and _BITS.issuperset(map(index, bits)):
+                continue
+        except TypeError:
+            pass
+        raise ValidationError(f"{name} must be tuples of 0/1 bits, got {bits!r}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +161,9 @@ class SecretInput:
     y: tuple[int, ...]
 
     def __post_init__(self):
+        _check_bits("secrets", self.x, self.y)
         if len(self.x) != len(self.y) or not self.x:
-            raise ValueError("secrets must be equal nonzero length")
+            raise ValidationError("secrets must be equal nonzero length")
 
     @property
     def length(self) -> int:
@@ -148,6 +178,9 @@ class KeyMaterial:
     ra: tuple[int, ...]
     rb: tuple[int, ...]
 
+    def __post_init__(self):
+        _check_bits("key material", self.k, self.ra, self.rb)
+
 
 @dataclass
 class ProtocolConfig:
@@ -159,6 +192,10 @@ class ProtocolConfig:
     threshold: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.secrets, SecretInput):
+            raise ValidationError(f"secrets must be a SecretInput, got {self.secrets!r}")
+        if not isinstance(self.keys, KeyMaterial):
+            raise ValidationError(f"keys must be a KeyMaterial, got {self.keys!r}")
         L = self.secrets.length
         if not (len(self.keys.k) == len(self.keys.ra) == len(self.keys.rb) == L):
             raise ValidationError("key material length must match secret length")
@@ -245,6 +282,11 @@ def compute_mask_improved(k_bit: int, ra_bit: int, x_bit: int, ma_bit: int) -> i
 # -- protocol execution ------------------------------------------------------
 
 
+_CTRL, _CALCULATE, _DETECT = Choice.CTRL, Choice.SIFT_CALCULATE, Choice.SIFT_DETECT
+_TO_ALICE, _TO_BOB, _FROM_ALICE, _FROM_BOB = Leg
+_BELL_KINDS = tuple(BellKind)
+
+
 class _Party:
     """Per-participant protocol state: key material, calculate count, masks."""
 
@@ -253,41 +295,40 @@ class _Party:
         secret: tuple[int, ...],
         raw_key: tuple[int, ...],
         shared_key: tuple[int, ...],
+        variant: Variant,
+        sim: Simulator,
+        rng: np.random.Generator,
     ):
         self.secret = secret
         self.raw_key = raw_key
         self.shared_key = shared_key
         self.length = len(secret)
+        self.jiang = variant is Variant.JIANG
+        self.sim = sim
+        self.rng = rng
         self.calc_count = 0
         self.masks: list[int] = []  # improved variant, ordinals 1..L
 
-    def act(
-        self,
-        variant: Variant,
-        choice: Choice,
-        received: QubitHandle,
-        sim: Simulator,
-        rng: np.random.Generator,
+    def sift(
+        self, choice: Choice, received: QubitHandle
     ) -> tuple[QubitHandle, int | None, int | None]:
-        """Perform the chosen operation; returns (outgoing qubit, ordinal, trap bit)."""
-        if choice is Choice.CTRL:
-            return received, None, None
-        if choice is Choice.SIFT_DETECT:
-            trap = int(rng.integers(2))
-            return sim.prepare_basis(trap), None, trap
+        """Perform a SIFT choice; returns (outgoing qubit, ordinal, trap bit)."""
+        if choice is _DETECT:
+            trap = int(self.rng.integers(2))
+            return self.sim.prepare_basis(trap), None, trap
         # SIFT(calculate). The jiang variant discards the received qubit and
         # encodes from key material; the improved variant measures it.
         self.calc_count += 1
         j = self.calc_count
-        if variant is Variant.JIANG:
+        if self.jiang:
             if j <= self.length:
                 bit = compute_ma_jiang(
                     self.shared_key[j - 1], self.raw_key[j - 1], self.secret[j - 1]
                 )
             else:
-                bit = int(rng.integers(2))  # filler past the comparison length
+                bit = int(self.rng.integers(2))  # filler past the comparison length
         else:
-            bit = sim.measure_z(received)
+            bit = self.sim.measure_z(received)
             if j <= self.length:
                 self.masks.append(
                     compute_mask_improved(
@@ -297,21 +338,7 @@ class _Party:
                         bit,
                     )
                 )
-        return sim.prepare_basis(bit), j, None
-
-
-def _draw_choice(
-    variant: Variant, rng: np.random.Generator, p_ctrl: float, p_detect: float
-) -> Choice:
-    if rng.random() < p_ctrl:
-        return Choice.CTRL
-    if variant is Variant.IMPROVED and rng.random() < p_detect:
-        return Choice.SIFT_DETECT
-    return Choice.SIFT_CALCULATE
-
-
-def _untouched(leg: Leg, round_index: int, qubit: QubitHandle) -> QubitHandle:
-    return qubit
+        return self.sim.prepare_basis(bit), j, None
 
 
 def run_protocol(
@@ -324,82 +351,92 @@ def run_protocol(
     """Execute one full protocol run through an (optionally adversarial) channel.
 
     A single RNG stream drives every random decision and measurement of the
-    run, so a seed fixes the whole transcript. `channel` is any object with
+    run, so a seed fixes the whole transcript. Each round draws, in order:
+    the Bell kind, whatever the channel draws on the forward legs, Alice's
+    choice and SIFT operation, then Bob's. `channel` is any object with
     the channel interface (see the module docstring); None means an untouched
-    channel.
+    channel, and no transmit call is made.
     """
     if rng is None:
         rng = np.random.default_rng(seed)
     sim = Simulator(rng=rng)
     L = cfg.secrets.length
-    alice = _Party(cfg.secrets.x, cfg.keys.ra, cfg.keys.k)
-    bob = _Party(cfg.secrets.y, cfg.keys.rb, cfg.keys.k)
+    alice = _Party(cfg.secrets.x, cfg.keys.ra, cfg.keys.k, variant, sim, rng)
+    bob = _Party(cfg.secrets.y, cfg.keys.rb, cfg.keys.k, variant, sim, rng)
 
-    if channel is None:
-        transmit = _untouched
-    else:
+    transmit = None
+    alice_choices: list[Choice] = []
+    if channel is not None:
         channel.bind(sim, rng, variant)
         transmit = channel.transmit
 
+    integers, random, prepare_bell = rng.integers, rng.random, sim.prepare_bell
+    improved = variant is Variant.IMPROVED
+    p_ctrl, p_detect = cfg.p_ctrl, cfg.p_detect
     records: list[RoundRecord] = []
     returned: list[tuple[QubitHandle, QubitHandle]] = []
 
     for i in range(cfg.num_rounds):
-        kind = BellKind(int(rng.integers(4)))
-        half_a, half_b = sim.prepare_bell(kind)
-        recv_a = transmit(Leg.FORWARD_TP_TO_ALICE, i, half_a)
-        recv_b = transmit(Leg.FORWARD_TP_TO_BOB, i, half_b)
+        kind = _BELL_KINDS[int(integers(4))]
+        half_a, half_b = prepare_bell(kind)
+        if transmit is not None:
+            half_a = transmit(_TO_ALICE, i, half_a)
+            half_b = transmit(_TO_BOB, i, half_b)
 
-        choice_a = _draw_choice(variant, rng, cfg.p_ctrl, cfg.p_detect)
-        out_a, ord_a, trap_a = alice.act(variant, choice_a, recv_a, sim, rng)
-        choice_b = _draw_choice(variant, rng, cfg.p_ctrl, cfg.p_detect)
-        out_b, ord_b, trap_b = bob.act(variant, choice_b, recv_b, sim, rng)
+        if random() < p_ctrl:
+            choice_a, out_a, ord_a, trap_a = _CTRL, half_a, None, None
+        else:
+            choice_a = _DETECT if improved and random() < p_detect else _CALCULATE
+            out_a, ord_a, trap_a = alice.sift(choice_a, half_a)
+        if random() < p_ctrl:
+            choice_b, out_b, ord_b, trap_b = _CTRL, half_b, None, None
+        else:
+            choice_b = _DETECT if improved and random() < p_detect else _CALCULATE
+            out_b, ord_b, trap_b = bob.sift(choice_b, half_b)
 
-        back_a = transmit(Leg.RETURN_ALICE_TO_TP, i, out_a)
-        back_b = transmit(Leg.RETURN_BOB_TO_TP, i, out_b)
+        if transmit is not None:
+            out_a = transmit(_FROM_ALICE, i, out_a)
+            out_b = transmit(_FROM_BOB, i, out_b)
+            alice_choices.append(choice_a)
 
+        # Positional, in field order; TP fills in ma, mb and its outcomes.
         records.append(
             RoundRecord(
-                round_index=i,
-                original_kind=kind,
-                alice_choice=choice_a,
-                bob_choice=choice_b,
-                alice_ordinal=ord_a,
-                bob_ordinal=ord_b,
-                trap_sent_a=trap_a,
-                trap_sent_b=trap_b,
+                i, kind, choice_a, choice_b, ord_a, ord_b, None, None, trap_a, trap_b
             )
         )
-        returned.append((back_a, back_b))
+        returned.append((out_a, out_b))
 
     # Choices (and which SIFTs are detect) become public before TP measures.
     if channel is not None:
-        channel.observe_choices([rec.alice_choice for rec in records])
+        channel.observe_choices(alice_choices)
 
     # TP dispatch: Bell-measure double-CTRL rounds, Z-measure every qubit a
     # SIFT participant sent; announce the trap results. Rounds are visited in
     # order, so calculate outcomes arrive in each participant's ordinal order.
+    measure_z, measure_bell = sim.measure_z, sim.measure_bell
     ma_by_ordinal: list[int] = []
     mb_by_ordinal: list[int] = []
     case1 = bell_errors = traps_a = traps_b = bad_a = bad_b = 0
     for rec, (back_a, back_b) in zip(records, returned):
-        if rec.alice_choice is Choice.CTRL and rec.bob_choice is Choice.CTRL:
-            rec.tp_bell_outcome = sim.measure_bell(back_a, back_b)
+        choice_a, choice_b = rec.alice_choice, rec.bob_choice
+        if choice_a is _CTRL and choice_b is _CTRL:
+            rec.tp_bell_outcome = measure_bell(back_a, back_b)
             case1 += 1
             bell_errors += rec.tp_bell_outcome != rec.original_kind
             continue
-        if rec.alice_choice is Choice.SIFT_CALCULATE:
-            rec.ma = sim.measure_z(back_a)
+        if choice_a is _CALCULATE:
+            rec.ma = measure_z(back_a)
             ma_by_ordinal.append(rec.ma)
-        elif rec.alice_choice is Choice.SIFT_DETECT:
-            rec.tp_trap_a = sim.measure_z(back_a)
+        elif choice_a is _DETECT:
+            rec.tp_trap_a = measure_z(back_a)
             traps_a += 1
             bad_a += rec.tp_trap_a != rec.trap_sent_a
-        if rec.bob_choice is Choice.SIFT_CALCULATE:
-            rec.mb = sim.measure_z(back_b)
+        if choice_b is _CALCULATE:
+            rec.mb = measure_z(back_b)
             mb_by_ordinal.append(rec.mb)
-        elif rec.bob_choice is Choice.SIFT_DETECT:
-            rec.tp_trap_b = sim.measure_z(back_b)
+        elif choice_b is _DETECT:
+            rec.tp_trap_b = measure_z(back_b)
             traps_b += 1
             bad_b += rec.tp_trap_b != rec.trap_sent_b
 

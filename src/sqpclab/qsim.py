@@ -11,6 +11,10 @@ Conventions:
       Simulator; each projection consumes exactly one uniform draw.
     - Measured qubits stay in their register, collapsed. Custody of qubits
       is the caller's bookkeeping; handles stay valid across merges.
+    - A Simulator keeps every register it made until it is discarded, one
+      per trial: any handle, measured or not, may be measured again (TP
+      measures returned qubits, an insider attack measures the halves it
+      held back), so no register is ever known to be dead.
     - A register holds at most MAX_REGISTER_QUBITS qubits; a merge past
       that raises CapacityExceeded.
     - Registers point at interned, read-only states shared by every
@@ -18,6 +22,7 @@ Conventions:
       (Z measurement at a position, Bell measurement at a position pair,
       merge with another state) once and memoizes it on the state; the
       intern table is emptied whenever it would exceed MAX_INTERNED_STATES.
+      Prepared states are found by bit or Bell index, not by key.
 """
 from __future__ import annotations
 
@@ -74,12 +79,18 @@ _BELL_AMPLITUDES = {
 # Rows are Bell bras over the |ab> basis (00, 01, 10, 11), in BellKind order.
 _BELL_BASIS = np.array([_BELL_AMPLITUDES[k] for k in BellKind], dtype=complex)
 
+_BELL_KINDS = tuple(BellKind)
+
 
 class QubitHandle(NamedTuple):
     """Address of one qubit: register id plus position at creation time."""
 
     register_id: int
     index: int
+
+
+# Builds a handle without the Python-level NamedTuple constructor.
+_tuple_new = tuple.__new__
 
 
 def _bit_indices(num_qubits: int, qubit: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -135,9 +146,9 @@ def _bell_amplitudes(kind: BellKind) -> np.ndarray:
     return np.array(_BELL_AMPLITUDES[kind], dtype=complex)
 
 
-# Intern keys of the prepared states, so preparing skips building arrays.
-_BASIS_KEYS = {bit: (1, _basis_amplitudes(bit).tobytes()) for bit in (0, 1)}
-_BELL_KEYS = {kind: (2, _bell_amplitudes(kind).tobytes()) for kind in BellKind}
+# Interned prepared states: slots 0 and 1 by basis bit, 2 + kind value by
+# Bell kind. Filled on first use and emptied with the intern table.
+_PREPARED: list[_State | None] = [None] * 6
 
 
 def _intern(num_qubits: int, amplitudes: np.ndarray) -> _State:
@@ -148,6 +159,7 @@ def _intern(num_qubits: int, amplitudes: np.ndarray) -> _State:
         _check_norm(amplitudes)
         if len(_STATES) >= MAX_INTERNED_STATES:
             _STATES.clear()
+            _PREPARED[:] = [None] * len(_PREPARED)
         state = _STATES[key] = _State(num_qubits, amplitudes, key)
     return state
 
@@ -229,18 +241,24 @@ class Simulator:
         """Fresh qubit in |0> or |1>."""
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        state = _STATES.get(_BASIS_KEYS[bit])
+        state = _PREPARED[bit]
         if state is None:
-            state = _intern(1, _basis_amplitudes(bit))
-        return self._new_register(state)
+            state = _PREPARED[bit] = _intern(1, _basis_amplitudes(bit))
+        rid = self._next_id
+        self._next_id = rid + 1
+        self._registers[rid] = state
+        return _tuple_new(QubitHandle, (rid, 0))
 
     def prepare_bell(self, kind: BellKind) -> tuple[QubitHandle, QubitHandle]:
         """Fresh Bell pair; returns the (first, second) half handles."""
-        state = _STATES.get(_BELL_KEYS[kind])
+        slot = 2 + kind._value_
+        state = _PREPARED[slot]
         if state is None:
-            state = _intern(2, _bell_amplitudes(kind))
-        first = self._new_register(state)
-        return first, QubitHandle(first.register_id, 1)
+            state = _PREPARED[slot] = _intern(2, _bell_amplitudes(kind))
+        rid = self._next_id
+        self._next_id = rid + 1
+        self._registers[rid] = state
+        return _tuple_new(QubitHandle, (rid, 0)), _tuple_new(QubitHandle, (rid, 1))
 
     # -- structure --------------------------------------------------------
 
@@ -296,10 +314,12 @@ class Simulator:
 
         Merges the registers first when the qubits live apart.
         """
-        if self._resolve(a)[0] != self._resolve(b)[0]:
-            self.merge(a, b)
         rid, state, pos_a = self._resolve(a)
-        pos_b = self._resolve(b)[2]
+        rid_b, _, pos_b = self._resolve(b)
+        if rid != rid_b:
+            self.merge(a, b)
+            rid, state, pos_a = self._resolve(a)
+            pos_b = self._resolve(b)[2]
         if pos_a == pos_b:
             raise InvalidHandle("Bell measurement needs two distinct qubits")
         memo = state.bell.get((pos_a, pos_b))
@@ -324,7 +344,7 @@ class Simulator:
         if post is None:
             post = posts[chosen] = _bell_post(state, pos_a, pos_b, chosen)
         self._registers[rid] = post
-        return BellKind(chosen)
+        return _BELL_KINDS[chosen]
 
     # -- inspection (tests and diagnostics) -------------------------------
 
@@ -344,19 +364,15 @@ class Simulator:
 
     # -- internals --------------------------------------------------------
 
-    def _new_register(self, state: _State) -> QubitHandle:
-        rid = self._next_id
-        self._next_id += 1
-        self._registers[rid] = state
-        return QubitHandle(rid, 0)
-
     def _resolve(self, q: QubitHandle) -> tuple[int, _State, int]:
         if not isinstance(q, QubitHandle):
             raise InvalidHandle(f"not a qubit handle: {q!r}")
-        rid, pos = q.register_id, q.index
-        while rid in self._forwards:
-            rid, off = self._forwards[rid]
-            pos += off
+        rid, pos = q
+        forwards = self._forwards
+        if forwards:
+            while rid in forwards:
+                rid, off = forwards[rid]
+                pos += off
         state = self._registers.get(rid)
         if state is None or not 0 <= pos < state.num_qubits:
             raise InvalidHandle(f"unknown qubit {q!r}")

@@ -402,3 +402,67 @@ def test_config_rejects_malformed_fields(name, value, message):
     with pytest.raises(ValidationError) as err:
         make_config((1,), (1,), **{name: value})
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        pytest.param(
+            lambda: SecretInput((2,), (5,)),
+            "secrets must be tuples of 0/1 bits, got (2,)",
+            id="secret-bit-2",
+        ),
+        pytest.param(
+            lambda: SecretInput([1], [1]),
+            "secrets must be tuples of 0/1 bits, got [1]",
+            id="secret-list",
+        ),
+        pytest.param(
+            lambda: SecretInput((1,), (1.0,)),
+            "secrets must be tuples of 0/1 bits, got (1.0,)",
+            id="secret-float",
+        ),
+        pytest.param(
+            lambda: SecretInput((1,), None),
+            "secrets must be tuples of 0/1 bits, got None",
+            id="secret-none",
+        ),
+        pytest.param(
+            lambda: KeyMaterial((0,), (1,), (-1,)),
+            "key material must be tuples of 0/1 bits, got (-1,)",
+            id="key-bit-negative",
+        ),
+        pytest.param(
+            lambda: KeyMaterial((0,), ("1",), (1,)),
+            "key material must be tuples of 0/1 bits, got ('1',)",
+            id="key-bit-string",
+        ),
+        pytest.param(
+            lambda: ProtocolConfig(
+                secrets=None, keys=KeyMaterial((0,), (1,), (1,)), num_rounds=4
+            ),
+            "secrets must be a SecretInput, got None",
+            id="config-secrets-none",
+        ),
+        pytest.param(
+            lambda: ProtocolConfig(
+                secrets=SecretInput((1,), (0,)), keys=((0,), (1,), (1,)), num_rounds=4
+            ),
+            "keys must be a KeyMaterial, got ((0,), (1,), (1,))",
+            id="config-keys-tuple",
+        ),
+    ],
+)
+def test_config_rejects_malformed_bits(build, message):
+    """Secret and key contents are checked where they are built, not deep in a run."""
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_integer_bits_of_any_int_type_are_accepted():
+    secrets = SecretInput((np.int64(1), True), (0, np.uint8(1)))
+    keys = KeyMaterial((0, 1), (1, 1), (0, 0))
+    cfg = ProtocolConfig(secrets=secrets, keys=keys, num_rounds=16)
+    outcome, _, _ = run_protocol(Variant.JIANG, cfg, seed=2)
+    assert outcome.aborted or outcome.equal is False
