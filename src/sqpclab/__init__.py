@@ -17,12 +17,10 @@ from .protocol import (
     AbortReason,
     Choice,
     ComparisonOutcome,
-    KeyMaterial,
     Leg,
     MaskRecord,
     ProtocolConfig,
     RoundRecord,
-    SecretInput,
     Transcript,
     TrialReport,
     ValidationError,
@@ -53,7 +51,6 @@ __all__ = [
     "ComparisonOutcome",
     "ExperimentSpec",
     "InvalidHandle",
-    "KeyMaterial",
     "Leg",
     "MaskRecord",
     "ProtocolConfig",
@@ -61,7 +58,6 @@ __all__ = [
     "QubitHandle",
     "RoundRecord",
     "SameRegister",
-    "SecretInput",
     "Simulator",
     "Transcript",
     "TrialReport",

@@ -9,8 +9,9 @@ forgery. The strategy also sees the public classical flow (choice
 announcements, then the published `MaskRecord`) so an insider can exploit it.
 
 Knowledge model: an outside eavesdropper sees only qubits in transit; a
-malicious participant (Bob) additionally knows the pre-shared key and all
-public announcements. Nobody colludes with TP.
+malicious participant (Bob) additionally knows the pre-shared key, which
+the run hands every channel at `bind`, and all public announcements. Only
+an insider row reads the key. Nobody colludes with TP.
 """
 from __future__ import annotations
 
@@ -75,10 +76,10 @@ class ChannelStrategy:
     or None, which `run_protocol` reads for its report.
     """
 
-    def __init__(self, attack: Attack, shared_key: tuple[int, ...] | None = None):
+    def __init__(self, attack: Attack):
         self.attack = attack
         self._forged, self._measured = attack.forged, attack.measured
-        self.shared_key = shared_key
+        self.shared_key: tuple[int, ...] | None = None
         self.sim: Simulator | None = None
         self.rng: np.random.Generator | None = None
         self.variant: Variant | None = None
@@ -95,8 +96,10 @@ class ChannelStrategy:
         self.learned_bits: dict[int, int] = {}
         self.recovered_secret: tuple[int, ...] | None = None
 
-    def bind(self, sim: Simulator, rng: np.random.Generator, variant: Variant) -> None:
+    def bind(self, sim, rng, variant, shared_key) -> None:
+        """Take the run's simulator, generator, variant and pre-shared key."""
         self.sim, self.rng, self.variant = sim, rng, variant
+        self.shared_key = shared_key
 
     def transmit(self, leg: Leg, round_index: int, qubit: QubitHandle) -> QubitHandle:
         if leg in self._forged:
@@ -149,11 +152,11 @@ class ChannelStrategy:
             self.recovered_secret = tuple(bits)
 
 
-def make_strategy(name: str, shared_key: tuple[int, ...] | None = None):
+def make_strategy(name: str):
     """A fresh strategy for the attack `name`; None for an untouched channel."""
     if name not in ATTACKS:
         raise ValueError(f"unknown attack {name!r}")
     attack = ATTACKS[name]
     if not (attack.forged or attack.measured):
         return None
-    return ChannelStrategy(attack, shared_key)
+    return ChannelStrategy(attack)

@@ -27,16 +27,15 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .adversary import ATTACKS, make_strategy
 from .protocol import (
     AbortReason,
-    KeyMaterial,
     Leg,
     ProtocolConfig,
-    SecretInput,
     TrialReport,
     ValidationError,
     Variant,
@@ -55,10 +54,12 @@ SECRET_MODES = ("random", "equal", "unequal")
 _HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
 
 
+@lru_cache(maxsize=64)
 def bits_from_hex(text: str, length: int) -> tuple[int, ...]:
     """Decode a hex string into `length` bits, most significant first.
 
     Only hex digits are accepted: no sign, prefix, underscore or whitespace.
+    Memoized, so an experiment decodes each explicit secret once, not per trial.
     """
     if _HEX_DIGITS.fullmatch(text) is None:
         raise ValidationError(f"invalid hex secret {text!r}")
@@ -239,7 +240,6 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
     n = 3 if explicit is not None else 4 if spec.secrets == "equal" else 5
     bits = rng.integers(0, 2, size=n * L).tolist()
     k, ra, rb, *drawn = (tuple(bits[j : j + L]) for j in range(0, n * L, L))
-    keys = KeyMaterial(k, ra, rb)
     if explicit is not None:
         x, y = explicit
     elif spec.secrets == "equal":
@@ -249,14 +249,9 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
         while spec.secrets == "unequal" and y == x:
             y = _random_bits(rng, L)
     cfg = ProtocolConfig(
-        secrets=SecretInput(x, y),
-        keys=keys,
-        num_rounds=spec.num_rounds(),
-        p_ctrl=spec.p_ctrl,
-        p_detect=spec.p_detect,
-        threshold=spec.threshold,
+        x, y, k, ra, rb, spec.num_rounds(), spec.p_ctrl, spec.p_detect, spec.threshold
     )
-    strategy = make_strategy(spec.attack, shared_key=keys.k)
+    strategy = make_strategy(spec.attack)
     _, _, report = run_protocol(Variant(spec.protocol), cfg, strategy, rng=rng)
     return report
 

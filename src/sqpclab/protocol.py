@@ -27,14 +27,17 @@ wrong Bell outcomes; per side, traps sent and announcements that disagree),
 and the integrity checks and the `TrialReport` read those counts.
 
 Channel interface: `run_protocol` drives any object with
-`bind(sim, rng, variant)`, `transmit(leg, round_index, qubit) -> QubitHandle`,
+`bind(sim, rng, variant, shared_key)`,
+`transmit(leg, round_index, qubit) -> QubitHandle`,
 `observe_choices(alice_choices)`, `observe_publication(MaskRecord)` and a
 `recovered_secret` attribute (None, or the secret bits it decoded). The
 adversary module's `ChannelStrategy` is the one implementation in the package.
 
 Config and report dataclasses are checked against their own declarations by
 `check_fields`, so each field's type and range is stated once, where the
-field is declared.
+field is declared. One `ProtocolConfig` holds a run's inputs, the bit
+tuples x, y, k, ra and rb next to its settings; the channel gets the
+pre-shared key k at `bind`, which is how an insider knows it.
 """
 from __future__ import annotations
 
@@ -98,9 +101,11 @@ def check_fields(record, flags: bool = False) -> None:
 
     `str` fields must be strings. `int` fields must be ints, at least the
     field's `min` metadata, or nonnegative without one. `float` fields must
-    lie in [0, 1]. A field declared `| None` may be None; fields of any other
-    type are not checked. With `flags`, messages name each field by its
-    command-line flag. The declarations are read once per class.
+    lie in [0, 1]. `tuple[int, ...]` fields must be tuples of 0/1 bits, each
+    accepted through `operator.index` (so bools and numpy integers pass). A
+    field declared `| None` may be None; fields of any other type are not
+    checked. With `flags`, messages name each field by its command-line flag.
+    The declarations are read once per class.
     """
     for name, kind, optional, low in _field_plan(type(record)):
         value = getattr(record, name)
@@ -124,20 +129,16 @@ def check_fields(record, flags: bool = False) -> None:
             and 0.0 <= value <= 1.0
         ):
             raise ValidationError(f"{name} must lie in [0, 1], got {value!r}")
+        if kind == "tuple[int, ...]":
+            try:
+                bits = isinstance(value, tuple) and _BITS.issuperset(map(index, value))
+            except TypeError:
+                bits = False
+            if not bits:
+                raise ValidationError(f"{name} must be a tuple of 0/1 bits, got {value!r}")
 
 
 _BITS = frozenset((0, 1))
-
-
-def _check_bits(name: str, *sequences) -> None:
-    """Raise ValidationError unless each sequence is a tuple of integer bits."""
-    for bits in sequences:
-        try:
-            if isinstance(bits, tuple) and _BITS.issuperset(map(index, bits)):
-                continue
-        except TypeError:
-            pass
-        raise ValidationError(f"{name} must be tuples of 0/1 bits, got {bits!r}")
 
 
 @dataclass(frozen=True)
@@ -153,53 +154,26 @@ class ComparisonOutcome:
         return self.abort_reason is not None
 
 
-@dataclass(frozen=True)
-class SecretInput:
-    """The two participants' secret bit strings (equal length L >= 1)."""
+@dataclass
+class ProtocolConfig:
+    """One run's inputs: the secrets x and y, the pre-shared key k, the raw
+    keys ra and rb (all L >= 1 bits long), and the run's settings."""
 
     x: tuple[int, ...]
     y: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_bits("secrets", self.x, self.y)
-        if len(self.x) != len(self.y) or not self.x:
-            raise ValidationError("secrets must be equal nonzero length")
-
-    @property
-    def length(self) -> int:
-        return len(self.x)
-
-
-@dataclass(frozen=True)
-class KeyMaterial:
-    """Pre-shared key K plus the participants' private raw keys."""
-
     k: tuple[int, ...]
     ra: tuple[int, ...]
     rb: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_bits("key material", self.k, self.ra, self.rb)
-
-
-@dataclass
-class ProtocolConfig:
-    secrets: SecretInput
-    keys: KeyMaterial
     num_rounds: int = field(metadata={"min": 1})
     p_ctrl: float = 0.5
     p_detect: float = 0.5
     threshold: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.secrets, SecretInput):
-            raise ValidationError(f"secrets must be a SecretInput, got {self.secrets!r}")
-        if not isinstance(self.keys, KeyMaterial):
-            raise ValidationError(f"keys must be a KeyMaterial, got {self.keys!r}")
-        L = self.secrets.length
-        if not (len(self.keys.k) == len(self.keys.ra) == len(self.keys.rb) == L):
-            raise ValidationError("key material length must match secret length")
         check_fields(self)
+        L = len(self.x)
+        if not L or not len(self.y) == len(self.k) == len(self.ra) == len(self.rb) == L:
+            raise ValidationError("x, y, k, ra and rb must have equal nonzero length")
 
 
 @dataclass
@@ -357,17 +331,19 @@ def run_protocol(
     the channel interface (see the module docstring); None means an untouched
     channel, and no transmit call is made.
     """
+    if not isinstance(variant, Variant):
+        raise ValidationError(f"variant must be a Variant, got {variant!r}")
     if rng is None:
         rng = np.random.default_rng(seed)
     sim = Simulator(rng=rng)
-    L = cfg.secrets.length
-    alice = _Party(cfg.secrets.x, cfg.keys.ra, cfg.keys.k, variant, sim, rng)
-    bob = _Party(cfg.secrets.y, cfg.keys.rb, cfg.keys.k, variant, sim, rng)
+    L = len(cfg.x)
+    alice = _Party(cfg.x, cfg.ra, cfg.k, variant, sim, rng)
+    bob = _Party(cfg.y, cfg.rb, cfg.k, variant, sim, rng)
 
     transmit = None
     alice_choices: list[Choice] = []
     if channel is not None:
-        channel.bind(sim, rng, variant)
+        channel.bind(sim, rng, variant, cfg.k)
         transmit = channel.transmit
 
     integers, random, prepare_bell = rng.integers, rng.random, sim.prepare_bell
@@ -456,7 +432,7 @@ def run_protocol(
         # Final step: participants publish (raw keys in jiang, XOR masks in
         # improved), TP pairs ordinals and compares.
         if variant is Variant.JIANG:
-            transcript.masks = MaskRecord(cfg.keys.ra, cfg.keys.rb)
+            transcript.masks = MaskRecord(cfg.ra, cfg.rb)
         else:
             transcript.masks = MaskRecord(tuple(alice.masks), tuple(bob.masks))
         if channel is not None:
@@ -474,8 +450,8 @@ def run_protocol(
 
     recovered = None
     if channel is not None and channel.recovered_secret is not None:
-        recovered = channel.recovered_secret == cfg.secrets.x
-    truth = cfg.secrets.x == cfg.secrets.y
+        recovered = channel.recovered_secret == cfg.x
+    truth = cfg.x == cfg.y
     return outcome, transcript, TrialReport(
         outcome=outcome,
         verdict_correct=None if outcome.aborted else outcome.equal == truth,

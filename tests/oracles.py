@@ -3,6 +3,7 @@
 Everything here is explicit linear algebra or exhaustive enumeration and
 shares no code with the package under test.
 """
+import math
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple
@@ -99,6 +100,56 @@ def insufficient_rounds_probability(rounds: int, p_calc: Fraction, length: int) 
         for k in range(length)
     )
     return float(1 - (1 - q) ** 2)
+
+
+def detection_probability(
+    protocol: str, attack: str, rounds: int, p_ctrl: float, p_detect: float
+) -> float:
+    """Exact P(a trial aborts on the Bell or trap check) at threshold 0.
+
+    Every round is independent. A round is double-CTRL with probability
+    c = p_ctrl^2, and then the resend and forward-only attacks show a wrong
+    Bell outcome with their case-1 error e; they never touch a trap, which
+    the participant prepares fresh on a return leg nobody alters. In the
+    improved protocol each side sends a trap with probability
+    q = (1 - p_ctrl) * p_detect; on a leg whose genuine half is swapped back
+    (both legs for the outsider, Alice's for the insider) TP Z-measures that
+    half instead, which disagrees with the trap with probability 1/2. The
+    other attacks disturb no check.
+    """
+    case1_error = {
+        "participant-forward": forward_only_case1_error(),
+        "intercept-resend": intercept_resend_case1_error(),
+        "measure-resend": measure_resend_case1_error(),
+    }
+    if attack in case1_error:
+        return 1.0 - (1.0 - p_ctrl**2 * case1_error[attack]) ** rounds
+    swapped_legs = {"outside": 2, "participant": 1}.get(attack, 0)
+    if protocol != "improved" or not swapped_legs:
+        return 0.0
+    q = (1.0 - p_ctrl) * p_detect
+    return 1.0 - (1.0 - q / 2.0) ** (swapped_legs * rounds)
+
+
+# Two-sided tail mass of a 5-sigma normal deviation, about 5.7e-7.
+TAIL = math.erfc(5.0 / math.sqrt(2.0))
+
+
+def binomial_tails(observed: int, n: int, p: float) -> tuple[float, float]:
+    """(P(X <= observed), P(X >= observed)) for X ~ Binomial(n, p), summed
+    exactly term by term (in log space, so large n cannot overflow)."""
+    if p in (0.0, 1.0):
+        pmf = [float(j == n * p) for j in range(n + 1)]
+    else:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        pmf = [
+            math.exp(
+                math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                + j * log_p + (n - j) * log_q
+            )
+            for j in range(n + 1)
+        ]
+    return math.fsum(pmf[: observed + 1]), math.fsum(pmf[observed:])
 
 
 def jiang_outside_wrong_result_single_bit() -> float:

@@ -19,9 +19,7 @@ from sqpclab.harness import (
     tp_inference_test,
 )
 from sqpclab.protocol import (
-    KeyMaterial,
     ProtocolConfig,
-    SecretInput,
     Variant,
     compute_ma_jiang,
     compute_mask_improved,
@@ -80,9 +78,7 @@ def test_criterion_01_honest_correctness():
                 x, y = _int_to_bits(xv, L), _int_to_bits(yv, L)
                 bits = lambda: tuple(int(v) for v in rng.integers(0, 2, size=L))
                 cfg = ProtocolConfig(
-                    secrets=SecretInput(x, y),
-                    keys=KeyMaterial(bits(), bits(), bits()),
-                    num_rounds=factor * L,
+                    x, y, bits(), bits(), bits(), num_rounds=factor * L
                 )
                 for seed in (xv * 64 + yv, 4096 + yv * 64 + xv):
                     outcome, _, _ = run_protocol(variant, cfg, seed=seed)

@@ -8,11 +8,9 @@ from sqpclab.adversary import ATTACKS, make_strategy
 from sqpclab.harness import detection_model
 from sqpclab.protocol import (
     Choice,
-    KeyMaterial,
     Leg,
     MaskRecord,
     ProtocolConfig,
-    SecretInput,
     Variant,
     run_protocol,
 )
@@ -25,17 +23,19 @@ def make_config(x, y, seed=0, rounds=None, **kwargs):
     rng = np.random.default_rng(seed)
     L = len(x)
     bits = lambda: tuple(int(v) for v in rng.integers(0, 2, size=L))
-    keys = KeyMaterial(k=bits(), ra=bits(), rb=bits())
     return ProtocolConfig(
-        secrets=SecretInput(tuple(x), tuple(y)),
-        keys=keys,
+        x=tuple(x),
+        y=tuple(y),
+        k=bits(),
+        ra=bits(),
+        rb=bits(),
         num_rounds=rounds if rounds is not None else 8 * L,
         **kwargs,
     )
 
 
 def run_attacked(variant, cfg, attack, seed):
-    strategy = make_strategy(attack, shared_key=cfg.keys.k)
+    strategy = make_strategy(attack)
     outcome, transcript, report = run_protocol(variant, cfg, strategy, seed=seed)
     return outcome, transcript, report, strategy
 
@@ -91,8 +91,8 @@ def test_outside_attack_custody():
             self.forward_in = {}
             self.delivered = {}
 
-        def bind(self, sim, rng, variant):
-            self.inner.bind(sim, rng, variant)
+        def bind(self, sim, rng, variant, shared_key):
+            self.inner.bind(sim, rng, variant, shared_key)
 
         def transmit(self, leg, round_index, qubit):
             out = self.inner.transmit(leg, round_index, qubit)
@@ -137,9 +137,9 @@ def test_outside_attack_custody():
 
 def test_participant_recovery_algebra():
     """Decoding example: learned 0, published raw bit 0, key bit 1 gives 1."""
-    strategy = make_strategy("participant", shared_key=(1,))
+    strategy = make_strategy("participant")
     rng = np.random.default_rng(0)
-    strategy.bind(Simulator(rng=rng), rng, Variant.JIANG)
+    strategy.bind(Simulator(rng=rng), rng, Variant.JIANG, (1,))
     strategy.learned_bits = {1: 0}
     strategy.observe_publication(MaskRecord((0,), (0,)))
     assert strategy.recovered_secret == (1,)
@@ -152,8 +152,19 @@ def test_participant_attack_recovers_secret_every_trial():
             Variant.JIANG, cfg, "participant", seed
         )
         assert not report.detected
-        assert strategy.recovered_secret == cfg.secrets.x
+        assert strategy.recovered_secret == cfg.x
         assert report.adversary_recovered_secret_correct is True
+
+
+def test_participant_gets_the_shared_key_from_the_run():
+    """A strategy built by name alone learns K at bind and decodes Alice's secret."""
+    cfg = make_config((1, 0, 1, 1), (0, 1, 0, 0), seed=3)
+    strategy = make_strategy("participant")
+    outcome, _, report = run_protocol(Variant.JIANG, cfg, strategy, seed=3)
+    assert not outcome.aborted
+    assert strategy.shared_key == cfg.k
+    assert strategy.recovered_secret == cfg.x
+    assert report.adversary_recovered_secret_correct is True
 
 
 def test_participant_learned_bits_match_alice_encodings():
@@ -163,7 +174,7 @@ def test_participant_learned_bits_match_alice_encodings():
     learned = strategy.learned_bits
     for rec in transcript.rounds:
         if rec.alice_ordinal is not None:
-            k, ra, x = cfg.keys.k, cfg.keys.ra, cfg.secrets.x
+            k, ra, x = cfg.k, cfg.ra, cfg.x
             j = rec.alice_ordinal
             if j <= len(x):
                 assert learned[j] == k[j - 1] ^ ra[j - 1] ^ x[j - 1]
@@ -325,13 +336,15 @@ def test_make_strategy_names():
     for name in ("outside", "intercept-resend", "measure-resend"):
         assert make_strategy(name).attack.name == name
     for name in ("participant", "participant-forward"):
-        assert make_strategy(name, shared_key=(0, 1)).attack.name == name
+        assert make_strategy(name).attack.name == name
     with pytest.raises(ValueError):
         make_strategy("quantum-cat")
 
 
 def test_forward_only_strategy_factory():
-    strategy = make_strategy("participant-forward", shared_key=(1, 0))
+    strategy = make_strategy("participant-forward")
+    rng = np.random.default_rng(0)
+    strategy.bind(Simulator(rng=rng), rng, Variant.IMPROVED, (1, 0))
     assert strategy.shared_key == (1, 0)
 
 

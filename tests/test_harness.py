@@ -1,9 +1,12 @@
 """Tests for the experiment runner, aggregation, and analytic oracles."""
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from sqpclab import harness
+from sqpclab.adversary import ATTACKS
 from sqpclab.harness import (
     DEFAULT_ROUNDS_FACTOR,
     AggregateReport,
@@ -140,6 +143,27 @@ def test_unequal_mode_at_one_bit():
     spec = ExperimentSpec(protocol="jiang", secrets="unequal", secret_bits=1, trials=20)
     report = run_experiment(spec)
     assert report.wrong_result_rate == 0.0
+
+
+def test_explicit_secrets_are_decoded_once_per_experiment(monkeypatch):
+    """Each hex secret is parsed once per experiment, however many trials run."""
+    pattern, parsed = harness._HEX_DIGITS, []
+
+    class CountingPattern:
+        def fullmatch(self, text):
+            parsed.append(text)
+            return pattern.fullmatch(text)
+
+    monkeypatch.setattr(harness, "_HEX_DIGITS", CountingPattern())
+    counts = []
+    for trials in (1, 40):
+        bits_from_hex.cache_clear()
+        parsed.clear()
+        run_experiment(
+            ExperimentSpec(protocol="jiang", secrets="explicit:A5,3C", trials=trials)
+        )
+        counts.append(len(parsed))
+    assert counts == [2, 2]
 
 
 # -- experiments -------------------------------------------------------------------
@@ -300,6 +324,46 @@ def test_default_rounds_factor_shortfall_tails():
             (factor - 1) * 8, p_calc[protocol], 8
         )
         assert tail < 1e-4 <= fewer
+
+
+def test_binomial_tails_match_exact_sums():
+    for n, p in ((1, 0.5), (7, 0.3), (40, 0.9)):
+        for k in range(n + 1):
+            pmf = [comb(n, j) * p**j * (1 - p) ** (n - j) for j in range(n + 1)]
+            lower, upper = oracles.binomial_tails(k, n, p)
+            assert lower == pytest.approx(sum(pmf[: k + 1]), rel=1e-12, abs=1e-300)
+            assert upper == pytest.approx(sum(pmf[k:]), rel=1e-12, abs=1e-300)
+    assert oracles.binomial_tails(0, 5, 0.0) == (1.0, 1.0)
+    assert oracles.binomial_tails(1, 5, 0.0) == (1.0, 0.0)
+    assert oracles.binomial_tails(4, 5, 1.0) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize(("p_ctrl", "p_detect"), [(0.5, 0.5), (0.7, 0.3)])
+@pytest.mark.parametrize("attack", list(ATTACKS))
+@pytest.mark.parametrize("protocol", ["jiang", "improved"])
+def test_unconditional_detection_rate_follows_exact_law(
+    protocol, attack, p_ctrl, p_detect
+):
+    """At L=1 and threshold 0 the detection count of every pair fits its closed
+    form within an exact two-sided binomial tail of 5.7e-7; where the law is
+    0, a single detection fails."""
+    trials = 800
+    spec = ExperimentSpec(
+        protocol=protocol,
+        attack=attack,
+        secret_bits=1,
+        p_ctrl=p_ctrl,
+        p_detect=p_detect,
+        trials=trials,
+        seed=8,
+        threshold=0.0,
+    )
+    report = run_experiment(spec)
+    law = oracles.detection_probability(
+        protocol, attack, spec.num_rounds(), p_ctrl, p_detect
+    )
+    detected = round(report.detection_rate * trials)
+    assert min(oracles.binomial_tails(detected, trials, law)) >= oracles.TAIL / 2
 
 
 def test_insufficient_rounds_are_not_detections():

@@ -1,5 +1,6 @@
 """Tests for the protocol state machines and the classical XOR layer."""
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,8 @@ from sqpclab.qsim import BellKind
 from sqpclab.protocol import (
     AbortReason,
     Choice,
-    KeyMaterial,
     Leg,
     ProtocolConfig,
-    SecretInput,
     ValidationError,
     Variant,
     compute_ma_jiang,
@@ -28,10 +27,12 @@ def make_config(x, y, seed=0, rounds=None, **kwargs):
     rng = np.random.default_rng(seed)
     L = len(x)
     bits = lambda: tuple(int(v) for v in rng.integers(0, 2, size=L))
-    keys = KeyMaterial(k=bits(), ra=bits(), rb=bits())
     return ProtocolConfig(
-        secrets=SecretInput(tuple(x), tuple(y)),
-        keys=keys,
+        x=tuple(x),
+        y=tuple(y),
+        k=bits(),
+        ra=bits(),
+        rb=bits(),
         num_rounds=rounds if rounds is not None else 8 * L,
         **kwargs,
     )
@@ -156,15 +157,7 @@ def test_key_flip_leaves_protocol_verdict_unchanged():
     for variant in Variant:
         for seed in range(5):
             cfg = make_config(x, y, seed=3)
-            flipped = ProtocolConfig(
-                secrets=cfg.secrets,
-                keys=KeyMaterial(
-                    k=tuple(1 - b for b in cfg.keys.k),
-                    ra=cfg.keys.ra,
-                    rb=cfg.keys.rb,
-                ),
-                num_rounds=cfg.num_rounds,
-            )
+            flipped = replace(cfg, k=tuple(1 - b for b in cfg.k))
             _, t1, _ = run_protocol(variant, cfg, seed=seed)
             _, t2, _ = run_protocol(variant, flipped, seed=seed)
             assert t1.r_values == t2.r_values == (0, 1, 0)
@@ -241,7 +234,7 @@ def test_honest_trap_check_clean():
     mismatches = case1_errors = 0
     for variant, attack in itertools.product(Variant, ATTACKS):
         for seed in range(4):
-            strategy = make_strategy(attack, shared_key=cfg.keys.k)
+            strategy = make_strategy(attack)
             _, transcript, report = run_protocol(variant, cfg, strategy, seed=seed)
             check = oracles.recount_checks(transcript.rounds)
             counted = (
@@ -277,7 +270,7 @@ class _ReplaceReturnsWithBellHalves:
 
     recovered_secret = None
 
-    def bind(self, sim, rng, variant):
+    def bind(self, sim, rng, variant, shared_key):
         self.sim = sim
 
     def transmit(self, leg, round_index, qubit):
@@ -331,7 +324,7 @@ class _MinimalPassThrough:
         self.recovered_secret = None
         self.calls = []
 
-    def bind(self, sim, rng, variant):
+    def bind(self, sim, rng, variant, shared_key):
         self.calls.append("bind")
 
     def transmit(self, leg, round_index, qubit):
@@ -371,16 +364,12 @@ def test_honest_strategy_matches_channel_free_run():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SecretInput((0, 1), (0,))
-    with pytest.raises(ValueError):
-        SecretInput((), ())
-    with pytest.raises(ValueError):
-        ProtocolConfig(
-            secrets=SecretInput((1,), (1,)),
-            keys=KeyMaterial((0, 1), (0,), (1,)),
-            num_rounds=4,
-        )
+    with pytest.raises(ValidationError, match="equal nonzero length"):
+        make_config((0, 1), (0,))
+    with pytest.raises(ValidationError, match="equal nonzero length"):
+        make_config((), (), rounds=4)
+    with pytest.raises(ValidationError, match="equal nonzero length"):
+        ProtocolConfig((1,), (1,), (0, 1), (0,), (1,), num_rounds=4)
     with pytest.raises(ValueError):
         make_config((1,), (1,), rounds=0)
     with pytest.raises(ValueError):
@@ -405,64 +394,75 @@ def test_config_rejects_malformed_fields(name, value, message):
 
 
 @pytest.mark.parametrize(
-    ("build", "message"),
+    ("bad", "message"),
     [
         pytest.param(
-            lambda: SecretInput((2,), (5,)),
-            "secrets must be tuples of 0/1 bits, got (2,)",
+            {"x": (2,), "y": (5,)},
+            "x must be a tuple of 0/1 bits, got (2,)",
             id="secret-bit-2",
         ),
         pytest.param(
-            lambda: SecretInput([1], [1]),
-            "secrets must be tuples of 0/1 bits, got [1]",
+            {"x": [1], "y": [1]},
+            "x must be a tuple of 0/1 bits, got [1]",
             id="secret-list",
         ),
         pytest.param(
-            lambda: SecretInput((1,), (1.0,)),
-            "secrets must be tuples of 0/1 bits, got (1.0,)",
+            {"y": (1.0,)},
+            "y must be a tuple of 0/1 bits, got (1.0,)",
             id="secret-float",
         ),
         pytest.param(
-            lambda: SecretInput((1,), None),
-            "secrets must be tuples of 0/1 bits, got None",
+            {"y": None},
+            "y must be a tuple of 0/1 bits, got None",
             id="secret-none",
         ),
         pytest.param(
-            lambda: KeyMaterial((0,), (1,), (-1,)),
-            "key material must be tuples of 0/1 bits, got (-1,)",
+            {"rb": (-1,)},
+            "rb must be a tuple of 0/1 bits, got (-1,)",
             id="key-bit-negative",
         ),
         pytest.param(
-            lambda: KeyMaterial((0,), ("1",), (1,)),
-            "key material must be tuples of 0/1 bits, got ('1',)",
+            {"ra": ("1",)},
+            "ra must be a tuple of 0/1 bits, got ('1',)",
             id="key-bit-string",
         ),
         pytest.param(
-            lambda: ProtocolConfig(
-                secrets=None, keys=KeyMaterial((0,), (1,), (1,)), num_rounds=4
-            ),
-            "secrets must be a SecretInput, got None",
+            {"x": None},
+            "x must be a tuple of 0/1 bits, got None",
             id="config-secrets-none",
         ),
         pytest.param(
-            lambda: ProtocolConfig(
-                secrets=SecretInput((1,), (0,)), keys=((0,), (1,), (1,)), num_rounds=4
-            ),
-            "keys must be a KeyMaterial, got ((0,), (1,), (1,))",
+            {"k": ((0,), (1,), (1,))},
+            "k must be a tuple of 0/1 bits, got ((0,), (1,), (1,))",
             id="config-keys-tuple",
         ),
     ],
 )
-def test_config_rejects_malformed_bits(build, message):
+def test_config_rejects_malformed_bits(bad, message):
     """Secret and key contents are checked where they are built, not deep in a run."""
+    values = dict(x=(1,), y=(0,), k=(0,), ra=(1,), rb=(1,), num_rounds=4)
     with pytest.raises(ValidationError) as err:
-        build()
+        ProtocolConfig(**{**values, **bad})
     assert str(err.value) == message
 
 
 def test_integer_bits_of_any_int_type_are_accepted():
-    secrets = SecretInput((np.int64(1), True), (0, np.uint8(1)))
-    keys = KeyMaterial((0, 1), (1, 1), (0, 0))
-    cfg = ProtocolConfig(secrets=secrets, keys=keys, num_rounds=16)
+    cfg = ProtocolConfig(
+        x=(np.int64(1), True),
+        y=(0, np.uint8(1)),
+        k=(0, 1),
+        ra=(1, 1),
+        rb=(0, 0),
+        num_rounds=16,
+    )
     outcome, _, _ = run_protocol(Variant.JIANG, cfg, seed=2)
     assert outcome.aborted or outcome.equal is False
+
+
+@pytest.mark.parametrize("variant", ["jiang", "improved", None, 3, "IMPROVED"])
+def test_run_protocol_rejects_a_variant_that_is_not_a_variant(variant):
+    """A variant name, None or a number would run neither protocol."""
+    cfg = make_config((1, 0), (1, 0))
+    with pytest.raises(ValidationError) as err:
+        run_protocol(variant, cfg, seed=0)
+    assert str(err.value) == f"variant must be a Variant, got {variant!r}"
