@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .protocol import Choice, Leg, MaskRecord, Variant
+from .protocol import Choice, Leg, MaskRecord, ValidationError, Variant
 from .qsim import QubitHandle, Simulator
 
 _ALICE, _BOB = Leg.FORWARD_TP_TO_ALICE, Leg.FORWARD_TP_TO_BOB
@@ -155,7 +155,7 @@ class ChannelStrategy:
 def make_strategy(name: str):
     """A fresh strategy for the attack `name`; None for an untouched channel."""
     if name not in ATTACKS:
-        raise ValueError(f"unknown attack {name!r}")
+        raise ValidationError(f"unknown attack {name!r}")
     attack = ATTACKS[name]
     if not (attack.forged or attack.measured):
         return None

@@ -79,16 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str]) -> tuple[ExperimentSpec, str]:
-    """Map flags to a validated ExperimentSpec plus the chosen --output format."""
+    """Map flags to an ExperimentSpec (checked when built) and the --output format."""
     args = vars(build_parser().parse_args(argv))
     fmt = args.pop("output")
     if args["p_detect"] is None:
         del args["p_detect"]  # the spec default applies
     elif args["protocol"] == "jiang":
         raise ValidationError("--p-detect is not accepted for the jiang protocol")
-    spec = ExperimentSpec(**args)
-    spec.validate()
-    return spec, fmt
+    return ExperimentSpec(**args), fmt
 
 
 def emit_report(report: AggregateReport, fmt: str) -> str:

@@ -17,6 +17,9 @@ Aggregation streams: `run_experiment` folds each trial's `TrialReport` into
 integer `TrialCounts` as the trial finishes, and `aggregate` turns those
 counts into the `AggregateReport`, so memory does not grow with T.
 
+Specs and reports are frozen and check themselves when built; `from_dict`
+only parses and constructs.
+
 Rate conventions: detection_rate counts security aborts (Bell or trap check)
 over all trials; wrong_result_rate and secret_recovery_rate are conditioned
 on trials that completed (no abort); InsufficientRounds aborts are tracked
@@ -71,9 +74,9 @@ def bits_from_hex(text: str, length: int) -> tuple[int, ...]:
     return tuple((value >> (length - 1 - i)) & 1 for i in range(length))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """Full configuration of one experiment; field order fixes CSV columns."""
+    """Experiment configuration, checked when built; field order fixes CSV columns."""
 
     protocol: str
     attack: str = "none"
@@ -87,7 +90,7 @@ class ExperimentSpec:
     threshold: float = 0.0
     secrets: str = "random"  # random | equal | unequal | explicit:HEX,HEX
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.protocol not in ("jiang", "improved"):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         check_fields(self, flags=True)
@@ -123,29 +126,32 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         try:
-            spec = cls(**data)
+            return cls(**data)
         except TypeError as exc:
             raise ValidationError(f"malformed spec: {exc}") from None
-        spec.validate()
-        return spec
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrapCountRow:
     """Detection rate conditioned on one observed value of the trap statistic."""
 
     k: int
-    trials: int
+    trials: int = field(metadata={"min": 1})
     detected: int
     detection_rate: float
     stderr: float
     predicted: float
 
+    def __post_init__(self):
+        check_fields(self)
+        if self.detected > self.trials:
+            raise ValidationError("report counts are inconsistent")
 
-@dataclass
+
+@dataclass(frozen=True)
 class AggregateReport:
     spec: ExperimentSpec
-    trials: int
+    trials: int = field(metadata={"min": 1})
     detection_rate: float
     detection_stderr: float
     abort_rate: float
@@ -159,32 +165,29 @@ class AggregateReport:
     case1_error_rate: float | None
     detection_by_trap_count: list[TrapCountRow] = field(default_factory=list)
 
+    def __post_init__(self):
+        check_fields(self)
+        if (
+            self.completed_trials > self.trials
+            or self.case1_errors_total > self.case1_rounds_total
+        ):
+            raise ValidationError("report counts are inconsistent")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "AggregateReport":
-        """Parse and validate a `to_dict` result; raises ValidationError."""
+        """Parse a `to_dict` result; raises ValidationError."""
         try:
             data = dict(data)
             data["spec"] = ExperimentSpec.from_dict(data["spec"])
             data["detection_by_trap_count"] = [
                 TrapCountRow(**row) for row in data["detection_by_trap_count"]
             ]
-            report = cls(**data)
+            return cls(**data)
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed report: {exc!r}") from None
-        rows = report.detection_by_trap_count
-        for record in (report, *rows):
-            check_fields(record)
-        if (
-            report.trials < 1
-            or report.completed_trials > report.trials
-            or report.case1_errors_total > report.case1_rounds_total
-            or any(row.trials < 1 or row.detected > row.trials for row in rows)
-        ):
-            raise ValidationError("report counts are inconsistent")
-        return report
 
 
 def binomial_stderr(rate: float, n: int) -> float:
@@ -252,7 +255,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
         x, y, k, ra, rb, spec.num_rounds(), spec.p_ctrl, spec.p_detect, spec.threshold
     )
     strategy = make_strategy(spec.attack)
-    _, _, report = run_protocol(Variant(spec.protocol), cfg, strategy, rng=rng)
+    _, _, report = run_protocol(Variant(spec.protocol), cfg, strategy, rng)
     return report
 
 
@@ -274,7 +277,6 @@ class TrialCounts:
 
 def run_experiment(spec: ExperimentSpec) -> AggregateReport:
     """Run all trials and aggregate; per-trial aborts are data, not errors."""
-    spec.validate()
     model = detection_model(Variant(spec.protocol), spec.attack)
     extract = None if model is None else model[0]
     counts = TrialCounts()

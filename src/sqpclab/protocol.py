@@ -33,11 +33,11 @@ Channel interface: `run_protocol` drives any object with
 `recovered_secret` attribute (None, or the secret bits it decoded). The
 adversary module's `ChannelStrategy` is the one implementation in the package.
 
-Config and report dataclasses are checked against their own declarations by
-`check_fields`, so each field's type and range is stated once, where the
-field is declared. One `ProtocolConfig` holds a run's inputs, the bit
-tuples x, y, k, ra and rb next to its settings; the channel gets the
-pre-shared key k at `bind`, which is how an insider knows it.
+Config and report dataclasses are frozen, and each `__post_init__` checks
+the fields against their declarations with `check_fields`, so a field's type
+and range is stated once, where it is declared. One `ProtocolConfig` holds a
+run's inputs, the bit tuples x, y, k, ra and rb next to its settings; the
+channel gets the pre-shared key k at `bind`, which is how an insider knows it.
 """
 from __future__ import annotations
 
@@ -154,7 +154,7 @@ class ComparisonOutcome:
         return self.abort_reason is not None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
     """One run's inputs: the secrets x and y, the pre-shared key k, the raw
     keys ra and rb (all L >= 1 bits long), and the run's settings."""
@@ -319,23 +319,22 @@ def run_protocol(
     variant: Variant,
     cfg: ProtocolConfig,
     channel=None,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
+    seed: int | np.random.Generator | None = None,
 ) -> tuple[ComparisonOutcome, Transcript, TrialReport]:
     """Execute one full protocol run through an (optionally adversarial) channel.
 
     A single RNG stream drives every random decision and measurement of the
-    run, so a seed fixes the whole transcript. Each round draws, in order:
-    the Bell kind, whatever the channel draws on the forward legs, Alice's
-    choice and SIFT operation, then Bob's. `channel` is any object with
-    the channel interface (see the module docstring); None means an untouched
-    channel, and no transmit call is made.
+    run, so a seed fixes the whole transcript; a Generator passed as `seed`
+    is used as is. Each round draws, in order: the Bell kind, whatever the
+    channel draws on the forward legs, Alice's choice and SIFT operation,
+    then Bob's. `channel` is any object with the channel interface (see the
+    module docstring); None means an untouched channel, and no transmit call
+    is made.
     """
     if not isinstance(variant, Variant):
         raise ValidationError(f"variant must be a Variant, got {variant!r}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    sim = Simulator(rng=rng)
+    rng = np.random.default_rng(seed)
+    sim = Simulator(rng)
     L = len(cfg.x)
     alice = _Party(cfg.x, cfg.ra, cfg.k, variant, sim, rng)
     bob = _Party(cfg.y, cfg.rb, cfg.k, variant, sim, rng)

@@ -221,15 +221,11 @@ class Simulator:
     """Owner of all registers and of the single measurement-outcome stream.
 
     One Simulator per protocol run; identical seed and operation sequence
-    reproduce identical outcomes.
+    reproduce identical outcomes. A Generator passed as `seed` is used as is.
     """
 
-    def __init__(
-        self,
-        seed: int | None = None,
-        rng: np.random.Generator | None = None,
-    ):
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
+    def __init__(self, seed: int | np.random.Generator | None = None):
+        self._rng = np.random.default_rng(seed)
         self._registers: dict[int, _State] = {}
         # old register id -> (surviving register id, qubit index offset)
         self._forwards: dict[int, tuple[int, int]] = {}

@@ -11,6 +11,7 @@ from sqpclab.protocol import (
     Leg,
     MaskRecord,
     ProtocolConfig,
+    ValidationError,
     Variant,
     run_protocol,
 )
@@ -139,7 +140,7 @@ def test_participant_recovery_algebra():
     """Decoding example: learned 0, published raw bit 0, key bit 1 gives 1."""
     strategy = make_strategy("participant")
     rng = np.random.default_rng(0)
-    strategy.bind(Simulator(rng=rng), rng, Variant.JIANG, (1,))
+    strategy.bind(Simulator(rng), rng, Variant.JIANG, (1,))
     strategy.learned_bits = {1: 0}
     strategy.observe_publication(MaskRecord((0,), (0,)))
     assert strategy.recovered_secret == (1,)
@@ -335,14 +336,14 @@ def test_make_strategy_names():
     assert make_strategy("none") is None
     for name in set(ATTACKS) - {"none"}:
         assert make_strategy(name).attack.name == name
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="unknown attack 'quantum-cat'"):
         make_strategy("quantum-cat")
 
 
 def test_forward_only_strategy_factory():
     strategy = make_strategy("participant-forward")
     rng = np.random.default_rng(0)
-    strategy.bind(Simulator(rng=rng), rng, Variant.IMPROVED, (1, 0))
+    strategy.bind(Simulator(rng), rng, Variant.IMPROVED, (1, 0))
     assert strategy.shared_key == (1, 0)
 
 

@@ -1,5 +1,6 @@
 """Tests for the experiment runner, aggregation, and analytic oracles."""
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from math import comb
 
@@ -18,6 +19,7 @@ from sqpclab.harness import (
     run_trial,
     tp_inference_test,
 )
+from sqpclab.protocol import ProtocolConfig
 
 import oracles
 
@@ -62,13 +64,13 @@ def test_explicit_secrets_parse():
     assert y == (0, 0, 0, 0, 1, 1, 1, 1)
     assert ExperimentSpec(protocol="jiang").explicit_secrets() is None
     with pytest.raises(ValidationError):
-        ExperimentSpec(protocol="jiang", secrets="explicit:AF").validate()
+        ExperimentSpec(protocol="jiang", secrets="explicit:AF")
     with pytest.raises(ValidationError):
-        ExperimentSpec(protocol="jiang", secrets="sideways").validate()
+        ExperimentSpec(protocol="jiang", secrets="sideways")
 
 
 def test_spec_validation_ranges():
-    ExperimentSpec(protocol="improved").validate()
+    ExperimentSpec(protocol="improved")
     for bad in (
         dict(protocol="quantum"),
         dict(protocol="jiang", attack="evil"),
@@ -81,14 +83,14 @@ def test_spec_validation_ranges():
         dict(protocol="jiang", seed=-1),
     ):
         with pytest.raises(ValidationError):
-            ExperimentSpec(**bad).validate()
+            ExperimentSpec(**bad)
 
 
 @pytest.mark.parametrize("field", ["secret_bits", "trials", "rounds_factor", "seed"])
 @pytest.mark.parametrize("value", [True, 2.5, 2.0, "3"])
 def test_spec_rejects_non_integer_counts(field, value):
     with pytest.raises(ValidationError, match="must be an integer"):
-        ExperimentSpec(protocol="jiang", **{field: value}).validate()
+        ExperimentSpec(protocol="jiang", **{field: value})
 
 
 def test_spec_round_trip():
@@ -108,10 +110,10 @@ def test_spec_from_dict_validates():
     [
         lambda: ExperimentSpec.from_dict({"protocol": "jiang", "bogus": 1}),
         lambda: ExperimentSpec.from_dict({"attack": "outside"}),  # no protocol
-        lambda: ExperimentSpec(protocol="jiang", threshold=None).validate(),
-        lambda: ExperimentSpec(protocol="jiang", p_ctrl="x").validate(),
-        lambda: ExperimentSpec(protocol="improved", p_detect=None).validate(),
-        lambda: ExperimentSpec(protocol="improved", p_detect=[0.5]).validate(),
+        lambda: ExperimentSpec(protocol="jiang", threshold=None),
+        lambda: ExperimentSpec(protocol="jiang", p_ctrl="x"),
+        lambda: ExperimentSpec(protocol="improved", p_detect=None),
+        lambda: ExperimentSpec(protocol="improved", p_detect=[0.5]),
         lambda: ExperimentSpec.from_dict({"protocol": "jiang", "attack": []}),
         lambda: ExperimentSpec.from_dict({"protocol": "jiang", "secrets": None}),
     ],
@@ -261,6 +263,14 @@ def test_aggregate_report_round_trip():
     assert AggregateReport.from_dict(report.to_dict()) == report
 
 
+# Faults of a report's shape rather than of a field's value.
+STRUCTURAL_FAULTS = {
+    ("spec",),
+    ("detection_by_trap_count", 0),
+    ("detection_by_trap_count", 0, "extra"),
+}
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -287,11 +297,13 @@ def test_aggregate_report_round_trip():
     ],
 )
 def test_aggregate_report_from_dict_validates(path, value):
-    """Counts, rates, their consistency and the trap rows are all checked."""
+    """Counts, rates, their consistency and the trap rows are all checked,
+    whether the report is parsed or the dataclass is built directly."""
     spec = ExperimentSpec(
         protocol="improved", attack="outside", trials=60, secret_bits=2, seed=1
     )
-    data = run_experiment(spec).to_dict()
+    report = run_experiment(spec)
+    data = report.to_dict()
     AggregateReport.from_dict(data)  # the untouched report loads
     target = data
     for key in path[:-1]:
@@ -299,6 +311,26 @@ def test_aggregate_report_from_dict_validates(path, value):
     target[path[-1]] = value
     with pytest.raises(ValidationError):
         AggregateReport.from_dict(data)
+    if path in STRUCTURAL_FAULTS:
+        return  # only a parsed dict can hold these
+    *owner_path, name = path
+    owner = report
+    for key in owner_path:
+        owner = owner[key] if isinstance(key, int) else getattr(owner, key)
+    with pytest.raises(ValidationError):
+        replace(owner, **{name: value})
+
+
+def test_checked_dataclasses_are_frozen():
+    """A checked config or report cannot be changed after its check."""
+    report = run_experiment(
+        ExperimentSpec(protocol="improved", attack="outside", trials=20, secret_bits=2)
+    )
+    cfg = ProtocolConfig((1,), (0,), (1,), (0,), (1,), num_rounds=4)
+    for record in (report.spec, cfg, report.detection_by_trap_count[0], report):
+        for f in fields(record):
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
 
 
 def test_aggregate_report_from_dict_rejects_missing_field():

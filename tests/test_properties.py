@@ -3,6 +3,8 @@
 Every test runs with `derandomize=True`, so Hypothesis draws the same
 examples on every run and the suite stays deterministic.
 """
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,3 +84,34 @@ def test_config_accepts_exactly_equal_length_bit_tuples(words):
     except ValidationError:
         accepted = False
     assert accepted == valid
+
+
+@st.composite
+def raw_key_swaps(draw):
+    """(config, config with other raw keys, seed) at L <= 6, default settings."""
+    L = draw(st.integers(1, 6))
+    x, y, k, ra, rb, ra2, rb2 = (draw(_words(L)) for _ in range(7))
+    cfg = ProtocolConfig(x, y, k, ra, rb, num_rounds=11 * L)
+    return cfg, replace(cfg, ra=ra2, rb=rb2), draw(st.integers(0, 2**32 - 1))
+
+
+@deterministic
+@given(raw_key_swaps())
+def test_improved_publication_carries_nothing_of_the_raw_keys(swap):
+    """At one seed, other raw keys leave the improved run unchanged: the
+    outcome, every round record, the masks and the r values. Each published
+    mask RA ^ RA' is K ^ x ^ ma. (Jiang publishes RA by design.)"""
+    cfg, other, seed = swap
+    outcome, transcript, _ = run_protocol(Variant.IMPROVED, cfg, seed=seed)
+    assert run_protocol(Variant.IMPROVED, other, seed=seed)[:2] == (outcome, transcript)
+    if transcript.masks is None:
+        return
+    ma = {r.alice_ordinal: r.ma for r in transcript.rounds if r.ma is not None}
+    mb = {r.bob_ordinal: r.mb for r in transcript.rounds if r.mb is not None}
+    L = len(cfg.x)
+    assert transcript.masks.alice_masks == tuple(
+        cfg.k[j] ^ cfg.x[j] ^ ma[j + 1] for j in range(L)
+    )
+    assert transcript.masks.bob_masks == tuple(
+        cfg.k[j] ^ cfg.y[j] ^ mb[j + 1] for j in range(L)
+    )

@@ -307,7 +307,7 @@ def test_determinism_under_seed():
 
 def test_shared_generator_between_simulators():
     rng = np.random.default_rng(9)
-    sim = Simulator(rng=rng)
+    sim = Simulator(rng)
     a, _ = sim.prepare_bell(BellKind.PHI_PLUS)
     assert sim.measure_z(a) in (0, 1)
 
