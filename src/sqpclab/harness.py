@@ -163,10 +163,15 @@ class AggregateReport:
     case1_rounds_total: int
     case1_errors_total: int
     case1_error_rate: float | None
-    detection_by_trap_count: list[TrapCountRow] = field(default_factory=list)
+    detection_by_trap_count: tuple[TrapCountRow, ...] = ()
 
     def __post_init__(self):
         check_fields(self)
+        if not isinstance(self.spec, ExperimentSpec):
+            raise ValidationError(f"spec must be an ExperimentSpec, got {self.spec!r}")
+        rows = self.detection_by_trap_count
+        if not isinstance(rows, tuple) or not all(isinstance(r, TrapCountRow) for r in rows):
+            raise ValidationError(f"malformed detection_by_trap_count {rows!r}")
         if (
             self.completed_trials > self.trials
             or self.case1_errors_total > self.case1_rounds_total
@@ -180,11 +185,11 @@ class AggregateReport:
     def from_dict(cls, data: dict) -> "AggregateReport":
         """Parse a `to_dict` result; raises ValidationError."""
         try:
-            data = dict(data)
+            data = {**data}
             data["spec"] = ExperimentSpec.from_dict(data["spec"])
-            data["detection_by_trap_count"] = [
+            data["detection_by_trap_count"] = tuple(
                 TrapCountRow(**row) for row in data["detection_by_trap_count"]
-            ]
+            )
             return cls(**data)
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed report: {exc!r}") from None
@@ -305,7 +310,7 @@ def aggregate(spec: ExperimentSpec, counts: TrialCounts) -> AggregateReport:
     detection_rate = counts.detected / trials
     wrong_rate = counts.wrong / completed if completed else None
     insider = spec.protocol == "jiang" and ATTACKS[spec.attack].insider
-    table: list[TrapCountRow] = []
+    table = []
     if counts.cells:
         _, predict = detection_model(Variant(spec.protocol), spec.attack)
         for k in sorted({k for k, _ in counts.cells}):
@@ -330,7 +335,7 @@ def aggregate(spec: ExperimentSpec, counts: TrialCounts) -> AggregateReport:
         case1_error_rate=(
             counts.case1_errors / counts.case1_rounds if counts.case1_rounds else None
         ),
-        detection_by_trap_count=table,
+        detection_by_trap_count=tuple(table),
     )
 
 

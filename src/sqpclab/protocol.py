@@ -24,7 +24,9 @@ and 9 in improved: a double-CTRL round (case 1) is Bell-measured for the
 Bell check, and every SIFT qubit is Z-measured as a calculate value or a
 trap announcement. TP counts its checks in that same pass (case-1 rounds and
 wrong Bell outcomes; per side, traps sent and announcements that disagree),
-and the integrity checks and the `TrialReport` read those counts.
+and the integrity checks and the `TrialReport` read those counts. The same
+pass writes each round's `RoundRecord`, an immutable named tuple, once; the
+frozen `Transcript` holds them with the published masks and r values.
 
 Channel interface: `run_protocol` drives any object with
 `bind(sim, rng, variant, shared_key)`,
@@ -45,6 +47,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cache
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,9 +179,8 @@ class ProtocolConfig:
             raise ValidationError("x, y, k, ra and rb must have equal nonzero length")
 
 
-@dataclass
-class RoundRecord:
-    """Everything observable about one protocol round."""
+class RoundRecord(NamedTuple):
+    """Everything observable about one protocol round; None where not applicable."""
 
     round_index: int
     original_kind: BellKind
@@ -203,10 +205,12 @@ class MaskRecord:
     bob_masks: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
-    variant: Variant
-    rounds: list[RoundRecord]
+    """One run's rounds, then the published masks and TP's comparison values
+    (both None when the run aborted)."""
+
+    rounds: tuple[RoundRecord, ...]
     masks: MaskRecord | None = None
     r_values: tuple[int, ...] | None = None
 
@@ -259,60 +263,8 @@ def compute_mask_improved(k_bit: int, ra_bit: int, x_bit: int, ma_bit: int) -> i
 _CTRL, _CALCULATE, _DETECT = Choice.CTRL, Choice.SIFT_CALCULATE, Choice.SIFT_DETECT
 _TO_ALICE, _TO_BOB, _FROM_ALICE, _FROM_BOB = Leg
 _BELL_KINDS = tuple(BellKind)
-
-
-class _Party:
-    """Per-participant protocol state: key material, calculate count, masks."""
-
-    def __init__(
-        self,
-        secret: tuple[int, ...],
-        raw_key: tuple[int, ...],
-        shared_key: tuple[int, ...],
-        variant: Variant,
-        sim: Simulator,
-        rng: np.random.Generator,
-    ):
-        self.secret = secret
-        self.raw_key = raw_key
-        self.shared_key = shared_key
-        self.length = len(secret)
-        self.jiang = variant is Variant.JIANG
-        self.sim = sim
-        self.rng = rng
-        self.calc_count = 0
-        self.masks: list[int] = []  # improved variant, ordinals 1..L
-
-    def sift(
-        self, choice: Choice, received: QubitHandle
-    ) -> tuple[QubitHandle, int | None, int | None]:
-        """Perform a SIFT choice; returns (outgoing qubit, ordinal, trap bit)."""
-        if choice is _DETECT:
-            trap = int(self.rng.integers(2))
-            return self.sim.prepare_basis(trap), None, trap
-        # SIFT(calculate). The jiang variant discards the received qubit and
-        # encodes from key material; the improved variant measures it.
-        self.calc_count += 1
-        j = self.calc_count
-        if self.jiang:
-            if j <= self.length:
-                bit = compute_ma_jiang(
-                    self.shared_key[j - 1], self.raw_key[j - 1], self.secret[j - 1]
-                )
-            else:
-                bit = int(self.rng.integers(2))  # filler past the comparison length
-        else:
-            bit = self.sim.measure_z(received)
-            if j <= self.length:
-                self.masks.append(
-                    compute_mask_improved(
-                        self.shared_key[j - 1],
-                        self.raw_key[j - 1],
-                        self.secret[j - 1],
-                        bit,
-                    )
-                )
-        return self.sim.prepare_basis(bit), j, None
+# Builds a record without the Python-level NamedTuple constructor.
+_tuple_new = tuple.__new__
 
 
 def run_protocol(
@@ -329,123 +281,135 @@ def run_protocol(
     channel draws on the forward legs, Alice's choice and SIFT operation,
     then Bob's. `channel` is any object with the channel interface (see the
     module docstring); None means an untouched channel, and no transmit call
-    is made.
+    is made. Every record is built once: TP's pass makes each round's
+    `RoundRecord` from the played round, and the `Transcript` comes last.
     """
     if not isinstance(variant, Variant):
         raise ValidationError(f"variant must be a Variant, got {variant!r}")
     rng = np.random.default_rng(seed)
     sim = Simulator(rng)
     L = len(cfg.x)
-    alice = _Party(cfg.x, cfg.ra, cfg.k, variant, sim, rng)
-    bob = _Party(cfg.y, cfg.rb, cfg.k, variant, sim, rng)
-
     transmit = None
-    alice_choices: list[Choice] = []
     if channel is not None:
         channel.bind(sim, rng, variant, cfg.k)
         transmit = channel.transmit
 
-    integers, random, prepare_bell = rng.integers, rng.random, sim.prepare_bell
+    integers, random = rng.integers, rng.random
+    prepare_bell, prepare_basis = sim.prepare_bell, sim.prepare_basis
+    measure_z, measure_bell = sim.measure_z, sim.measure_bell
     improved = variant is Variant.IMPROVED
     p_ctrl, p_detect = cfg.p_ctrl, cfg.p_detect
-    records: list[RoundRecord] = []
-    returned: list[tuple[QubitHandle, QubitHandle]] = []
+    # Per side (0 Alice, 1 Bob): the bits sent on its SIFT(calculate) rounds.
+    sent: tuple[list[int], list[int]] = ([], [])
+    encoded = () if improved else (  # jiang: each side's L encoded bits
+        tuple(map(compute_ma_jiang, cfg.k, cfg.ra, cfg.x)),
+        tuple(map(compute_ma_jiang, cfg.k, cfg.rb, cfg.y)),
+    )
 
+    def sift(side: int, received: QubitHandle):
+        """A SIFT by `side`: (choice, outgoing qubit, ordinal, trap bit)."""
+        if improved and random() < p_detect:
+            trap = int(integers(2))
+            return _DETECT, prepare_basis(trap), None, trap
+        # SIFT(calculate). The jiang variant discards the received qubit and
+        # encodes from key material; the improved variant measures it.
+        bits = sent[side]
+        if improved:
+            bit = measure_z(received)
+        elif len(bits) < L:
+            bit = encoded[side][len(bits)]
+        else:
+            bit = int(integers(2))  # filler past the comparison length
+        bits.append(bit)
+        return _CALCULATE, prepare_basis(bit), len(bits), None
+
+    played = []  # (round, kind, choices, ordinals, traps, returned qubits)
     for i in range(cfg.num_rounds):
         kind = _BELL_KINDS[int(integers(4))]
         half_a, half_b = prepare_bell(kind)
         if transmit is not None:
             half_a = transmit(_TO_ALICE, i, half_a)
             half_b = transmit(_TO_BOB, i, half_b)
-
         if random() < p_ctrl:
             choice_a, out_a, ord_a, trap_a = _CTRL, half_a, None, None
         else:
-            choice_a = _DETECT if improved and random() < p_detect else _CALCULATE
-            out_a, ord_a, trap_a = alice.sift(choice_a, half_a)
+            choice_a, out_a, ord_a, trap_a = sift(0, half_a)
         if random() < p_ctrl:
             choice_b, out_b, ord_b, trap_b = _CTRL, half_b, None, None
         else:
-            choice_b = _DETECT if improved and random() < p_detect else _CALCULATE
-            out_b, ord_b, trap_b = bob.sift(choice_b, half_b)
-
+            choice_b, out_b, ord_b, trap_b = sift(1, half_b)
         if transmit is not None:
             out_a = transmit(_FROM_ALICE, i, out_a)
             out_b = transmit(_FROM_BOB, i, out_b)
-            alice_choices.append(choice_a)
-
-        # Positional, in field order; TP fills in ma, mb and its outcomes.
-        records.append(
-            RoundRecord(
-                i, kind, choice_a, choice_b, ord_a, ord_b, None, None, trap_a, trap_b
-            )
+        played.append(
+            (i, kind, choice_a, choice_b, ord_a, ord_b, trap_a, trap_b, out_a, out_b)
         )
-        returned.append((out_a, out_b))
 
     # Choices (and which SIFTs are detect) become public before TP measures.
     if channel is not None:
-        channel.observe_choices(alice_choices)
+        channel.observe_choices([play[2] for play in played])
 
     # TP dispatch: Bell-measure double-CTRL rounds, Z-measure every qubit a
     # SIFT participant sent; announce the trap results. Rounds are visited in
     # order, so calculate outcomes arrive in each participant's ordinal order.
-    measure_z, measure_bell = sim.measure_z, sim.measure_bell
-    ma_by_ordinal: list[int] = []
-    mb_by_ordinal: list[int] = []
+    records = []
+    ma_by_ordinal, mb_by_ordinal = [], []  # TP's calculate outcomes per side
     case1 = bell_errors = traps_a = traps_b = bad_a = bad_b = 0
-    for rec, (back_a, back_b) in zip(records, returned):
-        choice_a, choice_b = rec.alice_choice, rec.bob_choice
+    for i, kind, choice_a, choice_b, ord_a, ord_b, trap_a, trap_b, back_a, back_b in played:
+        ma = mb = tp_trap_a = tp_trap_b = bell = None
         if choice_a is _CTRL and choice_b is _CTRL:
-            rec.tp_bell_outcome = measure_bell(back_a, back_b)
+            bell = measure_bell(back_a, back_b)
             case1 += 1
-            bell_errors += rec.tp_bell_outcome != rec.original_kind
-            continue
-        if choice_a is _CALCULATE:
-            rec.ma = measure_z(back_a)
-            ma_by_ordinal.append(rec.ma)
-        elif choice_a is _DETECT:
-            rec.tp_trap_a = measure_z(back_a)
-            traps_a += 1
-            bad_a += rec.tp_trap_a != rec.trap_sent_a
-        if choice_b is _CALCULATE:
-            rec.mb = measure_z(back_b)
-            mb_by_ordinal.append(rec.mb)
-        elif choice_b is _DETECT:
-            rec.tp_trap_b = measure_z(back_b)
-            traps_b += 1
-            bad_b += rec.tp_trap_b != rec.trap_sent_b
-
-    transcript = Transcript(variant=variant, rounds=records)
+            bell_errors += bell != kind
+        else:
+            if choice_a is _CALCULATE:
+                ma = measure_z(back_a)
+                ma_by_ordinal.append(ma)
+            elif choice_a is _DETECT:
+                tp_trap_a = measure_z(back_a)
+                traps_a += 1
+                bad_a += tp_trap_a != trap_a
+            if choice_b is _CALCULATE:
+                mb = measure_z(back_b)
+                mb_by_ordinal.append(mb)
+            elif choice_b is _DETECT:
+                tp_trap_b = measure_z(back_b)
+                traps_b += 1
+                bad_b += tp_trap_b != trap_b
+        records.append(_tuple_new(RoundRecord, (
+            i, kind, choice_a, choice_b, ord_a, ord_b, ma, mb, trap_a, trap_b,
+            tp_trap_a, tp_trap_b, bell,
+        )))
 
     # Integrity checks, Bell then traps; an error-free check passes, even an empty one.
+    masks = r_values = None
     if bell_errors and bell_errors / case1 > cfg.threshold:
         outcome = ComparisonOutcome(None, abort_reason=AbortReason.BELL_CHECK_FAILED)
-    elif variant is Variant.IMPROVED and (
+    elif improved and (
         bad_a and bad_a / traps_a > cfg.threshold
         or bad_b and bad_b / traps_b > cfg.threshold
     ):
         outcome = ComparisonOutcome(None, abort_reason=AbortReason.TRAP_CHECK_FAILED)
-    elif alice.calc_count < L or bob.calc_count < L:
+    elif len(sent[0]) < L or len(sent[1]) < L:
         outcome = ComparisonOutcome(None, abort_reason=AbortReason.INSUFFICIENT_ROUNDS)
     else:
-        # Final step: participants publish (raw keys in jiang, XOR masks in
-        # improved), TP pairs ordinals and compares.
-        if variant is Variant.JIANG:
-            transcript.masks = MaskRecord(cfg.ra, cfg.rb)
+        # Final step: participants publish (raw keys in jiang, XOR masks over
+        # their first L calculate bits in improved), TP pairs ordinals and compares.
+        if improved:
+            masks = MaskRecord(
+                tuple(map(compute_mask_improved, cfg.k, cfg.ra, cfg.x, sent[0])),
+                tuple(map(compute_mask_improved, cfg.k, cfg.rb, cfg.y, sent[1])),
+            )
         else:
-            transcript.masks = MaskRecord(tuple(alice.masks), tuple(bob.masks))
+            masks = MaskRecord(cfg.ra, cfg.rb)
         if channel is not None:
-            channel.observe_publication(transcript.masks)
-        pub_a, pub_b = transcript.masks.alice_masks, transcript.masks.bob_masks
-        transcript.r_values = tuple(
-            compute_r(ma_by_ordinal[j], mb_by_ordinal[j], pub_a[j], pub_b[j])
-            for j in range(L)
+            channel.observe_publication(masks)
+        r_values = tuple(
+            map(compute_r, ma_by_ordinal, mb_by_ordinal, masks.alice_masks, masks.bob_masks)
         )
-        outcome = ComparisonOutcome(True)
-        for j, r in enumerate(transcript.r_values):
-            if r != 0:
-                outcome = ComparisonOutcome(False, first_differing_ordinal=j + 1)
-                break
+        first = next((j for j, r in enumerate(r_values, 1) if r), None)
+        outcome = ComparisonOutcome(first is None, first_differing_ordinal=first)
+    transcript = Transcript(tuple(records), masks, r_values)
 
     recovered = None
     if channel is not None and channel.recovered_secret is not None:

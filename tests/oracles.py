@@ -131,6 +131,73 @@ def detection_probability(
     return 1.0 - (1.0 - q / 2.0) ** (swapped_legs * rounds)
 
 
+# Case-1 errors as exact rationals; tests check each against the float
+# enumerations above.
+CASE1_ERROR = {
+    "participant-forward": Fraction(3, 4),
+    "intercept-resend": Fraction(3, 4),
+    "measure-resend": Fraction(1, 2),
+}
+# (Alice, Bob): legs whose genuine half comes back in place of the returned
+# qubit, so that in the improved protocol TP Z-measures it against a trap.
+SWAPPED_LEGS = {"outside": (True, True), "participant": (True, False)}
+
+
+class AbortLaw(NamedTuple):
+    detection: Fraction  # P(the Bell or trap check aborts)
+    abort: Fraction
+    insufficient_rounds: Fraction
+
+
+def abort_law(
+    protocol: str, attack: str, length: int, rounds: int, p_ctrl: float, p_detect: float
+) -> AbortLaw:
+    """Exact joint law of a trial's detection, abort and InsufficientRounds
+    at threshold 0, by a per-round dynamic program in rationals.
+
+    Each round both sides choose independently: CTRL with probability p_ctrl;
+    otherwise, in improved, SIFT(detect) with probability p_detect, else
+    SIFT(calculate). A double-CTRL round fires the Bell check with the
+    attack's case-1 error, and a trap on a swapped leg fires the trap check
+    with probability 1/2, independently per side. At threshold 0 any firing
+    aborts as a detection; otherwise the trial aborts with InsufficientRounds
+    when either side made fewer than `length` calculate rounds. The state is
+    (Alice's calculate count, Bob's, both capped at `length`) while no check
+    has fired; every fired state is one absorbing mass, since its counts no
+    longer matter. Rates enter as the rationals of their decimal strings.
+    """
+    p_ctrl, p_detect = Fraction(str(p_ctrl)), Fraction(str(p_detect))
+    detect = (1 - p_ctrl) * p_detect if protocol == "improved" else Fraction(0)
+    # per side: (choice, probability, calculate increment, P(trap check fires))
+    sides = [
+        [
+            ("ctrl", p_ctrl, 0, 0),
+            ("calculate", 1 - p_ctrl - detect, 1, 0),
+            ("detect", detect, 0, Fraction(1, 2) if swapped else 0),
+        ]
+        for swapped in SWAPPED_LEGS.get(attack, (False, False))
+    ]
+    case1_error = CASE1_ERROR.get(attack, Fraction(0))
+    fired = Fraction(0)
+    alive = {(0, 0): Fraction(1)}
+    for _ in range(rounds):
+        step: dict[tuple[int, int], Fraction] = {}
+        for (calc_a, calc_b), mass in alive.items():
+            for choice_a, p_a, inc_a, fire_a in sides[0]:
+                for choice_b, p_b, inc_b, fire_b in sides[1]:
+                    p = mass * p_a * p_b
+                    if choice_a == choice_b == "ctrl":
+                        fire = case1_error
+                    else:
+                        fire = 1 - (1 - fire_a) * (1 - fire_b)
+                    fired += p * fire
+                    state = (min(calc_a + inc_a, length), min(calc_b + inc_b, length))
+                    step[state] = step.get(state, 0) + p * (1 - fire)
+        alive = step
+    short = sum(m for (a, b), m in alive.items() if a < length or b < length)
+    return AbortLaw(fired, fired + short, Fraction(short))
+
+
 # Two-sided tail mass of a 5-sigma normal deviation, about 5.7e-7.
 TAIL = math.erfc(5.0 / math.sqrt(2.0))
 

@@ -1,4 +1,5 @@
 """Tests for the experiment runner, aggregation, and analytic oracles."""
+import json
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
@@ -19,7 +20,8 @@ from sqpclab.harness import (
     run_trial,
     tp_inference_test,
 )
-from sqpclab.protocol import ProtocolConfig
+from sqpclab.cli import emit_report
+from sqpclab.protocol import ProtocolConfig, Variant, run_protocol
 
 import oracles
 
@@ -178,7 +180,7 @@ def test_honest_experiment_rates():
     assert report.wrong_result_rate == 0.0
     assert report.case1_errors_total == 0
     assert report.secret_recovery_rate is None
-    assert report.detection_by_trap_count == []
+    assert report.detection_by_trap_count == ()
 
 
 def test_participant_experiment_recovers_and_stays_hidden():
@@ -207,7 +209,7 @@ def test_detection_table_structure():
     )
     report = run_experiment(spec)
     rows = report.detection_by_trap_count
-    assert rows == sorted(rows, key=lambda r: r.k)
+    assert list(rows) == sorted(rows, key=lambda r: r.k)
     assert sum(r.trials for r in rows) == report.trials
     for row in rows:
         assert row.predicted == 1.0 - 0.5**row.k
@@ -265,7 +267,6 @@ def test_aggregate_report_round_trip():
 
 # Faults of a report's shape rather than of a field's value.
 STRUCTURAL_FAULTS = {
-    ("spec",),
     ("detection_by_trap_count", 0),
     ("detection_by_trap_count", 0, "extra"),
 }
@@ -294,6 +295,8 @@ STRUCTURAL_FAULTS = {
         (("detection_by_trap_count", 0, "extra"), 1),
         (("spec", "trials"), -5),
         (("spec",), None),
+        (("detection_by_trap_count",), ["junk"]),
+        (("detection_by_trap_count",), None),
     ],
 )
 def test_aggregate_report_from_dict_validates(path, value):
@@ -303,7 +306,7 @@ def test_aggregate_report_from_dict_validates(path, value):
         protocol="improved", attack="outside", trials=60, secret_bits=2, seed=1
     )
     report = run_experiment(spec)
-    data = report.to_dict()
+    data = json.loads(emit_report(report, "json"))
     AggregateReport.from_dict(data)  # the untouched report loads
     target = data
     for key in path[:-1]:
@@ -321,13 +324,22 @@ def test_aggregate_report_from_dict_validates(path, value):
         replace(owner, **{name: value})
 
 
+@pytest.mark.parametrize("data", ["ab", [(1, 2, 3)]])
+def test_aggregate_report_from_dict_rejects_a_non_mapping(data):
+    with pytest.raises(ValidationError):
+        AggregateReport.from_dict(data)
+
+
 def test_checked_dataclasses_are_frozen():
-    """A checked config or report cannot be changed after its check."""
+    """A checked config or report, or a run's transcript, cannot be changed
+    after it is built."""
     report = run_experiment(
         ExperimentSpec(protocol="improved", attack="outside", trials=20, secret_bits=2)
     )
     cfg = ProtocolConfig((1,), (0,), (1,), (0,), (1,), num_rounds=4)
-    for record in (report.spec, cfg, report.detection_by_trap_count[0], report):
+    _, transcript, _ = run_protocol(Variant.IMPROVED, cfg, seed=0)
+    records = (report.spec, cfg, report.detection_by_trap_count[0], report, transcript)
+    for record in records:
         for f in fields(record):
             with pytest.raises(FrozenInstanceError):
                 setattr(record, f.name, getattr(record, f.name))
@@ -396,6 +408,63 @@ def test_unconditional_detection_rate_follows_exact_law(
     )
     detected = round(report.detection_rate * trials)
     assert min(oracles.binomial_tails(detected, trials, law)) >= oracles.TAIL / 2
+
+
+def test_case1_error_rationals_match_enumerations():
+    enumerated = {
+        "participant-forward": oracles.forward_only_case1_error(),
+        "intercept-resend": oracles.intercept_resend_case1_error(),
+        "measure-resend": oracles.measure_resend_case1_error(),
+    }
+    assert enumerated.keys() == oracles.CASE1_ERROR.keys()
+    for attack, error in oracles.CASE1_ERROR.items():
+        assert abs(float(error) - enumerated[attack]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    ("length", "factor", "p_ctrl", "p_detect"),
+    [(1, 3, 0.5, 0.5), (2, 2, 0.5, 0.5), (3, 3, 0.7, 0.3)],
+)
+@pytest.mark.parametrize("attack", list(ATTACKS))
+@pytest.mark.parametrize("protocol", ["jiang", "improved"])
+def test_abort_counts_follow_exact_joint_law(
+    protocol, attack, length, factor, p_ctrl, p_detect
+):
+    """At threshold 0 the detection, abort and InsufficientRounds counts of
+    every pair each fit the exact joint law within an exact two-sided binomial
+    tail of 5.7e-7. The law's detection marginal is the closed form, and where
+    nothing is detected its InsufficientRounds marginal is the shortfall tail."""
+    rounds = factor * length
+    law = oracles.abort_law(protocol, attack, length, rounds, p_ctrl, p_detect)
+    closed = oracles.detection_probability(protocol, attack, rounds, p_ctrl, p_detect)
+    assert abs(float(law.detection) - closed) < 1e-12
+    if not law.detection:
+        p_calc = 1 - Fraction(str(p_ctrl))
+        if protocol == "improved":
+            p_calc *= 1 - Fraction(str(p_detect))
+        shortfall = oracles.insufficient_rounds_probability(rounds, p_calc, length)
+        assert abs(float(law.insufficient_rounds) - shortfall) < 1e-12
+    trials = 400
+    report = run_experiment(
+        ExperimentSpec(
+            protocol=protocol,
+            attack=attack,
+            secret_bits=length,
+            rounds_factor=factor,
+            p_ctrl=p_ctrl,
+            p_detect=p_detect,
+            trials=trials,
+            seed=12,
+            threshold=0.0,
+        )
+    )
+    for rate, p in (
+        (report.detection_rate, law.detection),
+        (report.abort_rate, law.abort),
+        (report.insufficient_rounds_rate, law.insufficient_rounds),
+    ):
+        observed = round(rate * trials)
+        assert min(oracles.binomial_tails(observed, trials, float(p))) >= oracles.TAIL / 2
 
 
 def test_insufficient_rounds_are_not_detections():

@@ -12,6 +12,7 @@ from sqpclab.protocol import (
     Choice,
     Leg,
     ProtocolConfig,
+    RoundRecord,
     ValidationError,
     Variant,
     compute_ma_jiang,
@@ -300,6 +301,19 @@ def test_trap_mismatch_rate_against_maximally_mixed_half():
         mismatches += check.mismatches
     assert traps > 300
     assert abs(mismatches / traps - 0.5) < oracles.four_sigma(0.5, traps)
+
+
+def test_round_records_are_written_once():
+    """A run's rounds are a tuple of records, and no field of a record can be
+    assigned after the run built it."""
+    cfg = make_config((1, 0), (1, 1), seed=4)
+    for variant in Variant:
+        _, transcript, _ = run_protocol(variant, cfg, seed=8)
+        assert type(transcript.rounds) is tuple
+        for rec in transcript.rounds:
+            for name in RoundRecord._fields:
+                with pytest.raises(AttributeError):
+                    setattr(rec, name, getattr(rec, name))
 
 
 # -- determinism ----------------------------------------------------------------
