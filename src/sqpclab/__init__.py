@@ -38,7 +38,6 @@ from .harness import (
     AggregateReport,
     ExperimentSpec,
     run_experiment,
-    tp_inference_test,
 )
 
 __all__ = [
@@ -69,5 +68,4 @@ __all__ = [
     "make_strategy",
     "run_experiment",
     "run_protocol",
-    "tp_inference_test",
 ]

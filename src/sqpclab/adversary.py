@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+from .draws import Draws
 from .protocol import Choice, Leg, MaskRecord, ValidationError, Variant
 from .qsim import QubitHandle, Simulator
 
@@ -81,7 +80,7 @@ class ChannelStrategy:
         self._forged, self._measured = attack.forged, attack.measured
         self.shared_key: tuple[int, ...] | None = None
         self.sim: Simulator | None = None
-        self.rng: np.random.Generator | None = None
+        self.rng: Draws | None = None
         self.variant: Variant | None = None
         # return leg -> forward leg whose held genuine half it delivers
         self._swap = {
@@ -105,7 +104,7 @@ class ChannelStrategy:
         if leg in self._forged:
             key = (leg, round_index)
             self.held[key] = qubit
-            bit = self.fake_bits[key] = int(self.rng.integers(2))
+            bit = self.fake_bits[key] = self.rng.integers(2)
             return self.sim.prepare_basis(bit)
         if leg in self._measured:
             self.learned_bits[2 * round_index + (leg is _BOB)] = self.sim.measure_z(qubit)

@@ -1,0 +1,211 @@
+"""numpy's draws, replayed from raw PCG64 words.
+
+Every random decision of the lab is one of three numpy `Generator` calls,
+and each is a fixed function of the PCG64 bit generator's 64-bit output
+words w:
+
+    - ``random()`` takes one word: ``(w >> 11) * 2**-53``;
+    - ``integers(high)``, for a power of two ``high``, takes one 32-bit
+      half-word u: ``(u * high) >> 32`` (numpy's Lemire method never rejects
+      for such a range). A word gives its low half first; its high half is
+      kept for the next half-word draw, across `random()` calls too, as
+      numpy's ``next_uint32`` does;
+    - ``integers(0, 2, size=n)`` is n such half-word draws.
+
+`Draws` reads the words from a PCG64's ``random_raw`` a block at a time and
+serves these calls from them in plain Python, which costs a fraction of
+numpy's per-call dispatch and gives the same values in the same order.
+
+`pcg64_states` seeds PCG64 for consecutive indices i of
+``SeedSequence([seed, i])`` at once: the SeedSequence mixing runs in numpy
+uint32 arithmetic over the vector of indices, and PCG64's two-step seeding
+in Python ints.
+"""
+from __future__ import annotations
+
+import threading
+from itertools import islice
+from operator import length_hint
+
+import numpy as np
+
+_TO_UNIT = 2.0**-53
+_LOW32 = 0xFFFFFFFF
+# Ranges `integers` serves; 1 draws nothing, as in numpy.
+_POWERS_OF_TWO = frozenset(1 << k for k in range(1, 33))
+
+# Held while a stream with an origin sets its shared source and reads it.
+_SOURCE_LOCK = threading.Lock()
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# PCG64's 128-bit LCG multiplier.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+class Draws:
+    """A numpy `Generator`'s `random()`, `integers(high)` and bit blocks,
+    replayed from the raw words of a PCG64 bit generator.
+
+    Words are read `block` at a time, so the bit generator runs ahead of the
+    draws served. With `origin`, a PCG64 state dict, each read first sets
+    `source` to that state and advances it past the words read so far, under
+    one lock, so several streams, in any threads, may share one `source`.
+    `half` is a buffered half-word to serve first (-1 for none).
+    """
+
+    __slots__ = ("_source", "_origin", "_block", "_read", "_words", "_next", "_half")
+
+    def __init__(self, source, block: int = 256, origin: dict | None = None, half: int = -1):
+        self._source = source
+        self._origin = origin
+        self._block = block
+        self._read = 0
+        self._words = iter(())  # iterator over the words not yet served
+        self._next = self._words.__next__
+        self._half = half
+
+    def random(self) -> float:
+        """``Generator.random()``: a float in [0, 1) from one word."""
+        try:
+            return (self._next() >> 11) * _TO_UNIT
+        except StopIteration:
+            self._refill(1)
+            return (self._next() >> 11) * _TO_UNIT
+
+    def integers(self, high: int) -> int:
+        """``Generator.integers(high)`` for a power of two `high` <= 2**32."""
+        if high not in _POWERS_OF_TWO:
+            if high == 1:
+                return 0
+            raise ValueError(f"high must be a power of two up to 2**32, got {high!r}")
+        half = self._half
+        if half < 0:
+            try:
+                word = self._next()
+            except StopIteration:
+                self._refill(1)
+                word = self._next()
+            self._half = word >> 32
+            return ((word & _LOW32) * high) >> 32
+        self._half = -1
+        return (half * high) >> 32
+
+    def bits(self, n: int) -> list[int]:
+        """``Generator.integers(0, 2, size=n).tolist()``: n half-word draws."""
+        out = []
+        if n and self._half >= 0:
+            out.append(self._half >> 31)
+            self._half = -1
+            n -= 1
+        count = (n + 1) // 2
+        if length_hint(self._words) < count:
+            self._refill(count)
+        for word in islice(self._words, count):
+            out.append((word >> 31) & 1)
+            out.append(word >> 63)
+        if n % 2:
+            out.pop()
+            self._half = word >> 32
+        return out
+
+    def _refill(self, need: int) -> None:
+        """Read at least `need` more words, served after the unserved ones."""
+        count = max(need, self._block)
+        source = self._source
+        if self._origin is None:
+            raw = source.random_raw(count)
+        else:
+            with _SOURCE_LOCK:
+                source.state = self._origin
+                if self._read:
+                    source.advance(self._read)
+                raw = source.random_raw(count)
+        self._read += count
+        words = [*self._words, *raw.tolist()]
+        self._words = iter(words)
+        self._next = self._words.__next__
+
+
+def as_draws(seed) -> Draws:
+    """The draw stream of a library seed: a `Draws` as is, the bit generator
+    of a `Generator` (starting from its buffered half-word, which is taken
+    from it), or a fresh PCG64 for an int or None, as `default_rng` seeds it.
+
+    A `Generator` is read ahead a block of words at a time, so its state
+    after the run depends on that block size; only PCG64 can be replayed.
+    """
+    if isinstance(seed, Draws):
+        return seed
+    if isinstance(seed, np.random.Generator):
+        source = seed.bit_generator
+        if not isinstance(source, np.random.PCG64):
+            raise TypeError(f"draws are replayed from PCG64 only, got {source!r}")
+        state = source.state
+        half = -1
+        if state["has_uint32"]:
+            half = state["uinteger"]
+            source.state = {**state, "has_uint32": 0, "uinteger": 0}
+        return Draws(source, half=half)
+    return Draws(np.random.PCG64(seed))
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash step over uint32 arrays, with its running constant."""
+
+    def step(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _LOW32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return step
+
+
+def pcg64_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
+    """PCG64's (state, inc) for ``SeedSequence([seed, i])``, i from `first`
+    to `first + count - 1`, all below 2**32 (one entropy word each)."""
+    if first < 0 or first + count > 1 << 32:
+        raise ValueError("trial indices must lie in [0, 2**32)")
+    # The entropy words, as SeedSequence coerces [seed, i]: seed's 32-bit
+    # words, least significant first, then i.
+    words = [
+        np.full(count, seed >> shift & _LOW32, dtype=np.uint32)
+        for shift in range(0, max(seed.bit_length(), 1), 32)
+    ]
+    words.append(np.arange(first, first + count, dtype=np.uint32))
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): eight uint32 outputs, paired low word first,
+    # give PCG64's seed (two words) and stream (two words), high word first.
+    output = _hasher(_INIT_B, _MULT_B)
+    out = [output(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    words64 = [(out[k] | out[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)]
+    states = []
+    for seed_high, seed_low, inc_high, inc_low in zip(*words64):
+        # PCG64's seeding: inc from the stream, then two LCG steps around
+        # adding the seed to the state.
+        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+        state = ((inc + (seed_high << 64 | seed_low)) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states

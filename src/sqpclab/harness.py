@@ -1,17 +1,21 @@
 """Monte Carlo experiment runner and the attacks' detection model.
 
 An experiment is T independent protocol runs under one configuration.
-Trial i draws its generator from ``np.random.SeedSequence([seed, i])``;
-that mixing rule is part of the report contract, so identical specs give
-bit-identical reports. Within a trial the draw order is fixed: shared key,
-Alice raw key, Bob raw key, secrets, then the protocol run itself.
+Trial i draws what ``default_rng(np.random.SeedSequence([seed, i]))`` would
+draw; that mixing rule is part of the report contract, so identical specs
+give bit-identical reports. The draws are replayed from the generator's
+raw PCG64 words by a `Draws` stream (see the draws module), and trials are
+seeded SEED_BLOCK at a time, with the SeedSequence mixing vectorized over
+their indices; both give numpy's values exactly. Within a trial the draw
+order is fixed: shared key, Alice raw key, Bob raw key, secrets, then the
+protocol run itself.
 
 Draw layout: K, RA, RB and the drawn secrets (x, then y unless the mode is
-equal; none in explicit mode) come from one ``integers(0, 2, size=n*L)``
-call, sliced in that order; an unequal-mode redraw of y follows as a call
-of its own. Each bounded bit consumes exactly one 32-bit draw from the
-generator, whose unused half-words carry over between calls, so one call
-of n*L bits yields the same bits and leaves the same state as n calls of L.
+equal; none in explicit mode) come from one ``bits(n*L)`` call, numpy's
+``integers(0, 2, size=n*L)``, sliced in that order; an unequal-mode redraw
+of y follows as a call of its own. Each bit consumes exactly one 32-bit
+half-word, and unused half-words carry over between calls, so one call of
+n*L bits yields the same bits and leaves the same state as n calls of L.
 
 Aggregation streams: `run_experiment` folds each trial's `TrialReport` into
 integer `TrialCounts` as the trial finishes, and `aggregate` turns those
@@ -35,7 +39,9 @@ from functools import lru_cache
 import numpy as np
 
 from .adversary import ATTACKS, make_strategy
+from .draws import Draws, pcg64_states
 from .protocol import (
+    WORDS_PER_ROUND,
     AbortReason,
     Leg,
     ProtocolConfig,
@@ -231,22 +237,55 @@ def detection_model(variant: Variant, attack: str):
 # -- experiment execution ------------------------------------------------------
 
 
-def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
-    """The documented per-trial stream: SeedSequence([seed, trial_index])."""
-    return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
+# Trials run in order are seeded SEED_BLOCK consecutive indices at a time.
+# The one block kept holds its seed, its first index, each trial's PCG64
+# (state, inc), the PCG64 that a trial's state is set on, and the (seed,
+# index) of the last stream served. Every entry is a pure function of
+# (seed, index), so the block never changes a stream, and its size, not T,
+# bounds its memory.
+SEED_BLOCK = 256
+_seed_block: tuple = (None, 0, (), None, None)
 
 
-def _random_bits(rng: np.random.Generator, n: int) -> tuple[int, ...]:
-    return tuple(int(b) for b in rng.integers(0, 2, size=n))
+def trial_rng(seed: int, trial_index: int, words: int = 256) -> Draws:
+    """The documented per-trial stream: numpy's draws from
+    ``default_rng(SeedSequence([seed, trial_index]))``, replayed by a `Draws`.
+
+    The first `words` raw words are read on the first draw and more as
+    needed, so `words` never changes a draw. The index right after the last
+    one served starts a new seed block; any other index outside the block,
+    and every index of 2**32 and above (two SeedSequence entropy words), is
+    seeded alone, which costs less than a block for one trial.
+    """
+    global _seed_block
+    block_seed, first, states, source, last = _seed_block
+    offset = trial_index - first
+    if block_seed != seed or not 0 <= offset < len(states):
+        if last != (seed, trial_index - 1) or trial_index >= 1 << 32:
+            _seed_block = (block_seed, first, states, source, (seed, trial_index))
+            return Draws(np.random.PCG64(np.random.SeedSequence([seed, trial_index])), words)
+        states = pcg64_states(seed, trial_index, min(SEED_BLOCK, (1 << 32) - trial_index))
+        source = source or np.random.PCG64(0)
+        first, offset = trial_index, 0
+    _seed_block = (seed, first, states, source, (seed, trial_index))
+    state, inc = states[offset]
+    origin = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return Draws(source, words, origin)
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
     """One protocol run under the experiment configuration."""
-    rng = trial_rng(spec.seed, trial_index)
     L = spec.secret_bits
     explicit = spec.explicit_secrets()
     n = 3 if explicit is not None else 4 if spec.secrets == "equal" else 5
-    bits = rng.integers(0, 2, size=n * L).tolist()
+    num_rounds = spec.num_rounds()
+    rng = trial_rng(spec.seed, trial_index, (n * L + 1) // 2 + WORDS_PER_ROUND * num_rounds)
+    bits = rng.bits(n * L)
     k, ra, rb, *drawn = (tuple(bits[j : j + L]) for j in range(0, n * L, L))
     if explicit is not None:
         x, y = explicit
@@ -255,13 +294,12 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
     else:
         x, y = drawn
         while spec.secrets == "unequal" and y == x:
-            y = _random_bits(rng, L)
+            y = tuple(rng.bits(L))
     cfg = ProtocolConfig(
-        x, y, k, ra, rb, spec.num_rounds(), spec.p_ctrl, spec.p_detect, spec.threshold
+        x, y, k, ra, rb, num_rounds, spec.p_ctrl, spec.p_detect, spec.threshold
     )
     strategy = make_strategy(spec.attack)
-    _, _, report = run_protocol(Variant(spec.protocol), cfg, strategy, rng)
-    return report
+    return run_protocol(Variant(spec.protocol), cfg, strategy, rng)[2]
 
 
 @dataclass
@@ -337,47 +375,3 @@ def aggregate(spec: ExperimentSpec, counts: TrialCounts) -> AggregateReport:
         ),
         detection_by_trap_count=tuple(table),
     )
-
-
-# -- semi-honest TP leakage ----------------------------------------------------
-
-
-def tp_inference_test(length: int, public_key: bool = False) -> float:
-    """Max deviation of TP's posterior over any secret bit from uniform.
-
-    Exhausts every assignment of the shared key, both secrets, both raw keys,
-    and both measured bit vectors for an honest improved-variant run with
-    `length` calculate ordinals per side, groups assignments by what TP can
-    see (measured bits and published masks), and returns the largest
-    |P(x_j = 1 | view) - 1/2| over all views and positions. With the shared
-    key hidden this is exactly 0; `public_key=True` models a leaked key and
-    drives the deviation to 1/2.
-    """
-    if not 1 <= length <= 3:
-        raise ValueError("enumeration is sized for lengths 1..3")
-    dim = 1 << length
-    shape_axes = []
-    for axis in range(7):
-        shape = [1] * 7
-        shape[axis] = dim
-        shape_axes.append(np.arange(dim, dtype=np.int64).reshape(shape))
-    key, x, y, ra, rb, ma, mb = shape_axes
-
-    mask_a = key ^ x ^ ma  # == ra ^ ra', the ra terms cancel
-    mask_b = key ^ y ^ mb
-    view = ma + dim * (mb + dim * (mask_a + dim * mask_b))
-    if public_key:
-        view = view + dim**4 * key
-    # ra/rb never enter the view: they only scale every cell uniformly.
-    view_flat = np.broadcast_to(view, (dim,) * 7).ravel()
-    num_views = dim**4 * (dim if public_key else 1)
-
-    totals = np.bincount(view_flat, minlength=num_views)
-    worst = 0.0
-    for j in range(length):
-        bit = np.broadcast_to((x >> j) & 1, (dim,) * 7).ravel()
-        ones = np.bincount(view_flat, weights=bit.astype(float), minlength=num_views)
-        occupied = totals > 0
-        posterior = ones[occupied] / totals[occupied]
-        worst = max(worst, float(np.abs(posterior - 0.5).max()))
-    return worst

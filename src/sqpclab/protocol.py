@@ -29,7 +29,8 @@ pass writes each round's `RoundRecord`, an immutable named tuple, once; the
 frozen `Transcript` holds them with the published masks and r values.
 
 Channel interface: `run_protocol` drives any object with
-`bind(sim, rng, variant, shared_key)`,
+`bind(sim, rng, variant, shared_key)` (`rng` is the run's draw stream, a
+`Draws`),
 `transmit(leg, round_index, qubit) -> QubitHandle`,
 `observe_choices(alice_choices)`, `observe_publication(MaskRecord)` and a
 `recovered_secret` attribute (None, or the secret bits it decoded). The
@@ -51,6 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .draws import Draws, as_draws
 from .qsim import BellKind, QubitHandle, Simulator
 
 
@@ -215,9 +217,8 @@ class Transcript:
     r_values: tuple[int, ...] | None = None
 
 
-@dataclass
-class TrialReport:
-    """Outcome summary of one full protocol execution."""
+class TrialReport(NamedTuple):
+    """Outcome summary of one full protocol execution, built once per run."""
 
     outcome: ComparisonOutcome
     verdict_correct: bool | None  # None when aborted
@@ -266,18 +267,26 @@ _BELL_KINDS = tuple(BellKind)
 # Builds a record without the Python-level NamedTuple constructor.
 _tuple_new = tuple.__new__
 
+# Raw words a trial reads up front per round (after its key and secret bits):
+# every pair uses 4.0 to 7.5 on average, and a trial that needs more reads
+# more, so this sizes a read and never changes a draw.
+WORDS_PER_ROUND = 8
+
 
 def run_protocol(
     variant: Variant,
     cfg: ProtocolConfig,
     channel=None,
-    seed: int | np.random.Generator | None = None,
+    seed: int | np.random.Generator | Draws | None = None,
 ) -> tuple[ComparisonOutcome, Transcript, TrialReport]:
     """Execute one full protocol run through an (optionally adversarial) channel.
 
-    A single RNG stream drives every random decision and measurement of the
-    run, so a seed fixes the whole transcript; a Generator passed as `seed`
-    is used as is. Each round draws, in order: the Bell kind, whatever the
+    A single draw stream drives every random decision and measurement of
+    the run, so a seed fixes the whole transcript. `seed` is an int, None, a
+    numpy Generator or a `Draws`; the draws are numpy's, replayed from raw
+    PCG64 words (see `draws.as_draws`), and a Generator is read ahead in
+    blocks, so its state after the run is not pinned. The channel shares
+    the stream. Each round draws, in order: the Bell kind, whatever the
     channel draws on the forward legs, Alice's choice and SIFT operation,
     then Bob's. `channel` is any object with the channel interface (see the
     module docstring); None means an untouched channel, and no transmit call
@@ -286,7 +295,7 @@ def run_protocol(
     """
     if not isinstance(variant, Variant):
         raise ValidationError(f"variant must be a Variant, got {variant!r}")
-    rng = np.random.default_rng(seed)
+    rng = as_draws(seed)
     sim = Simulator(rng)
     L = len(cfg.x)
     transmit = None
@@ -309,7 +318,7 @@ def run_protocol(
     def sift(side: int, received: QubitHandle):
         """A SIFT by `side`: (choice, outgoing qubit, ordinal, trap bit)."""
         if improved and random() < p_detect:
-            trap = int(integers(2))
+            trap = integers(2)
             return _DETECT, prepare_basis(trap), None, trap
         # SIFT(calculate). The jiang variant discards the received qubit and
         # encodes from key material; the improved variant measures it.
@@ -319,13 +328,13 @@ def run_protocol(
         elif len(bits) < L:
             bit = encoded[side][len(bits)]
         else:
-            bit = int(integers(2))  # filler past the comparison length
+            bit = integers(2)  # filler past the comparison length
         bits.append(bit)
         return _CALCULATE, prepare_basis(bit), len(bits), None
 
     played = []  # (round, kind, choices, ordinals, traps, returned qubits)
     for i in range(cfg.num_rounds):
-        kind = _BELL_KINDS[int(integers(4))]
+        kind = _BELL_KINDS[integers(4)]
         half_a, half_b = prepare_bell(kind)
         if transmit is not None:
             half_a = transmit(_TO_ALICE, i, half_a)
@@ -415,13 +424,13 @@ def run_protocol(
     if channel is not None and channel.recovered_secret is not None:
         recovered = channel.recovered_secret == cfg.x
     truth = cfg.x == cfg.y
-    return outcome, transcript, TrialReport(
-        outcome=outcome,
-        verdict_correct=None if outcome.aborted else outcome.equal == truth,
-        n=traps_a,
-        m=traps_b,
-        case1_rounds=case1,
-        case1_errors=bell_errors,
-        trap_mismatches=bad_a + bad_b,
-        adversary_recovered_secret_correct=recovered,
-    )
+    return outcome, transcript, _tuple_new(TrialReport, (
+        outcome,
+        None if outcome.aborted else outcome.equal == truth,
+        traps_a,
+        traps_b,
+        case1,
+        bell_errors,
+        bad_a + bad_b,
+        recovered,
+    ))

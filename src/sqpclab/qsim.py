@@ -8,7 +8,10 @@ Conventions:
     - Amplitude index bit k (most significant first) is register qubit k,
       so a 2-qubit register orders its amplitudes as |00>, |01>, |10>, |11>.
     - All measurement randomness comes from a single stream owned by the
-      Simulator; each projection consumes exactly one uniform draw.
+      Simulator; each projection consumes exactly one uniform draw. The
+      stream is a `Draws` (see the draws module): numpy's `random()`,
+      replayed from raw PCG64 words, so the outcomes are those a numpy
+      Generator with the same seed would give.
     - Measured qubits stay in their register, collapsed. Custody of qubits
       is the caller's bookkeeping; handles stay valid across merges.
     - A Simulator keeps every register it made until it is discarded, one
@@ -30,6 +33,8 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+
+from .draws import Draws, as_draws
 
 MAX_REGISTER_QUBITS = 4
 
@@ -221,11 +226,14 @@ class Simulator:
     """Owner of all registers and of the single measurement-outcome stream.
 
     One Simulator per protocol run; identical seed and operation sequence
-    reproduce identical outcomes. A Generator passed as `seed` is used as is.
+    reproduce identical outcomes. `seed` is an int, None, a numpy Generator
+    or a `Draws` (see `draws.as_draws`): a Draws is used as is, and a
+    Generator is read ahead a block of raw words at a time, so its state
+    after the run is not pinned.
     """
 
-    def __init__(self, seed: int | np.random.Generator | None = None):
-        self._rng = np.random.default_rng(seed)
+    def __init__(self, seed: int | np.random.Generator | Draws | None = None):
+        self._rng = as_draws(seed)
         self._registers: dict[int, _State] = {}
         # old register id -> (surviving register id, qubit index offset)
         self._forwards: dict[int, tuple[int, int]] = {}

@@ -273,3 +273,44 @@ def recount_checks(rounds) -> CheckCounts:
 def four_sigma(p: float, n: int) -> float:
     """Width of the 4-standard-deviation binomial band around p."""
     return 4.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+def tp_inference_test(length: int, public_key: bool = False) -> float:
+    """Max deviation of TP's posterior over any secret bit from uniform.
+
+    Exhausts every assignment of the shared key, both secrets, both raw keys,
+    and both measured bit vectors for an honest improved-variant run with
+    `length` calculate ordinals per side, groups assignments by what TP can
+    see (measured bits and published masks), and returns the largest
+    |P(x_j = 1 | view) - 1/2| over all views and positions. With the shared
+    key hidden this is exactly 0; `public_key=True` models a leaked key and
+    drives the deviation to 1/2.
+    """
+    if not 1 <= length <= 3:
+        raise ValueError("enumeration is sized for lengths 1..3")
+    dim = 1 << length
+    shape_axes = []
+    for axis in range(7):
+        shape = [1] * 7
+        shape[axis] = dim
+        shape_axes.append(np.arange(dim, dtype=np.int64).reshape(shape))
+    key, x, y, ra, rb, ma, mb = shape_axes
+
+    mask_a = key ^ x ^ ma  # == ra ^ ra', the ra terms cancel
+    mask_b = key ^ y ^ mb
+    view = ma + dim * (mb + dim * (mask_a + dim * mask_b))
+    if public_key:
+        view = view + dim**4 * key
+    # ra/rb never enter the view: they only scale every cell uniformly.
+    view_flat = np.broadcast_to(view, (dim,) * 7).ravel()
+    num_views = dim**4 * (dim if public_key else 1)
+
+    totals = np.bincount(view_flat, minlength=num_views)
+    worst = 0.0
+    for j in range(length):
+        bit = np.broadcast_to((x >> j) & 1, (dim,) * 7).ravel()
+        ones = np.bincount(view_flat, weights=bit.astype(float), minlength=num_views)
+        occupied = totals > 0
+        posterior = ones[occupied] / totals[occupied]
+        worst = max(worst, float(np.abs(posterior - 0.5).max()))
+    return worst

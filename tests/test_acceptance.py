@@ -16,7 +16,6 @@ from sqpclab.harness import (
     DEFAULT_ROUNDS_FACTOR,
     ExperimentSpec,
     run_experiment,
-    tp_inference_test,
 )
 from sqpclab.protocol import (
     ProtocolConfig,
@@ -228,10 +227,10 @@ def test_criterion_07_resend_attacks(attack, error_rate):
 def test_criterion_08_semi_honest_tp_leakage():
     failures = []
     for L in (1, 2, 3):
-        deviation = tp_inference_test(L)
+        deviation = oracles.tp_inference_test(L)
         if deviation != 0.0:
             failures.append(f"L={L}: posterior deviation {deviation}")
-    if tp_inference_test(2, public_key=True) != 0.5:
+    if oracles.tp_inference_test(2, public_key=True) != 0.5:
         failures.append("degenerate check: public key should pin the secret")
     _finish(8, "TP's view leaves every secret bit exactly uniform", failures)
 

@@ -18,7 +18,6 @@ from sqpclab.harness import (
     bits_from_hex,
     run_experiment,
     run_trial,
-    tp_inference_test,
 )
 from sqpclab.cli import emit_report
 from sqpclab.protocol import ProtocolConfig, Variant, run_protocol
@@ -481,15 +480,15 @@ def test_insufficient_rounds_are_not_detections():
 
 
 def test_tp_inference_deviation_is_zero():
-    assert tp_inference_test(1) == 0.0
-    assert tp_inference_test(2) == 0.0
+    assert oracles.tp_inference_test(1) == 0.0
+    assert oracles.tp_inference_test(2) == 0.0
 
 
 def test_tp_inference_with_public_key_pins_the_secret():
-    assert tp_inference_test(1, public_key=True) == 0.5
-    assert tp_inference_test(2, public_key=True) == 0.5
+    assert oracles.tp_inference_test(1, public_key=True) == 0.5
+    assert oracles.tp_inference_test(2, public_key=True) == 0.5
 
 
 def test_tp_inference_rejects_oversized_enumeration():
     with pytest.raises(ValueError):
-        tp_inference_test(5)
+        oracles.tp_inference_test(5)

@@ -10,9 +10,11 @@ from sqpclab.qsim import BellKind
 from sqpclab.protocol import (
     AbortReason,
     Choice,
+    ComparisonOutcome,
     Leg,
     ProtocolConfig,
     RoundRecord,
+    TrialReport,
     ValidationError,
     Variant,
     compute_ma_jiang,
@@ -314,6 +316,23 @@ def test_round_records_are_written_once():
             for name in RoundRecord._fields:
                 with pytest.raises(AttributeError):
                     setattr(rec, name, getattr(rec, name))
+
+
+def test_trial_report_is_written_once():
+    """A run's `TrialReport` is a named tuple: no field can be assigned, and
+    `detected` still reads the abort reason."""
+    cfg = make_config((1, 0), (1, 1), seed=4)
+    for variant in Variant:
+        outcome, _, report = run_protocol(variant, cfg, seed=8)
+        assert report.outcome is outcome
+        for name in TrialReport._fields:
+            with pytest.raises(AttributeError):
+                setattr(report, name, getattr(report, name))
+        with pytest.raises(AttributeError):
+            report.n = -1
+        assert report.detected is False
+    bell_abort = ComparisonOutcome(None, abort_reason=AbortReason.BELL_CHECK_FAILED)
+    assert report._replace(outcome=bell_abort).detected is True
 
 
 # -- determinism ----------------------------------------------------------------
