@@ -4,6 +4,8 @@ Two protocol variants (`jiang` and `improved`), the channel attacks against
 them, an exact small-register quantum simulator underneath, and a Monte
 Carlo harness that checks the analytic detection and leakage claims.
 """
+from types import ModuleType as _ModuleType
+
 from .qsim import (
     BellKind,
     CapacityExceeded,
@@ -40,32 +42,8 @@ from .harness import (
     run_experiment,
 )
 
-__all__ = [
-    "AbortReason",
-    "AggregateReport",
-    "BellKind",
-    "CapacityExceeded",
-    "ChannelStrategy",
-    "Choice",
-    "ComparisonOutcome",
-    "ExperimentSpec",
-    "InvalidHandle",
-    "Leg",
-    "MaskRecord",
-    "ProtocolConfig",
-    "QsimError",
-    "QubitHandle",
-    "RoundRecord",
-    "SameRegister",
-    "Simulator",
-    "Transcript",
-    "TrialReport",
-    "ValidationError",
-    "Variant",
-    "compute_ma_jiang",
-    "compute_mask_improved",
-    "compute_r",
-    "make_strategy",
-    "run_experiment",
-    "run_protocol",
-]
+# Every name imported above, and nothing else, is public.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

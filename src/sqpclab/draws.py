@@ -17,9 +17,9 @@ serves these calls from them in plain Python, which costs a fraction of
 numpy's per-call dispatch and gives the same values in the same order.
 
 `pcg64_states` seeds PCG64 for consecutive indices i of
-``SeedSequence([seed, i])`` at once: the SeedSequence mixing runs in numpy
-uint32 arithmetic over the vector of indices, and PCG64's two-step seeding
-in Python ints.
+``SeedSequence([seed, i])`` at once, for indices that differ only in their
+low 32 bits: the SeedSequence mixing runs in numpy uint32 arithmetic over
+the vector of indices, and PCG64's two-step seeding in Python ints.
 """
 from __future__ import annotations
 
@@ -168,18 +168,27 @@ def _hasher(const: int, mult: int):
     return step
 
 
+def _words32(value: int, count: int) -> list[np.ndarray]:
+    """`value`'s 32-bit words, least significant first, each repeated
+    `count` times; as SeedSequence coerces an int, 0 has one word."""
+    return [
+        np.full(count, value >> shift & _LOW32, dtype=np.uint32)
+        for shift in range(0, max(value.bit_length(), 1), 32)
+    ]
+
+
 def pcg64_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
     """PCG64's (state, inc) for ``SeedSequence([seed, i])``, i from `first`
-    to `first + count - 1`, all below 2**32 (one entropy word each)."""
-    if first < 0 or first + count > 1 << 32:
-        raise ValueError("trial indices must lie in [0, 2**32)")
+    to `first + count - 1`, which must share their bits above the low 32."""
+    high = first >> 32
+    if first < 0 or (first + count - 1) >> 32 != high:
+        raise ValueError("trial indices must be non-negative and share their high words")
     # The entropy words, as SeedSequence coerces [seed, i]: seed's 32-bit
-    # words, least significant first, then i.
-    words = [
-        np.full(count, seed >> shift & _LOW32, dtype=np.uint32)
-        for shift in range(0, max(seed.bit_length(), 1), 32)
-    ]
-    words.append(np.arange(first, first + count, dtype=np.uint32))
+    # words, least significant first, then i's.
+    words = _words32(seed, count)
+    words.append(np.arange(first & _LOW32, (first & _LOW32) + count, dtype=np.uint32))
+    if high:
+        words += _words32(high, count)
 
     def mix(x, y):
         result = _MIX_MULT_L * x - _MIX_MULT_R * y

@@ -5,10 +5,10 @@ Trial i draws what ``default_rng(np.random.SeedSequence([seed, i]))`` would
 draw; that mixing rule is part of the report contract, so identical specs
 give bit-identical reports. The draws are replayed from the generator's
 raw PCG64 words by a `Draws` stream (see the draws module), and trials are
-seeded SEED_BLOCK at a time, with the SeedSequence mixing vectorized over
-their indices; both give numpy's values exactly. Within a trial the draw
-order is fixed: shared key, Alice raw key, Bob raw key, secrets, then the
-protocol run itself.
+seeded in aligned blocks of SEED_BLOCK indices, with the SeedSequence
+mixing vectorized over a block's indices; both give numpy's values exactly.
+Within a trial the draw order is fixed: shared key, Alice raw key, Bob raw
+key, secrets, then the protocol run itself.
 
 Draw layout: K, RA, RB and the drawn secrets (x, then y unless the mode is
 equal; none in explicit mode) come from one ``bits(n*L)`` call, numpy's
@@ -100,6 +100,9 @@ class ExperimentSpec:
         if self.protocol not in ("jiang", "improved"):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         check_fields(self, flags=True)
+        # jiang has no detection rounds, so only the default is accepted.
+        if self.protocol == "jiang" and self.p_detect != ExperimentSpec.p_detect:
+            raise ValidationError("--p-detect is not accepted for the jiang protocol")
         if self.attack not in ATTACKS:
             raise ValidationError(f"unknown attack {self.attack!r}")
         self.explicit_secrets()  # raises on malformed explicit values
@@ -237,14 +240,18 @@ def detection_model(variant: Variant, attack: str):
 # -- experiment execution ------------------------------------------------------
 
 
-# Trials run in order are seeded SEED_BLOCK consecutive indices at a time.
-# The one block kept holds its seed, its first index, each trial's PCG64
-# (state, inc), the PCG64 that a trial's state is set on, and the (seed,
-# index) of the last stream served. Every entry is a pure function of
-# (seed, index), so the block never changes a stream, and its size, not T,
-# bounds its memory.
+# Trials are seeded SEED_BLOCK consecutive indices at a time, in blocks that
+# start at a multiple of SEED_BLOCK, so a block never straddles 2**32. Each
+# block is a pure function of (seed, first index), so the one kept never
+# changes a stream, and its size, not T, bounds its memory.
 SEED_BLOCK = 256
-_seed_block: tuple = (None, 0, (), None, None)
+
+
+@lru_cache(maxsize=1)
+def _seed_block(seed: int, first: int) -> tuple[list[tuple[int, int]], np.random.PCG64]:
+    """Each trial's PCG64 (state, inc) in a block, and the PCG64 their
+    streams share."""
+    return pcg64_states(seed, first, SEED_BLOCK), np.random.PCG64(0)
 
 
 def trial_rng(seed: int, trial_index: int, words: int = 256) -> Draws:
@@ -252,22 +259,11 @@ def trial_rng(seed: int, trial_index: int, words: int = 256) -> Draws:
     ``default_rng(SeedSequence([seed, trial_index]))``, replayed by a `Draws`.
 
     The first `words` raw words are read on the first draw and more as
-    needed, so `words` never changes a draw. The index right after the last
-    one served starts a new seed block; any other index outside the block,
-    and every index of 2**32 and above (two SeedSequence entropy words), is
-    seeded alone, which costs less than a block for one trial.
+    needed, so `words` never changes a draw. The trial is seeded with the
+    rest of its block, which is kept until another block is needed.
     """
-    global _seed_block
-    block_seed, first, states, source, last = _seed_block
-    offset = trial_index - first
-    if block_seed != seed or not 0 <= offset < len(states):
-        if last != (seed, trial_index - 1) or trial_index >= 1 << 32:
-            _seed_block = (block_seed, first, states, source, (seed, trial_index))
-            return Draws(np.random.PCG64(np.random.SeedSequence([seed, trial_index])), words)
-        states = pcg64_states(seed, trial_index, min(SEED_BLOCK, (1 << 32) - trial_index))
-        source = source or np.random.PCG64(0)
-        first, offset = trial_index, 0
-    _seed_block = (seed, first, states, source, (seed, trial_index))
+    offset = trial_index % SEED_BLOCK
+    states, source = _seed_block(seed, trial_index - offset)
     state, inc = states[offset]
     origin = {
         "bit_generator": "PCG64",

@@ -20,16 +20,21 @@ Conventions:
       held back), so no register is ever known to be dead.
     - A register holds at most MAX_REGISTER_QUBITS qubits; a merge past
       that raises CapacityExceeded.
+    - Both measurements are one projective measurement onto the rows of a
+      basis matrix: Z on one qubit, Bell on an ordered pair. A prepared
+      state is a row of its basis.
     - Registers point at interned, read-only states shared by every
       Simulator. The state-vector code computes each transition of a state
-      (Z measurement at a position, Bell measurement at a position pair,
-      merge with another state) once and memoizes it on the state; the
-      intern table is emptied whenever it would exceed MAX_INTERNED_STATES.
-      Prepared states are found by bit or Bell index, not by key.
+      (a measurement at a position or position pair, with every outcome's
+      weight and post-state, or a merge with another state) once and
+      memoizes it on the state; the intern table is emptied whenever it
+      would exceed MAX_INTERNED_STATES. Prepared states are found by bit or
+      Bell index, not by key.
 """
 from __future__ import annotations
 
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -74,15 +79,19 @@ class BellKind(Enum):
         return 0 if self in (BellKind.PHI_PLUS, BellKind.PHI_MINUS) else 1
 
 
-_BELL_AMPLITUDES = {
-    BellKind.PHI_PLUS: (_SQRT2_INV, 0.0, 0.0, _SQRT2_INV),
-    BellKind.PHI_MINUS: (_SQRT2_INV, 0.0, 0.0, -_SQRT2_INV),
-    BellKind.PSI_PLUS: (0.0, _SQRT2_INV, _SQRT2_INV, 0.0),
-    BellKind.PSI_MINUS: (0.0, _SQRT2_INV, -_SQRT2_INV, 0.0),
-}
-
-# Rows are Bell bras over the |ab> basis (00, 01, 10, 11), in BellKind order.
-_BELL_BASIS = np.array([_BELL_AMPLITUDES[k] for k in BellKind], dtype=complex)
+# Rows are the bras of a measurement's outcomes, in outcome order: Z over
+# |0>, |1>, and the Bell states over the |ab> basis (00, 01, 10, 11) in
+# BellKind order. Row k is also the state prepared for outcome k.
+_Z_BASIS = np.eye(2, dtype=complex)
+_BELL_BASIS = np.array(
+    [
+        (_SQRT2_INV, 0.0, 0.0, _SQRT2_INV),
+        (_SQRT2_INV, 0.0, 0.0, -_SQRT2_INV),
+        (0.0, _SQRT2_INV, _SQRT2_INV, 0.0),
+        (0.0, _SQRT2_INV, -_SQRT2_INV, 0.0),
+    ],
+    dtype=complex,
+)
 
 _BELL_KINDS = tuple(BellKind)
 
@@ -96,21 +105,6 @@ class QubitHandle(NamedTuple):
 
 # Builds a handle without the Python-level NamedTuple constructor.
 _tuple_new = tuple.__new__
-
-
-def _bit_indices(num_qubits: int, qubit: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Amplitude indices where `qubit` (MSB-first) is 0 resp. 1."""
-    shift = num_qubits - 1 - qubit
-    zeros = tuple(i for i in range(1 << num_qubits) if not (i >> shift) & 1)
-    ones = tuple(i for i in range(1 << num_qubits) if (i >> shift) & 1)
-    return zeros, ones
-
-
-_BIT_INDEX_CACHE = {
-    (n, q): _bit_indices(n, q)
-    for n in range(1, MAX_REGISTER_QUBITS + 1)
-    for q in range(n)
-}
 
 
 class _State:
@@ -127,10 +121,10 @@ class _State:
         self.num_qubits = num_qubits
         self.amplitudes = amplitudes
         self.key = key
-        # pos -> [p1, [post-state per outcome]]
-        self.z: dict[int, list] = {}
-        # (pos_a, pos_b) -> [total, cumulative probs, [post-state per BellKind]]
-        self.bell: dict[tuple[int, int], list] = {}
+        # pos -> (p1, [post-state per outcome])
+        self.z: dict[int, tuple] = {}
+        # (pos_a, pos_b) -> (total, cumulative probs, [post-state per BellKind])
+        self.bell: dict[tuple[int, int], tuple] = {}
         # key of the appended state -> merged state
         self.kron: dict[tuple[int, bytes], _State] = {}
 
@@ -141,23 +135,16 @@ class _State:
 _STATES: dict[tuple[int, bytes], _State] = {}
 
 
-def _basis_amplitudes(bit: int) -> np.ndarray:
-    amps = np.zeros(2, dtype=complex)
-    amps[bit] = 1.0
-    return amps
-
-
-def _bell_amplitudes(kind: BellKind) -> np.ndarray:
-    return np.array(_BELL_AMPLITUDES[kind], dtype=complex)
-
-
 # Interned prepared states: slots 0 and 1 by basis bit, 2 + kind value by
 # Bell kind. Filled on first use and emptied with the intern table.
 _PREPARED: list[_State | None] = [None] * 6
 
 
 def _intern(num_qubits: int, amplitudes: np.ndarray) -> _State:
-    """The shared state with these amplitudes; norm-checked when new."""
+    """The shared state with these amplitudes; norm-checked when new.
+
+    Adding 0.0 turns -0.0 into 0.0, so equal vectors share one state."""
+    amplitudes = amplitudes + 0.0
     key = (num_qubits, amplitudes.tobytes())
     state = _STATES.get(key)
     if state is None:
@@ -175,51 +162,22 @@ def _check_norm(amplitudes: np.ndarray) -> None:
         raise QsimError(f"state norm drifted: |psi|^2 = {norm_sq!r}")
 
 
-def _z_weights(state: _State, pos: int) -> tuple[float, float]:
-    """Branch weights of outcomes 0 and 1 of a Z measurement at `pos`."""
-    zeros, ones = _BIT_INDEX_CACHE[(state.num_qubits, pos)]
-    amps = state.amplitudes
-    s0 = 0.0
-    for i in zeros:
-        c = amps.item(i)
-        s0 += c.real * c.real + c.imag * c.imag
-    s1 = 0.0
-    for i in ones:
-        c = amps.item(i)
-        s1 += c.real * c.real + c.imag * c.imag
-    return s0, s1
-
-
-def _z_post(state: _State, pos: int, outcome: int) -> _State:
-    s0, s1 = _z_weights(state, pos)
-    zeros, ones = _BIT_INDEX_CACHE[(state.num_qubits, pos)]
-    amps = state.amplitudes.copy()
-    killed = zeros if outcome == 1 else ones
-    for i in killed:
-        amps[i] = 0.0
-    amps *= 1.0 / np.sqrt(s1 if outcome == 1 else s0)
-    return _intern(state.num_qubits, amps)
-
-
-def _bell_overlaps(state: _State, pos_a: int, pos_b: int):
-    """Residual vector and weight per Bell kind, and the axis order used."""
+def _measure(state: _State, positions: tuple[int, ...], basis: np.ndarray):
+    """Projective measurement of the qubits at `positions` onto the rows of
+    `basis`: each outcome's weight, and its interned post-state (None for
+    an outcome of weight 0)."""
     n = state.num_qubits
-    rest = [i for i in range(n) if i not in (pos_a, pos_b)]
-    perm = [pos_a, pos_b] + rest
-    tensor = state.amplitudes.reshape([2] * n).transpose(perm).reshape(4, -1)
-    overlaps = _BELL_BASIS @ tensor  # rows: residual vector per Bell kind
-    probs = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
-    return overlaps, probs, perm
-
-
-def _bell_post(state: _State, pos_a: int, pos_b: int, chosen: int) -> _State:
-    overlaps, probs, perm = _bell_overlaps(state, pos_a, pos_b)
-    n = state.num_qubits
-    post = np.outer(
-        _BELL_BASIS[chosen], overlaps[chosen] / np.sqrt(probs[chosen])
-    )
-    inverse = np.argsort(perm)
-    return _intern(n, post.reshape([2] * n).transpose(inverse).reshape(-1))
+    perm = [*positions, *(i for i in range(n) if i not in positions)]
+    tensor = state.amplitudes.reshape([2] * n).transpose(perm).reshape(len(basis), -1)
+    overlaps = basis @ tensor  # rows: residual vector per outcome
+    weights = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
+    shape, inverse = [2] * n, np.argsort(perm)
+    posts = [
+        _intern(n, np.outer(row, res / np.sqrt(w)).reshape(shape).transpose(inverse).reshape(-1))
+        if w else None
+        for row, res, w in zip(basis, overlaps, weights)
+    ]
+    return weights, posts
 
 
 class Simulator:
@@ -247,7 +205,7 @@ class Simulator:
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
         state = _PREPARED[bit]
         if state is None:
-            state = _PREPARED[bit] = _intern(1, _basis_amplitudes(bit))
+            state = _PREPARED[bit] = _intern(1, _Z_BASIS[bit])
         rid = self._next_id
         self._next_id = rid + 1
         self._registers[rid] = state
@@ -258,7 +216,7 @@ class Simulator:
         slot = 2 + kind._value_
         state = _PREPARED[slot]
         if state is None:
-            state = _PREPARED[slot] = _intern(2, _bell_amplitudes(kind))
+            state = _PREPARED[slot] = _intern(2, _BELL_BASIS[kind._value_])
         rid = self._next_id
         self._next_id = rid + 1
         self._registers[rid] = state
@@ -303,14 +261,12 @@ class Simulator:
         rid, state, pos = self._resolve(q)
         memo = state.z.get(pos)
         if memo is None:
-            s0, s1 = _z_weights(state, pos)
-            memo = state.z[pos] = [s1 / (s0 + s1), [None, None]]
-        outcome = 1 if self._rng.random() < memo[0] else 0
-        posts = memo[1]
-        post = posts[outcome]
-        if post is None:
-            post = posts[outcome] = _z_post(state, pos, outcome)
-        self._registers[rid] = post
+            weights, posts = _measure(state, (pos,), _Z_BASIS)
+            s0, s1 = weights.tolist()
+            memo = state.z[pos] = (s1 / (s0 + s1), posts)
+        p1, posts = memo
+        outcome = 1 if self._rng.random() < p1 else 0
+        self._registers[rid] = posts[outcome]
         return outcome
 
     def measure_bell(self, a: QubitHandle, b: QubitHandle) -> BellKind:
@@ -328,15 +284,10 @@ class Simulator:
             raise InvalidHandle("Bell measurement needs two distinct qubits")
         memo = state.bell.get((pos_a, pos_b))
         if memo is None:
-            probs = _bell_overlaps(state, pos_a, pos_b)[1]
-            cumulative = []
-            running = 0.0
-            for p in probs:
-                running += p
-                cumulative.append(running)
-            memo = state.bell[(pos_a, pos_b)] = [
-                probs.sum(), cumulative, [None] * len(probs)
-            ]
+            weights, posts = _measure(state, (pos_a, pos_b), _BELL_BASIS)
+            memo = state.bell[(pos_a, pos_b)] = (
+                float(weights.sum()), list(accumulate(weights.tolist())), posts
+            )
         total, cumulative, posts = memo
         draw = self._rng.random() * total
         chosen = len(cumulative) - 1
@@ -344,10 +295,7 @@ class Simulator:
             if draw < bound:
                 chosen = k
                 break
-        post = posts[chosen]
-        if post is None:
-            post = posts[chosen] = _bell_post(state, pos_a, pos_b, chosen)
-        self._registers[rid] = post
+        self._registers[rid] = posts[chosen]
         return _BELL_KINDS[chosen]
 
     # -- inspection (tests and diagnostics) -------------------------------

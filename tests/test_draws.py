@@ -59,16 +59,17 @@ def test_trial_streams_equal_numpy():
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3])
 def test_blocked_seeding_equals_seed_sequence(seed):
-    for first, count in ((0, 300), (4000, 40), (2**32 - 30, 30)):
+    blocks = ((0, 300), (4000, 40), (2**32 - 30, 30), (2**32, 256), (2**40 + 512, 256))
+    for first, count in blocks:
         states = pcg64_states(seed, first, count)
         for offset, (state, inc) in enumerate(states):
             ref = np.random.PCG64(np.random.SeedSequence([seed, first + offset]))
             assert ref.state["state"] == {"state": state, "inc": inc}
 
 
-def test_only_trials_in_order_are_seeded_in_blocks(monkeypatch):
-    """A block of 256 seeds costs more than seeding one trial alone, so an
-    index out of order is seeded alone and the next index starts a block."""
+def test_trials_are_seeded_in_aligned_blocks(monkeypatch):
+    """A trial is seeded with the 256 indices of its block, which starts at
+    a multiple of 256, and the last block is kept for the next trial."""
     blocks = []
 
     def spy(seed, first, count):
@@ -76,20 +77,26 @@ def test_only_trials_in_order_are_seeded_in_blocks(monkeypatch):
         return pcg64_states(seed, first, count)
 
     monkeypatch.setattr(harness, "pcg64_states", spy)
+    harness._seed_block.cache_clear()
     rng = random.Random(2)
-    for i in (7000, 12, 9000):
+    for i in (7000, 12, 2**40 + 700, 9000):
         _replay_matches(trial_rng(31, i), _reference(31, i), rng, 20)
-    assert blocks == []
-    for i in range(9001, 9301):
+    assert blocks == [(31, 6912, 256), (31, 0, 256), (31, 2**40 + 512, 256), (31, 8960, 256)]
+    del blocks[:]
+    for i in range(9001, 9216):
         trial_rng(31, i)
-    _replay_matches(trial_rng(31, 9300), _reference(31, 9300), rng, 20)
-    assert blocks == [(31, 9001, 256), (31, 9257, 256)]
+    _replay_matches(trial_rng(31, 9215), _reference(31, 9215), rng, 20)
+    assert blocks == []
+    _replay_matches(trial_rng(31, 9216), _reference(31, 9216), rng, 20)
+    assert blocks == [(31, 9216, 256)]
+    harness._seed_block.cache_clear()
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
 def test_trial_indices_on_both_sides_of_two_to_the_32(seed):
-    """Indices from 2**32 on take two entropy words and are seeded one at a
-    time; the streams stay numpy's on both sides."""
+    """Indices from 2**32 on take two entropy words, and their aligned
+    blocks start at 2**32; the streams stay numpy's on both sides, and a
+    block across 2**32 is refused."""
     rng = random.Random(seed % 1000)
     for i in range(2**32 - 3, 2**32 + 3):
         _replay_matches(trial_rng(seed, i, words=2), _reference(seed, i), rng, 200)

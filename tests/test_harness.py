@@ -87,6 +87,16 @@ def test_spec_validation_ranges():
             ExperimentSpec(**bad)
 
 
+def test_spec_accepts_only_the_default_p_detect_for_jiang():
+    assert ExperimentSpec(protocol="jiang", p_detect=0.5).p_detect == 0.5
+    assert ExperimentSpec(protocol="improved", p_detect=0.3).p_detect == 0.3
+    for value in (0.0, 0.3, 1.0):
+        with pytest.raises(
+            ValidationError, match="^--p-detect is not accepted for the jiang protocol$"
+        ):
+            ExperimentSpec(protocol="jiang", p_detect=value)
+
+
 @pytest.mark.parametrize("field", ["secret_bits", "trials", "rounds_factor", "seed"])
 @pytest.mark.parametrize("value", [True, 2.5, 2.0, "3"])
 def test_spec_rejects_non_integer_counts(field, value):
@@ -381,6 +391,12 @@ def test_binomial_tails_match_exact_sums():
     assert oracles.binomial_tails(4, 5, 1.0) == (0.0, 1.0)
 
 
+def _p_detect_of(protocol, p_detect):
+    """The spec's p_detect argument: jiang has no detection rounds and takes
+    only the default, which the laws ignore for it."""
+    return {"p_detect": p_detect} if protocol == "improved" else {}
+
+
 @pytest.mark.parametrize(("p_ctrl", "p_detect"), [(0.5, 0.5), (0.7, 0.3)])
 @pytest.mark.parametrize("attack", list(ATTACKS))
 @pytest.mark.parametrize("protocol", ["jiang", "improved"])
@@ -396,7 +412,7 @@ def test_unconditional_detection_rate_follows_exact_law(
         attack=attack,
         secret_bits=1,
         p_ctrl=p_ctrl,
-        p_detect=p_detect,
+        **_p_detect_of(protocol, p_detect),
         trials=trials,
         seed=8,
         threshold=0.0,
@@ -451,7 +467,7 @@ def test_abort_counts_follow_exact_joint_law(
             secret_bits=length,
             rounds_factor=factor,
             p_ctrl=p_ctrl,
-            p_detect=p_detect,
+            **_p_detect_of(protocol, p_detect),
             trials=trials,
             seed=12,
             threshold=0.0,
@@ -492,3 +508,23 @@ def test_tp_inference_with_public_key_pins_the_secret():
 def test_tp_inference_rejects_oversized_enumeration():
     with pytest.raises(ValueError):
         oracles.tp_inference_test(5)
+
+
+def test_package_exports_exactly_its_public_names():
+    import sqpclab
+
+    names = {
+        "AbortReason", "AggregateReport", "BellKind", "CapacityExceeded",
+        "ChannelStrategy", "Choice", "ComparisonOutcome", "ExperimentSpec",
+        "InvalidHandle", "Leg", "MaskRecord", "ProtocolConfig", "QsimError",
+        "QubitHandle", "RoundRecord", "SameRegister", "Simulator", "Transcript",
+        "TrialReport", "ValidationError", "Variant", "compute_ma_jiang",
+        "compute_mask_improved", "compute_r", "make_strategy", "run_experiment",
+        "run_protocol",
+    }
+    assert len(names) == 27
+    assert set(sqpclab.__all__) == names
+    assert len(sqpclab.__all__) == len(names)
+    namespace = {}
+    exec("from sqpclab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == names

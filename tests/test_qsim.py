@@ -372,6 +372,16 @@ def test_intern_table_stays_within_bound(monkeypatch):
     assert len(seen) > bound  # the walk overflowed the table
 
 
+def test_equal_vectors_share_one_state():
+    """Amplitudes of -0.0 and 0.0 intern as one state, so the table holds
+    each vector once."""
+    qsim._STATES.clear()
+    for seed in range(5):
+        _random_walk(seed, 200)
+    vectors = {(s.num_qubits, tuple(s.amplitudes.tolist())) for s in qsim._STATES.values()}
+    assert len(vectors) == len(qsim._STATES) > 50
+
+
 def test_amplitudes_are_a_writable_copy():
     """Editing a copy touches neither its register nor other Simulators."""
     first, second = Simulator(seed=0), Simulator(seed=1)
@@ -381,3 +391,78 @@ def test_amplitudes_are_a_writable_copy():
     amps[0] = 5.0
     for sim, q in ((first, a), (second, b)):
         assert np.allclose(sim.amplitudes(q), [SQRT2_INV, 0, 0, SQRT2_INV])
+
+
+# -- measurement against independent projectors -------------------------------
+
+
+def _projector(num_qubits, factors):
+    """kron over the register's qubits, in order, of the 2x2 operator that
+    `factors` gives for a position (identity elsewhere)."""
+    op = np.ones((1, 1))
+    for q in range(num_qubits):
+        op = np.kron(op, factors.get(q, np.eye(2)))
+    return op
+
+
+def _outer(i, k):
+    """|i><k| on one qubit."""
+    op = np.zeros((2, 2))
+    op[i, k] = 1.0
+    return op
+
+
+def _bell_projector(num_qubits, a, b, kind):
+    """|beta><beta| on qubits (a, b), expanded over the basis states
+    |ij> of the pair so no axis is ever permuted."""
+    beta = {
+        BellKind.PHI_PLUS: {(0, 0): 1, (1, 1): 1},
+        BellKind.PHI_MINUS: {(0, 0): 1, (1, 1): -1},
+        BellKind.PSI_PLUS: {(0, 1): 1, (1, 0): 1},
+        BellKind.PSI_MINUS: {(0, 1): 1, (1, 0): -1},
+    }[kind]
+    return sum(
+        0.5 * c * d * _projector(num_qubits, {a: _outer(i, k), b: _outer(j, l)})
+        for (i, j), c in beta.items()
+        for (k, l), d in beta.items()
+    )
+
+
+def _check_outcomes(state, positions, basis, projectors):
+    weights, posts = qsim._measure(state, positions, basis)
+    psi = state.amplitudes
+    for weight, post, projector in zip(weights, posts, projectors):
+        projected = projector @ psi
+        expected = float(np.vdot(projected, projected).real)
+        assert abs(weight - expected) < 1e-12
+        if expected > 1e-12:  # below, a post-state is rounding noise, normalized
+            assert np.abs(post.amplitudes - projected / np.sqrt(expected)).max() < 1e-12
+
+
+@pytest.mark.parametrize("num_qubits", [3, 4])
+def test_measurements_match_independent_projectors(num_qubits):
+    """Every Z measurement (each position) and Bell measurement (each
+    ordered pair) of the 3- and 4-qubit states the random walks reach gives
+    the weights and post-states of projectors built with np.kron."""
+    vectors = {
+        amps
+        for seed in range(12)
+        for _, pool in _random_walk(seed, 200)
+        for amps in pool
+        if len(amps) == 16 << num_qubits  # complex128: 16 bytes per amplitude
+    }
+    assert len(vectors) >= 10
+    n = num_qubits
+    measurements = [
+        ((pos,), qsim._Z_BASIS, [_projector(n, {pos: _outer(k, k)}) for k in (0, 1)])
+        for pos in range(n)
+    ] + [
+        ((a, b), qsim._BELL_BASIS, [_bell_projector(n, a, b, kind) for kind in BellKind])
+        for a in range(n)
+        for b in range(n)
+        if a != b
+    ]
+    for amps in sorted(vectors):
+        state = qsim._intern(n, np.frombuffer(amps, dtype=complex))
+        for positions, basis, projectors in measurements:
+            _check_outcomes(state, positions, basis, projectors)
