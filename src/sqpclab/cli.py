@@ -1,5 +1,9 @@
 """Command-line front end: configure an experiment, run it, emit a report.
 
+Every rejected input, from argparse (an unknown flag, a malformed or
+missing value) or from the spec's own checks, prints one ``error:`` line and
+exits with status 2; ``--help`` prints the usage and exits with status 0.
+
 Output formats: `table` is human-oriented and not schema-stable; `json`
 follows the documented schema (see README) and is byte-deterministic for a
 given spec; `csv` emits one fixed header row plus one data row, spec columns
@@ -29,8 +33,16 @@ _AGGREGATE_FIELDS = tuple(f.name for f in fields(AggregateReport) if f.name != "
 CSV_HEADER = tuple(f"spec_{f}" for f in _SPEC_FIELDS) + _AGGREGATE_FIELDS
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise `ValidationError`, so
+    `main` reports them like every other bad input: one line, status 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sqpclab",
         description="Run a private-comparison protocol experiment.",
     )

@@ -19,7 +19,10 @@ numpy's per-call dispatch and gives the same values in the same order.
 `pcg64_states` seeds PCG64 for consecutive indices i of
 ``SeedSequence([seed, i])`` at once, for indices that differ only in their
 low 32 bits: the SeedSequence mixing runs in numpy uint32 arithmetic over
-the vector of indices, and PCG64's two-step seeding in Python ints.
+the vector of indices, and PCG64's two-step seeding in 128-bit arithmetic on
+pairs of uint64 limbs; only the results become Python ints. The batched
+engine reads a whole chunk's words from these states, and `Draws` one
+trial's.
 """
 from __future__ import annotations
 
@@ -43,9 +46,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
-# PCG64's 128-bit LCG multiplier.
+# PCG64's 128-bit LCG multiplier, as (high, low) uint64 limbs.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_MULT_HIGH, _MULT_LOW = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
 
 
 class Draws:
@@ -55,8 +58,9 @@ class Draws:
     Words are read `block` at a time, so the bit generator runs ahead of the
     draws served. With `origin`, a PCG64 state dict, each read first sets
     `source` to that state and advances it past the words read so far, under
-    one lock, so several streams, in any threads, may share one `source`.
-    `half` is a buffered half-word to serve first (-1 for none).
+    one lock, so several streams, in any threads, may share one `source`;
+    such a stream reads its first block when it is built. `half` is a
+    buffered half-word to serve first (-1 for none).
     """
 
     __slots__ = ("_source", "_origin", "_block", "_read", "_words", "_next", "_half")
@@ -69,6 +73,8 @@ class Draws:
         self._words = iter(())  # iterator over the words not yet served
         self._next = self._words.__next__
         self._half = half
+        if origin is not None:
+            self._refill(block)
 
     def random(self) -> float:
         """``Generator.random()``: a float in [0, 1) from one word."""
@@ -209,12 +215,35 @@ def pcg64_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
     # give PCG64's seed (two words) and stream (two words), high word first.
     output = _hasher(_INIT_B, _MULT_B)
     out = [output(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
-    words64 = [(out[k] | out[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)]
-    states = []
-    for seed_high, seed_low, inc_high, inc_low in zip(*words64):
-        # PCG64's seeding: inc from the stream, then two LCG steps around
-        # adding the seed to the state.
-        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
-        state = ((inc + (seed_high << 64 | seed_low)) * _PCG_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
+    seed_high, seed_low, inc_high, inc_low = (
+        out[k] | out[k + 1] << np.uint64(32) for k in range(0, 8, 2)
+    )
+    # PCG64's seeding, mod 2**128 on (high, low) limbs: inc from the stream,
+    # then two LCG steps around adding the seed to the state.
+    inc = (inc_high << np.uint64(1) | inc_low >> np.uint64(63), inc_low << np.uint64(1) | np.uint64(1))
+    state = _add128(_mul128(_add128(inc, (seed_high, seed_low))), inc)
+    return list(zip(_to_ints(state), _to_ints(inc)))
+
+
+def _add128(a, b):
+    """a + b mod 2**128, each a (high, low) pair of uint64 arrays."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
+
+
+def _mul128(a):
+    """a * PCG64's multiplier mod 2**128: the full 128-bit product of the low
+    limbs, from 32-bit halves, plus the cross products in the high limb."""
+    half, mask = np.uint64(32), np.uint64(_LOW32)
+    a0, a1 = a[1] & mask, a[1] >> half
+    m0, m1 = _MULT_LOW & mask, _MULT_LOW >> half
+    p00, p01, p10, p11 = a0 * m0, a0 * m1, a1 * m0, a1 * m1
+    mid = (p00 >> half) + (p01 & mask) + (p10 & mask)
+    low = (p00 & mask) | mid << half
+    high = p11 + (p01 >> half) + (p10 >> half) + (mid >> half)
+    return high + a[1] * _MULT_HIGH + a[0] * _MULT_LOW, low
+
+
+def _to_ints(value) -> list[int]:
+    """Python ints from a (high, low) pair of uint64 arrays."""
+    return [high << 64 | low for high, low in zip(value[0].tolist(), value[1].tolist())]

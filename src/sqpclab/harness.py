@@ -17,9 +17,18 @@ of y follows as a call of its own. Each bit consumes exactly one 32-bit
 half-word, and unused half-words carry over between calls, so one call of
 n*L bits yields the same bits and leaves the same state as n calls of L.
 
-Aggregation streams: `run_experiment` folds each trial's `TrialReport` into
-integer `TrialCounts` as the trial finishes, and `aggregate` turns those
-counts into the `AggregateReport`, so memory does not grow with T.
+Two engines run the trials and give each the same report. `run_trial` is
+the scalar reference: one trial through `protocol.run_protocol`, the
+simulator and a channel strategy, and the way to replay any single trial.
+The batched engine (`batch.run_chunk`) runs a whole seed block of trials as
+numpy arrays. `run_experiment` takes the trials a seed block at a time, and
+runs a block of at least BATCH_MIN_LANES trials batched, a smaller one
+trial by trial.
+
+Aggregation streams: `run_experiment` folds each chunk's report fields
+(`batch.Lanes`) into integer `TrialCounts` as the chunk finishes, and
+`aggregate` turns those counts into the `AggregateReport`, so memory does
+not grow with T.
 
 Specs and reports are frozen and check themselves when built; `from_dict`
 only parses and constructs.
@@ -39,6 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .adversary import ATTACKS, make_strategy
+from .batch import REASONS, Lanes, run_chunk
 from .draws import Draws, pcg64_states
 from .protocol import (
     WORDS_PER_ROUND,
@@ -114,6 +124,11 @@ class ExperimentSpec:
 
     def num_rounds(self) -> int:
         return self.resolved_rounds_factor() * self.secret_bits
+
+    def drawn_blocks(self) -> int:
+        """L-bit blocks of a trial's first draw: K, RA and RB, then x and y
+        (x alone for equal secrets, neither for explicit ones)."""
+        return 3 + (self.secrets in SECRET_MODES) + (self.secrets in ("random", "unequal"))
 
     def explicit_secrets(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
         """Decoded (x, y) for explicit mode, None for the random modes."""
@@ -278,7 +293,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
     """One protocol run under the experiment configuration."""
     L = spec.secret_bits
     explicit = spec.explicit_secrets()
-    n = 3 if explicit is not None else 4 if spec.secrets == "equal" else 5
+    n = spec.drawn_blocks()
     num_rounds = spec.num_rounds()
     rng = trial_rng(spec.seed, trial_index, (n * L + 1) // 2 + WORDS_PER_ROUND * num_rounds)
     bits = rng.bits(n * L)
@@ -314,28 +329,59 @@ class TrialCounts:
     cells: dict[tuple[int, bool], int] = field(default_factory=dict)
 
 
+# Chunks of at least this many trials run on the batched engine, smaller
+# ones trial by trial on the scalar engine. The engines break even near 12
+# lanes at L=1, 8 and 64 (all 12 pairs timed); 8 trials run 0.7x as fast
+# batched as scalar, 16 about 1.2-1.4x.
+BATCH_MIN_LANES = 16
+
+# Lanes times rounds of one chunk. A batched chunk's arrays peak near 87
+# bytes per lane-round (traced, improved measure-resend at L=64, 128 and
+# 512), so this keeps a chunk near 22 MiB however long its trials are.
+MAX_LANE_ROUNDS = 1 << 18
+
+
 def run_experiment(spec: ExperimentSpec) -> AggregateReport:
-    """Run all trials and aggregate; per-trial aborts are data, not errors."""
+    """Run all trials and aggregate; per-trial aborts are data, not errors.
+
+    Trials run in chunks of SEED_BLOCK, or of a power of two below it that
+    keeps lanes x rounds within MAX_LANE_ROUNDS: a chunk of at least
+    BATCH_MIN_LANES trials on the batched engine (`batch.run_chunk`), a
+    smaller one through `run_trial`. Both give each trial the same report,
+    so the engine never changes a result.
+    """
     model = detection_model(Variant(spec.protocol), spec.attack)
     extract = None if model is None else model[0]
     counts = TrialCounts()
-    for t in range(spec.trials):
-        report = run_trial(spec, t)
-        counts.trials += 1
-        counts.detected += report.detected
-        counts.case1_rounds += report.case1_rounds
-        counts.case1_errors += report.case1_errors
-        reason = report.outcome.abort_reason
-        if reason is None:
-            counts.wrong += not report.verdict_correct
-            counts.recovered += report.adversary_recovered_secret_correct is True
+    step = SEED_BLOCK
+    while step > 1 and step * spec.num_rounds() > MAX_LANE_ROUNDS:
+        step //= 2
+    for first in range(0, spec.trials, step):
+        count = min(step, spec.trials - first)
+        if count >= BATCH_MIN_LANES:
+            lanes = run_chunk(spec, first, count)
         else:
-            counts.aborted += 1
-            counts.insufficient += reason is AbortReason.INSUFFICIENT_ROUNDS
-        if extract is not None:
-            cell = (extract(report), report.detected)
-            counts.cells[cell] = counts.cells.get(cell, 0) + 1
+            lanes = Lanes.of(run_trial(spec, t) for t in range(first, first + count))
+        _fold(counts, lanes, extract)
     return aggregate(spec, counts)
+
+
+def _fold(counts: TrialCounts, lanes: Lanes, extract) -> None:
+    """Add a chunk's trials to the tallies."""
+    done, detected = lanes.reason == 0, lanes.detected
+    counts.trials += len(done)
+    counts.detected += int(detected.sum())
+    counts.aborted += int((~done).sum())
+    counts.insufficient += int((lanes.reason == REASONS.index(AbortReason.INSUFFICIENT_ROUNDS)).sum())
+    counts.wrong += int((done & ~lanes.correct).sum())
+    counts.recovered += int((done & (lanes.recovered == 1)).sum())
+    counts.case1_rounds += int(lanes.case1_rounds.sum())
+    counts.case1_errors += int(lanes.case1_errors.sum())
+    if extract is not None:
+        cells, tally = np.unique(2 * extract(lanes) + detected, return_counts=True)
+        for cell, trials in zip(cells.tolist(), tally.tolist()):
+            key = (cell // 2, bool(cell % 2))
+            counts.cells[key] = counts.cells.get(key, 0) + trials
 
 
 def aggregate(spec: ExperimentSpec, counts: TrialCounts) -> AggregateReport:

@@ -180,6 +180,37 @@ def _measure(state: _State, positions: tuple[int, ...], basis: np.ndarray):
     return weights, posts
 
 
+# The memo entries, each computed once per state. `measure_z` and
+# `measure_bell` read them, and so does the batched engine's transition table.
+
+
+def _z_memo(state: _State, pos: int) -> tuple:
+    """(p1, [post-state per outcome]) of a Z measurement at `pos`."""
+    weights, posts = _measure(state, (pos,), _Z_BASIS)
+    s0, s1 = weights.tolist()
+    memo = state.z[pos] = (s1 / (s0 + s1), posts)
+    return memo
+
+
+def _bell_memo(state: _State, pos_a: int, pos_b: int) -> tuple:
+    """(total, cumulative weights, [post-state per BellKind]) of a Bell
+    measurement of the ordered pair (pos_a, pos_b)."""
+    weights, posts = _measure(state, (pos_a, pos_b), _BELL_BASIS)
+    memo = state.bell[(pos_a, pos_b)] = (
+        float(weights.sum()), list(accumulate(weights.tolist())), posts
+    )
+    return memo
+
+
+def _kron(state_a: _State, state_b: _State) -> _State:
+    """The state of `state_a`'s register with `state_b`'s appended."""
+    merged = state_a.kron[state_b.key] = _intern(
+        state_a.num_qubits + state_b.num_qubits,
+        np.kron(state_a.amplitudes, state_b.amplitudes),
+    )
+    return merged
+
+
 class Simulator:
     """Owner of all registers and of the single measurement-outcome stream.
 
@@ -240,12 +271,7 @@ class Simulator:
                 f"merge would create a {combined}-qubit register "
                 f"(limit {MAX_REGISTER_QUBITS})"
             )
-        merged = state_a.kron.get(state_b.key)
-        if merged is None:
-            merged = state_a.kron[state_b.key] = _intern(
-                combined, np.kron(state_a.amplitudes, state_b.amplitudes)
-            )
-        self._registers[rid_a] = merged
+        self._registers[rid_a] = state_a.kron.get(state_b.key) or _kron(state_a, state_b)
         del self._registers[rid_b]
         self._forwards[rid_b] = (rid_a, state_a.num_qubits)
 
@@ -259,12 +285,7 @@ class Simulator:
         exactly deterministic.
         """
         rid, state, pos = self._resolve(q)
-        memo = state.z.get(pos)
-        if memo is None:
-            weights, posts = _measure(state, (pos,), _Z_BASIS)
-            s0, s1 = weights.tolist()
-            memo = state.z[pos] = (s1 / (s0 + s1), posts)
-        p1, posts = memo
+        p1, posts = state.z.get(pos) or _z_memo(state, pos)
         outcome = 1 if self._rng.random() < p1 else 0
         self._registers[rid] = posts[outcome]
         return outcome
@@ -282,13 +303,9 @@ class Simulator:
             pos_b = self._resolve(b)[2]
         if pos_a == pos_b:
             raise InvalidHandle("Bell measurement needs two distinct qubits")
-        memo = state.bell.get((pos_a, pos_b))
-        if memo is None:
-            weights, posts = _measure(state, (pos_a, pos_b), _BELL_BASIS)
-            memo = state.bell[(pos_a, pos_b)] = (
-                float(weights.sum()), list(accumulate(weights.tolist())), posts
-            )
-        total, cumulative, posts = memo
+        total, cumulative, posts = (
+            state.bell.get((pos_a, pos_b)) or _bell_memo(state, pos_a, pos_b)
+        )
         draw = self._rng.random() * total
         chosen = len(cumulative) - 1
         for k, bound in enumerate(cumulative):

@@ -83,16 +83,43 @@ def test_parse_args_rejects_p_detect_for_jiang():
     assert spec.p_detect == 0.25
 
 
-def test_unknown_flag_is_usage_error():
-    with pytest.raises(SystemExit) as err:
-        parse_args(["--protocol", "jiang", "--frobnicate", "1"])
-    assert err.value.code != 0
+def test_unknown_flag_is_usage_error(capsys):
+    assert main(["--protocol", "jiang", "--frobnicate", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unrecognized arguments: --frobnicate 1\n"
 
 
-def test_missing_protocol_is_usage_error():
+def test_missing_protocol_is_usage_error(capsys):
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the following arguments are required: --protocol\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "start"),
+    [
+        (["--protocol", "jiang", "--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
+        (["--protocol", "foo"], "argument --protocol: invalid choice: 'foo'"),
+        (["--protocol", "jiang", "--output", "xml"], "argument --output: invalid choice: 'xml'"),
+        (["--protocol"], "argument --protocol: expected one argument"),
+    ],
+)
+def test_argparse_errors_are_one_line(capsys, argv, start):
+    """argparse's own rejections print one error line, without the usage
+    block, and exit with status 2 instead of raising SystemExit."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {start}") and captured.err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as err:
-        parse_args([])
-    assert err.value.code != 0
+        main(["--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sqpclab")
 
 
 # -- report emission -------------------------------------------------------------
