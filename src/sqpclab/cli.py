@@ -35,10 +35,13 @@ CSV_HEADER = tuple(f"spec_{f}" for f in _SPEC_FIELDS) + _AGGREGATE_FIELDS
 
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose usage errors raise `ValidationError`, so
-    `main` reports them like every other bad input: one line, status 2."""
+    `main` reports them like every other bad input: one line, status 2.
+    Some messages quote a token as given, so unprintable characters, line
+    breaks among them, are escaped."""
 
     def error(self, message):
-        raise ValidationError(message)
+        escaped = "".join(c if c.isprintable() else ascii(c)[1:-1] for c in message)
+        raise ValidationError(escaped)
 
 
 def build_parser() -> argparse.ArgumentParser:

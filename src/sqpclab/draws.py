@@ -21,12 +21,12 @@ numpy's per-call dispatch and gives the same values in the same order.
 low 32 bits: the SeedSequence mixing runs in numpy uint32 arithmetic over
 the vector of indices, and PCG64's two-step seeding in 128-bit arithmetic on
 pairs of uint64 limbs; only the results become Python ints. The batched
-engine reads a whole chunk's words from these states, and `Draws` one
-trial's.
+engine reads a whole chunk's words from these states. A scalar trial's
+`Draws` reads a PCG64 that numpy's own SeedSequence seeded, so each engine's
+seeding is checked against the other's.
 """
 from __future__ import annotations
 
-import threading
 from itertools import islice
 from operator import length_hint
 
@@ -36,9 +36,6 @@ _TO_UNIT = 2.0**-53
 _LOW32 = 0xFFFFFFFF
 # Ranges `integers` serves; 1 draws nothing, as in numpy.
 _POWERS_OF_TWO = frozenset(1 << k for k in range(1, 33))
-
-# Held while a stream with an origin sets its shared source and reads it.
-_SOURCE_LOCK = threading.Lock()
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -55,26 +52,20 @@ class Draws:
     """A numpy `Generator`'s `random()`, `integers(high)` and bit blocks,
     replayed from the raw words of a PCG64 bit generator.
 
-    Words are read `block` at a time, so the bit generator runs ahead of the
-    draws served. With `origin`, a PCG64 state dict, each read first sets
-    `source` to that state and advances it past the words read so far, under
-    one lock, so several streams, in any threads, may share one `source`;
-    such a stream reads its first block when it is built. `half` is a
+    Words are read `block` at a time, the first block when the stream is
+    built, so the bit generator runs ahead of the draws served. `half` is a
     buffered half-word to serve first (-1 for none).
     """
 
-    __slots__ = ("_source", "_origin", "_block", "_read", "_words", "_next", "_half")
+    __slots__ = ("_source", "_block", "_words", "_next", "_half")
 
-    def __init__(self, source, block: int = 256, origin: dict | None = None, half: int = -1):
+    def __init__(self, source, block: int = 256, half: int = -1):
         self._source = source
-        self._origin = origin
         self._block = block
-        self._read = 0
         self._words = iter(())  # iterator over the words not yet served
         self._next = self._words.__next__
         self._half = half
-        if origin is not None:
-            self._refill(block)
+        self._refill(block)
 
     def random(self) -> float:
         """``Generator.random()``: a float in [0, 1) from one word."""
@@ -122,17 +113,7 @@ class Draws:
 
     def _refill(self, need: int) -> None:
         """Read at least `need` more words, served after the unserved ones."""
-        count = max(need, self._block)
-        source = self._source
-        if self._origin is None:
-            raw = source.random_raw(count)
-        else:
-            with _SOURCE_LOCK:
-                source.state = self._origin
-                if self._read:
-                    source.advance(self._read)
-                raw = source.random_raw(count)
-        self._read += count
+        raw = self._source.random_raw(max(need, self._block))
         words = [*self._words, *raw.tolist()]
         self._words = iter(words)
         self._next = self._words.__next__

@@ -4,11 +4,9 @@ An experiment is T independent protocol runs under one configuration.
 Trial i draws what ``default_rng(np.random.SeedSequence([seed, i]))`` would
 draw; that mixing rule is part of the report contract, so identical specs
 give bit-identical reports. The draws are replayed from the generator's
-raw PCG64 words by a `Draws` stream (see the draws module), and trials are
-seeded in aligned blocks of SEED_BLOCK indices, with the SeedSequence
-mixing vectorized over a block's indices; both give numpy's values exactly.
-Within a trial the draw order is fixed: shared key, Alice raw key, Bob raw
-key, secrets, then the protocol run itself.
+raw PCG64 words by a `Draws` stream (see the draws module), which gives
+numpy's values exactly. Within a trial the draw order is fixed: shared
+key, Alice raw key, Bob raw key, secrets, then the protocol run itself.
 
 Draw layout: K, RA, RB and the drawn secrets (x, then y unless the mode is
 equal; none in explicit mode) come from one ``bits(n*L)`` call, numpy's
@@ -20,10 +18,11 @@ n*L bits yields the same bits and leaves the same state as n calls of L.
 Two engines run the trials and give each the same report. `run_trial` is
 the scalar reference: one trial through `protocol.run_protocol`, the
 simulator and a channel strategy, and the way to replay any single trial.
-The batched engine (`batch.run_chunk`) runs a whole seed block of trials as
-numpy arrays. `run_experiment` takes the trials a seed block at a time, and
-runs a block of at least BATCH_MIN_LANES trials batched, a smaller one
-trial by trial.
+The batched engine (`batch.run_chunk`) runs a chunk of trials as numpy
+arrays, seeding them all at once with `draws.pcg64_states`; the scalar
+engine seeds each trial with numpy's own SeedSequence, so equal reports also
+check that vectorized seeding. `run_experiment` runs a chunk of at least
+BATCH_MIN_LANES trials batched, a smaller one trial by trial.
 
 Aggregation streams: `run_experiment` folds each chunk's report fields
 (`batch.Lanes`) into integer `TrialCounts` as the chunk finishes, and
@@ -49,7 +48,7 @@ import numpy as np
 
 from .adversary import ATTACKS, make_strategy
 from .batch import REASONS, Lanes, run_chunk
-from .draws import Draws, pcg64_states
+from .draws import Draws
 from .protocol import (
     WORDS_PER_ROUND,
     AbortReason,
@@ -68,6 +67,10 @@ from .protocol import (
 DEFAULT_ROUNDS_FACTOR = {"jiang": 5, "improved": 11}
 
 SECRET_MODES = ("random", "equal", "unequal")
+
+# Rounds a trial may run. One trial holds about 0.7 KB per round (peak RSS
+# of improved trials at L=64 to 4,096), so this keeps it near 0.7 GiB.
+MAX_ROUNDS = 1 << 20
 
 
 _HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
@@ -110,6 +113,11 @@ class ExperimentSpec:
         if self.protocol not in ("jiang", "improved"):
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         check_fields(self, flags=True)
+        if self.num_rounds() > MAX_ROUNDS:
+            raise ValidationError(
+                f"--secret-bits x --rounds-factor must be at most {MAX_ROUNDS},"
+                f" got {self.num_rounds()}"
+            )
         # jiang has no detection rounds, so only the default is accepted.
         if self.protocol == "jiang" and self.p_detect != ExperimentSpec.p_detect:
             raise ValidationError("--p-detect is not accepted for the jiang protocol")
@@ -255,38 +263,21 @@ def detection_model(variant: Variant, attack: str):
 # -- experiment execution ------------------------------------------------------
 
 
-# Trials are seeded SEED_BLOCK consecutive indices at a time, in blocks that
-# start at a multiple of SEED_BLOCK, so a block never straddles 2**32. Each
-# block is a pure function of (seed, first index), so the one kept never
-# changes a stream, and its size, not T, bounds its memory.
+# Trials run in chunks that start at a multiple of their size, a power of
+# two up to SEED_BLOCK, so a chunk never straddles 2**32 and one
+# `pcg64_states` call seeds it.
 SEED_BLOCK = 256
-
-
-@lru_cache(maxsize=1)
-def _seed_block(seed: int, first: int) -> tuple[list[tuple[int, int]], np.random.PCG64]:
-    """Each trial's PCG64 (state, inc) in a block, and the PCG64 their
-    streams share."""
-    return pcg64_states(seed, first, SEED_BLOCK), np.random.PCG64(0)
 
 
 def trial_rng(seed: int, trial_index: int, words: int = 256) -> Draws:
     """The documented per-trial stream: numpy's draws from
     ``default_rng(SeedSequence([seed, trial_index]))``, replayed by a `Draws`.
 
-    The first `words` raw words are read on the first draw and more as
-    needed, so `words` never changes a draw. The trial is seeded with the
-    rest of its block, which is kept until another block is needed.
+    The first `words` raw words are read when the stream is built, so a
+    traced seeding stage holds that read, and more as needed; `words`
+    never changes a draw.
     """
-    offset = trial_index % SEED_BLOCK
-    states, source = _seed_block(seed, trial_index - offset)
-    state, inc = states[offset]
-    origin = {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return Draws(source, words, origin)
+    return Draws(np.random.PCG64(np.random.SeedSequence([seed, trial_index])), words)
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:

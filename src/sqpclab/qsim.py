@@ -7,6 +7,8 @@ Z-basis measurement, and Bell-basis measurement of an arbitrary qubit pair.
 Conventions:
     - Amplitude index bit k (most significant first) is register qubit k,
       so a 2-qubit register orders its amplitudes as |00>, |01>, |10>, |11>.
+    - Amplitudes are real (float64): the prepared states and both
+      measurement bases are real, so every state reached is too.
     - All measurement randomness comes from a single stream owned by the
       Simulator; each projection consumes exactly one uniform draw. The
       stream is a `Draws` (see the draws module): numpy's `random()`,
@@ -82,15 +84,14 @@ class BellKind(Enum):
 # Rows are the bras of a measurement's outcomes, in outcome order: Z over
 # |0>, |1>, and the Bell states over the |ab> basis (00, 01, 10, 11) in
 # BellKind order. Row k is also the state prepared for outcome k.
-_Z_BASIS = np.eye(2, dtype=complex)
+_Z_BASIS = np.eye(2)
 _BELL_BASIS = np.array(
     [
         (_SQRT2_INV, 0.0, 0.0, _SQRT2_INV),
         (_SQRT2_INV, 0.0, 0.0, -_SQRT2_INV),
         (0.0, _SQRT2_INV, _SQRT2_INV, 0.0),
         (0.0, _SQRT2_INV, -_SQRT2_INV, 0.0),
-    ],
-    dtype=complex,
+    ]
 )
 
 _BELL_KINDS = tuple(BellKind)
@@ -157,7 +158,7 @@ def _intern(num_qubits: int, amplitudes: np.ndarray) -> _State:
 
 
 def _check_norm(amplitudes: np.ndarray) -> None:
-    norm_sq = float(np.vdot(amplitudes, amplitudes).real)
+    norm_sq = float(np.vdot(amplitudes, amplitudes))
     if abs(norm_sq - 1.0) > 1e-9:
         raise QsimError(f"state norm drifted: |psi|^2 = {norm_sq!r}")
 
@@ -170,7 +171,7 @@ def _measure(state: _State, positions: tuple[int, ...], basis: np.ndarray):
     perm = [*positions, *(i for i in range(n) if i not in positions)]
     tensor = state.amplitudes.reshape([2] * n).transpose(perm).reshape(len(basis), -1)
     overlaps = basis @ tensor  # rows: residual vector per outcome
-    weights = (overlaps.real**2 + overlaps.imag**2).sum(axis=1)
+    weights = (overlaps**2).sum(axis=1)
     shape, inverse = [2] * n, np.argsort(perm)
     posts = [
         _intern(n, np.outer(row, res / np.sqrt(w)).reshape(shape).transpose(inverse).reshape(-1))

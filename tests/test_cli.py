@@ -14,6 +14,7 @@ from sqpclab.cli import (
     parse_args,
 )
 from sqpclab.harness import (
+    MAX_ROUNDS,
     AggregateReport,
     ExperimentSpec,
     ValidationError,
@@ -240,6 +241,12 @@ def test_main_rejects_bad_values_with_one_error_line(capsys, flags):
         (["--secrets", "explicit:AF"], "--secrets explicit form is explicit:HEX,HEX"),
         (["--secrets", "explicit:zz,01"], "invalid hex secret 'zz'"),
         (["--secrets", "explicit:FFF,01"], "secret 'FFF' does not fit in 8 bits"),
+        # argparse quotes unknown tokens as given; a line break is escaped.
+        (["a\nb", "\x85"], "unrecognized arguments: a\\nb \\x85"),
+        (
+            ["--secret-bits", "300000"],
+            "--secret-bits x --rounds-factor must be at most 1048576, got 1500000",
+        ),
     ],
 )
 def test_main_error_message_is_exact(capsys, flags, message):
@@ -247,6 +254,15 @@ def test_main_error_message_is_exact(capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_rounds_cap_admits_exactly_max_rounds():
+    """A spec of exactly MAX_ROUNDS rounds is built, one more is refused;
+    neither runs a trial."""
+    spec = ExperimentSpec(protocol="jiang", secret_bits=2**19, rounds_factor=2)
+    assert spec.num_rounds() == MAX_ROUNDS
+    with pytest.raises(ValidationError, match="at most 1048576, got 1048577"):
+        ExperimentSpec(protocol="jiang", secret_bits=MAX_ROUNDS + 1, rounds_factor=1)
 
 
 def test_main_exit_zero_even_when_trials_abort(capsys):

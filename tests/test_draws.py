@@ -55,6 +55,8 @@ def test_trial_streams_equal_numpy():
     for seed in (0, 5, 2**40 + 17):
         for i in (0, 1, 255, 256, 1000):
             _replay_matches(trial_rng(seed, i, words=3), _reference(seed, i), rng, 500)
+    for i in (7000, 12, 2**40 + 700, 9000, 9215, 9216):
+        _replay_matches(trial_rng(31, i), _reference(31, i), rng, 20)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3])
@@ -67,36 +69,11 @@ def test_blocked_seeding_equals_seed_sequence(seed):
             assert ref.state["state"] == {"state": state, "inc": inc}
 
 
-def test_trials_are_seeded_in_aligned_blocks(monkeypatch):
-    """A trial is seeded with the 256 indices of its block, which starts at
-    a multiple of 256, and the last block is kept for the next trial."""
-    blocks = []
-
-    def spy(seed, first, count):
-        blocks.append((seed, first, count))
-        return pcg64_states(seed, first, count)
-
-    monkeypatch.setattr(harness, "pcg64_states", spy)
-    harness._seed_block.cache_clear()
-    rng = random.Random(2)
-    for i in (7000, 12, 2**40 + 700, 9000):
-        _replay_matches(trial_rng(31, i), _reference(31, i), rng, 20)
-    assert blocks == [(31, 6912, 256), (31, 0, 256), (31, 2**40 + 512, 256), (31, 8960, 256)]
-    del blocks[:]
-    for i in range(9001, 9216):
-        trial_rng(31, i)
-    _replay_matches(trial_rng(31, 9215), _reference(31, 9215), rng, 20)
-    assert blocks == []
-    _replay_matches(trial_rng(31, 9216), _reference(31, 9216), rng, 20)
-    assert blocks == [(31, 9216, 256)]
-    harness._seed_block.cache_clear()
-
-
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
 def test_trial_indices_on_both_sides_of_two_to_the_32(seed):
-    """Indices from 2**32 on take two entropy words, and their aligned
-    blocks start at 2**32; the streams stay numpy's on both sides, and a
-    block across 2**32 is refused."""
+    """Indices from 2**32 on take two entropy words; the streams stay
+    numpy's on both sides, and `pcg64_states` refuses a block across
+    2**32."""
     rng = random.Random(seed % 1000)
     for i in range(2**32 - 3, 2**32 + 3):
         _replay_matches(trial_rng(seed, i, words=2), _reference(seed, i), rng, 200)
@@ -129,8 +106,9 @@ def test_integers_rejects_a_range_it_cannot_replay():
 
 
 def test_streams_sharing_a_source_stay_exact_past_their_first_block():
-    """Two trial streams of one seed block share a PCG64; each refill
-    restores its own position, whatever the other read in between."""
+    """Two trial streams of neighbouring indices, read in turn one word at
+    a time; each refill continues its own PCG64, whatever the other read in
+    between."""
     first, second = trial_rng(9, 40, words=1), trial_rng(9, 41, words=1)
     ref_first, ref_second = _reference(9, 40), _reference(9, 41)
     for _ in range(50):
@@ -226,8 +204,8 @@ def test_bell_draw_is_scaled_by_the_total_weight():
 
 
 def test_streams_sharing_a_source_stay_exact_across_threads():
-    """Trial streams of one seed block read their shared PCG64 under a lock;
-    four threads refilling every word still get numpy's draws."""
+    """Each trial stream reads a PCG64 of its own, so four threads
+    refilling every word, with no lock, still get numpy's draws."""
     failures = []
 
     def check(offset):

@@ -1,13 +1,21 @@
-"""Property tests over the flat `ProtocolConfig`.
+"""Property tests over the flat `ProtocolConfig`, and fuzz of every input
+boundary: the command line and both `from_dict` parsers.
 
 Every test runs with `derandomize=True`, so Hypothesis draws the same
 examples on every run and the suite stays deterministic.
 """
+import contextlib
+import copy
+import io
+import json
 from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqpclab.adversary import ATTACKS
+from sqpclab.cli import main
+from sqpclab.harness import AggregateReport, ExperimentSpec, run_experiment
 from sqpclab.protocol import (
     AbortReason,
     ProtocolConfig,
@@ -115,3 +123,144 @@ def test_improved_publication_carries_nothing_of_the_raw_keys(swap):
     assert transcript.masks.bob_masks == tuple(
         cfg.k[j] ^ cfg.y[j] ^ mb[j + 1] for j in range(L)
     )
+
+
+# -- fuzz of the input boundaries ----------------------------------------------
+
+# Each real flag with values it accepts. Trials and secret lengths stay tiny,
+# so an accepted argv runs in milliseconds.
+_FLAG_VALUES = {
+    "--protocol": st.sampled_from(["jiang", "improved"]),
+    "--attack": st.sampled_from(list(ATTACKS)),
+    "--secret-bits": st.integers(1, 4).map(str),
+    "--rounds-factor": st.integers(1, 12).map(str),
+    "--trials": st.integers(1, 3).map(str),
+    "--seed": st.integers(0, 2**70).map(str),
+    "--p-ctrl": st.floats(0.0, 1.0).map(str),
+    "--p-detect": st.floats(0.0, 1.0).map(str),
+    "--secrets": st.sampled_from(
+        ["random", "equal", "unequal", "explicit:F,0", "explicit:1,1", "explicit:A,"]
+    ),
+    "--threshold": st.floats(0.0, 1.0).map(str),
+    "--output": st.sampled_from(["table", "json", "csv"]),
+}
+
+# Tokens out of place: bare flags, stray or malformed values and any text.
+# None is a number above 3, so a junk token read as `--trials` or
+# `--secret-bits` never asks for a long run, and none calls for `--help` or
+# `-h` (the drawn text has no "h"), which exit through argparse by design.
+_JUNK = st.one_of(
+    st.sampled_from(
+        ["", "-", "--", "-x", "--p", "--pro", "-1", "0", "3", "1.5", "nan", "-inf",
+         "0x1", "explicit:", "explicit:zz,1", "a\nb", "--seed=", "--trials=0", *_FLAG_VALUES]
+    ),
+    st.text(st.characters(blacklist_categories=("Nd",), blacklist_characters="h"), max_size=6),
+)
+
+
+@st.composite
+def argvs(draw):
+    """Flag-value pairs of the real flags, in any order and number, with
+    junk tokens mixed in; half start with a valid `--protocol`, so parsing
+    often gets past the check for it."""
+    items = [["--protocol", draw(_FLAG_VALUES["--protocol"])]] * draw(st.booleans())
+    items += draw(st.lists(
+        st.one_of(
+            st.sampled_from(list(_FLAG_VALUES)).flatmap(
+                lambda flag: _FLAG_VALUES[flag].map(lambda value: [flag, value])
+            ),
+            _JUNK.map(lambda token: [token]),
+        ),
+        max_size=8,
+    ))
+    return [token for item in items for token in item]
+
+
+@settings(deterministic, max_examples=300)
+@given(argvs())
+def test_cli_accepts_or_rejects_any_argv_in_one_line(argv):
+    """`main` returns 0, or 2 with exactly one line on stderr; it never
+    raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
+
+
+# JSON-like values: what `json.loads` can give, NaN and infinities included.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+# A real report with a trap-count table and a completed trial, as JSON
+# gives it back. 8 trials run on the scalar engine, so collecting this
+# module builds no batched table.
+_REPORT = json.loads(json.dumps(run_experiment(
+    ExperimentSpec(protocol="improved", attack="measure-resend", secret_bits=2, trials=8, seed=0)
+).to_dict()))
+
+
+def _paths(value, path=()):
+    """The path of every node of a JSON-like value: keys and list indices."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, (*path, key))
+
+
+@st.composite
+def edits_of(draw, base):
+    """`base` after up to four edits, each at a node drawn from its paths:
+    replace the node with a JSON-like value, delete it, or add a key next
+    to it. No edit gives `base` itself."""
+    value = copy.deepcopy(base)
+    for _ in range(draw(st.integers(0, 4))):
+        path = draw(st.sampled_from(list(_paths(value))))
+        new = draw(_JSON)
+        if not path:
+            value = new
+            continue
+        parent = value
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "add" and isinstance(parent, dict):
+            parent[draw(st.text(max_size=8))] = new
+        else:
+            parent[path[-1]] = new
+    return value
+
+
+def _parses_or_rejects(cls, data):
+    try:
+        result = cls.from_dict(data)
+    except ValidationError:
+        return
+    assert type(result) is cls
+
+
+@settings(deterministic, max_examples=300)
+@given(edits_of(_REPORT["spec"]))
+def test_spec_from_dict_gives_a_spec_or_a_validation_error(data):
+    _parses_or_rejects(ExperimentSpec, data)
+
+
+@settings(deterministic, max_examples=300)
+@given(edits_of(_REPORT))
+def test_report_from_dict_gives_a_report_or_a_validation_error(data):
+    _parses_or_rejects(AggregateReport, data)

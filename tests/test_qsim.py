@@ -449,7 +449,7 @@ def test_measurements_match_independent_projectors(num_qubits):
         for seed in range(12)
         for _, pool in _random_walk(seed, 200)
         for amps in pool
-        if len(amps) == 16 << num_qubits  # complex128: 16 bytes per amplitude
+        if len(amps) == 8 << num_qubits  # float64: 8 bytes per amplitude
     }
     assert len(vectors) >= 10
     n = num_qubits
@@ -463,6 +463,6 @@ def test_measurements_match_independent_projectors(num_qubits):
         if a != b
     ]
     for amps in sorted(vectors):
-        state = qsim._intern(n, np.frombuffer(amps, dtype=complex))
+        state = qsim._intern(n, np.frombuffer(amps))
         for positions, basis, projectors in measurements:
             _check_outcomes(state, positions, basis, projectors)
