@@ -14,10 +14,10 @@ compare the same floats as `Simulator.measure_z` and `measure_bell`.
 `run_chunk` runs trials `first` to `first + count - 1`, one lane each. Each
 lane reads its trial's raw PCG64 words from one row of a (lanes x words)
 matrix, with a word cursor and a buffered half-word of its own, as `Draws`
-serves them. The row holds the key and secret bits and a proven worst case
-of the play's words for the pair (see `_half_words_per_round`); a lane that
-read past it raises. The words of phase 3 are read afterwards, from where
-each lane's play ended, exactly as many as it needs. The phases:
+serves them. The row holds a proven worst case of all the words a trial
+reads (`trial_words`, which also sizes a scalar trial's first read), so
+each lane's row is read once; phase 3 reads on from where the lane's play
+ended, and a lane that would read past its row raises. The phases:
 
     1. key and secret bits, one block for every lane, then unequal-mode
        redraws of y for the lanes that need them;
@@ -205,6 +205,20 @@ def _half_words_per_round(attack, improved: bool) -> int:
     return 1 + len(attack.forged) + 2 * len(attack.measured) + 2 * side
 
 
+def trial_words(spec) -> int:
+    """A proven worst case of the raw words one trial reads, unequal-mode
+    redraws of y aside: its key and secret bits, a half-word each; its play
+    (`_half_words_per_round`); TP's pass, one word per case-1 round and per
+    SIFT qubit, so at most 2 a round; and an insider's measurement of each
+    of Alice's held returns, at most 1 a round. Both engines size a trial's
+    first read with it."""
+    attack = ATTACKS[spec.attack]
+    rounds = spec.num_rounds()
+    play = -(-rounds * _half_words_per_round(attack, spec.protocol == "improved") // 2)
+    later = (2 + (attack.insider and attack.swap_back)) * rounds
+    return (spec.drawn_blocks() * spec.secret_bits + 1) // 2 + play + later
+
+
 def _pcg64_reader(states):
     """`read(lanes, starts, width)`: `width` raw words of each lane's PCG64
     (state, inc), from word `start` of its stream on, as (lanes x width)."""
@@ -232,7 +246,9 @@ def run_chunk(spec, first: int, count: int, read=None) -> Lanes:
     """Trials `first` to `first + count - 1` of `spec`'s experiment, each
     giving the report fields `harness.run_trial` gives. `read(lanes, starts,
     width)` supplies raw words as `_pcg64_reader` does; by default, those
-    of the trials' own streams."""
+    of the trials' own streams. It is called once for every lane with
+    `starts` 0, and again, from further on, only for unequal-mode lanes
+    whose redraws of y outgrow their rows."""
     if read is None:
         read = _pcg64_reader(pcg64_states(spec.seed, first, count))
     table = transition_table()
@@ -243,8 +259,8 @@ def run_chunk(spec, first: int, count: int, read=None) -> Lanes:
 
     # -- 1. key and secret bits: one half-word per bit ----------------------
     drawn = spec.drawn_blocks() * L
-    budget = -(-rounds * _half_words_per_round(attack, improved) // 2)
-    limit = (drawn + 1) // 2 + budget  # words a row holds for its lane
+    limit = trial_words(spec)  # words a row holds for its lane
+    bits_end = (drawn + 1) // 2  # redraws must end here too: `limit` counts none
     width = limit + 3  # the last columns only pad a gather
     words = read(range(count), np.zeros(count, np.int64), width)
     halves = words.view("<u4")  # a word's low half first
@@ -262,7 +278,7 @@ def run_chunk(spec, first: int, count: int, read=None) -> Lanes:
     redraw = np.flatnonzero((x == y).all(1)) if spec.secrets == "unequal" else ()
     row_base = 0  # the lanes still redrawing have drawn alike, so share a row base
     while len(redraw):
-        if (drawn + L + 1) // 2 - row_base + budget > limit:
+        if (drawn + L + 1) // 2 - row_base > bits_end:
             row_base = drawn // 2
             words[redraw] = read(redraw, np.full(len(redraw), row_base), width)
             base[redraw] = row_base
@@ -281,10 +297,11 @@ def run_chunk(spec, first: int, count: int, read=None) -> Lanes:
 
     ahead = np.arange(3)[:, None]
 
-    def uniforms(n):
-        """`random()` of each lane's next n words, (n x lanes); the lanes'
-        cursors stay where they are."""
-        return (flat_words[pos + ahead[:n]] >> 11) * _UNIT
+    def uniforms(index):
+        """`random()` of the words at flat `index`."""
+        word = flat_words[index]
+        word >>= 11
+        return word * _UNIT
 
     def halfwords(n):
         """n `integers` draws by every lane: their half-words, (n x lanes),
@@ -346,14 +363,14 @@ def run_chunk(spec, first: int, count: int, read=None) -> Lanes:
             if forged[s] and s not in lead:
                 fake[s] = halfwords(1)[0] >> 31
             elif measured[s] and not forged[s]:
-                r0 = measure_z(r0, s, uniforms(1)[0])[1]
+                r0 = measure_z(r0, s, uniforms(pos))[1]
                 pos = pos + 1
         for s in (0, 1):
             sifts = sift[s, i]
             if improved:
                 # the choice, the detect draw of a SIFT, the measurement of a
                 # calculate, or the trap bit of a detect after both words
-                u = uniforms(3)
+                u = uniforms(pos + ahead)
                 np.greater_equal(u[0], p_ctrl, out=sifts)
                 detects = detect[s, i]
                 np.logical_and(sifts, u[1] < p_detect, out=detects)
@@ -368,7 +385,7 @@ def run_chunk(spec, first: int, count: int, read=None) -> Lanes:
                     out = measure_z(fake[s], 0, u)[0]
                 sent[s, i] = np.where(detects, trap, out)
             else:
-                np.greater_equal(uniforms(1)[0], p_ctrl, out=sifts)
+                np.greater_equal(uniforms(pos), p_ctrl, out=sifts)
                 pos = pos + 1
                 calc = sifts
                 sent[s, i] = encoded[s][lane_bits + np.minimum(count_calc[s], L - 1)]
@@ -382,40 +399,27 @@ def run_chunk(spec, first: int, count: int, read=None) -> Lanes:
         pair_states[i] = r0
 
     # -- 3. the insider's measurements, then TP's pass -------------------------
-    if (pos - row_start > limit).any():
-        raise AssertionError("a lane read past its row of words")
     # Both draw only `random()`: the insider one word per SIFT round of
     # Alice's (measuring her outgoing qubit), TP one per case-1 round and per
-    # SIFT qubit. Each lane's words for them are read from where its play
-    # ended, exactly as many as it needs.
+    # SIFT qubit. Each lane reads them from where its play ended, in its row.
     observe = attack.insider and attack.swap_back
     case1 = ~sift[0] & ~sift[1]
     draws = sift.sum(axis=0, dtype=np.int8)
     draws[case1] = 1
     need = draws.sum(axis=0) + (sift[0].sum(axis=0) if observe else 0)
-    ends = pos - row_start + base
-    del words, halves, flat_words, flat_halves
-    width = int(need.max()) + 1  # the last column only pads a gather
-    later_words = read(range(count), ends, width).reshape(-1)
-    pos = np.arange(count) * width
-
-    def uniform_at(index):
-        """`random()` of the words at flat `index`."""
-        word = later_words[index]
-        word >>= 11
-        return word * _UNIT
-
+    if (pos - row_start + need > limit).any():
+        raise AssertionError("a lane read past its row of words")
     if observe:
         index = np.cumsum(sift[0], axis=0)
         index += pos - 1
-        learned = measure_z(sent[0], 0, uniform_at(index))[0]
+        learned = measure_z(sent[0], 0, uniforms(index))[0]
         pos = index[-1] + 1
     index = np.cumsum(draws, axis=0)
     index += pos - draws
-    u_a = uniform_at(index)  # Alice's Z, or the Bell measurement
+    u_a = uniforms(index)  # Alice's Z, or the Bell measurement
     index += sift[0]
-    u_b = uniform_at(index)
-    del later_words, index
+    u_b = uniforms(index)
+    del words, halves, flat_words, flat_halves, index
     in_pair = back < 0
     out_a, post = measure_z(np.where(in_pair[0], pair_states, back[0]), 0, u_a)
     r0 = np.where(sift[0] & in_pair[0], post, pair_states)

@@ -21,8 +21,10 @@ simulator and a channel strategy, and the way to replay any single trial.
 The batched engine (`batch.run_chunk`) runs a chunk of trials as numpy
 arrays, seeding them all at once with `draws.pcg64_states`; the scalar
 engine seeds each trial with numpy's own SeedSequence, so equal reports also
-check that vectorized seeding. `run_experiment` runs a chunk of at least
-BATCH_MIN_LANES trials batched, a smaller one trial by trial.
+check that vectorized seeding. Both read a trial's words once, as many as
+`batch.trial_words` proves it may draw (unequal-mode redraws may read more).
+`run_experiment` runs a chunk of at least BATCH_MIN_LANES trials batched, a
+smaller one trial by trial.
 
 Aggregation streams: `run_experiment` folds each chunk's report fields
 (`batch.Lanes`) into integer `TrialCounts` as the chunk finishes, and
@@ -47,10 +49,9 @@ from functools import lru_cache
 import numpy as np
 
 from .adversary import ATTACKS, make_strategy
-from .batch import REASONS, Lanes, run_chunk
+from .batch import REASONS, Lanes, run_chunk, trial_words
 from .draws import Draws
 from .protocol import (
-    WORDS_PER_ROUND,
     AbortReason,
     Leg,
     ProtocolConfig,
@@ -285,8 +286,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
     L = spec.secret_bits
     explicit = spec.explicit_secrets()
     n = spec.drawn_blocks()
-    num_rounds = spec.num_rounds()
-    rng = trial_rng(spec.seed, trial_index, (n * L + 1) // 2 + WORDS_PER_ROUND * num_rounds)
+    rng = trial_rng(spec.seed, trial_index, trial_words(spec))
     bits = rng.bits(n * L)
     k, ra, rb, *drawn = (tuple(bits[j : j + L]) for j in range(0, n * L, L))
     if explicit is not None:
@@ -298,7 +298,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
         while spec.secrets == "unequal" and y == x:
             y = tuple(rng.bits(L))
     cfg = ProtocolConfig(
-        x, y, k, ra, rb, num_rounds, spec.p_ctrl, spec.p_detect, spec.threshold
+        x, y, k, ra, rb, spec.num_rounds(), spec.p_ctrl, spec.p_detect, spec.threshold
     )
     strategy = make_strategy(spec.attack)
     return run_protocol(Variant(spec.protocol), cfg, strategy, rng)[2]
@@ -326,9 +326,9 @@ class TrialCounts:
 # batched as scalar, 16 about 1.2-1.4x.
 BATCH_MIN_LANES = 16
 
-# Lanes times rounds of one chunk. A batched chunk's arrays peak near 87
-# bytes per lane-round (traced, improved measure-resend at L=64, 128 and
-# 512), so this keeps a chunk near 22 MiB however long its trials are.
+# Lanes times rounds of one chunk: with arrays near 135 bytes per lane-round
+# (the traced peak of improved measure-resend at L=64, 128 and 512; its row
+# of words is 84 of them), a chunk's arrays stay near 34 MiB for any L.
 MAX_LANE_ROUNDS = 1 << 18
 
 

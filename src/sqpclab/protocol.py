@@ -267,11 +267,6 @@ _BELL_KINDS = tuple(BellKind)
 # Builds a record without the Python-level NamedTuple constructor.
 _tuple_new = tuple.__new__
 
-# Raw words a trial reads up front per round (after its key and secret bits):
-# every pair uses 4.0 to 7.5 on average, and a trial that needs more reads
-# more, so this sizes a read and never changes a draw.
-WORDS_PER_ROUND = 8
-
 
 def run_protocol(
     variant: Variant,

@@ -5,10 +5,13 @@ lane's report fields must equal the `TrialReport` that `run_trial` gives the
 same trial, for every (protocol, attack) pair, secret length, secrets mode
 and setting below, and for crafted words that land on exact float ties.
 """
+import inspect
 import itertools
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,10 +273,85 @@ def test_long_trials_run_in_smaller_chunks(monkeypatch):
 
 def test_a_lane_never_reads_past_its_row_unnoticed(monkeypatch):
     """With a word budget below the proven worst case, the engine raises
-    instead of reading another lane's words."""
-    monkeypatch.setattr(batch, "_half_words_per_round", lambda attack, improved: 4)
-    with pytest.raises((AssertionError, IndexError)):
-        run_chunk(_spec("improved", "measure-resend", 8), 0, 40)
+    instead of reading another lane's words: a play budget that is too
+    small, and a row that holds the play but not TP's pass."""
+    with monkeypatch.context() as patch:
+        patch.setattr(batch, "_half_words_per_round", lambda attack, improved: 4)
+        with pytest.raises((AssertionError, IndexError)):
+            run_chunk(_spec("improved", "measure-resend", 8), 0, 40)
+
+    words = batch.trial_words
+    monkeypatch.setattr(batch, "trial_words", lambda spec: words(spec) - 2 * spec.num_rounds())
+    for attack in ("none", "participant"):
+        with pytest.raises(AssertionError, match="past its row"):
+            run_chunk(_spec("jiang", attack, 8), 0, 40)
+
+
+@pytest.mark.parametrize("mode", ["random", "equal", "explicit", "unequal"])
+def test_each_lane_is_read_once(mode, monkeypatch):
+    """A chunk reads every lane's row in one call; only unequal-mode lanes
+    whose redraws outgrow their rows are read again, from further on."""
+    calls = []
+    reader = batch._pcg64_reader
+
+    def spying(states):
+        read = reader(states)
+
+        def spy(lanes, starts, width):
+            calls.append(np.asarray(starts).copy())
+            return read(lanes, starts, width)
+
+        return spy
+
+    monkeypatch.setattr(batch, "_pcg64_reader", spying)
+    reads = 0
+    for (protocol, attack), L in itertools.product(PAIRS, (1, 8)):
+        calls.clear()
+        run_chunk(_spec(protocol, attack, L, 2**32 + 1, mode=mode), 0, 64)
+        assert not calls[0].any()
+        assert all(starts.all() for starts in calls[1:])
+        reads += len(calls)
+    assert (reads > 2 * len(PAIRS)) == (mode == "unequal")
+
+
+@pytest.mark.parametrize("L, trials", [(1, 40), (8, 12), (64, 4)])
+@pytest.mark.parametrize("mode", ["random", "equal", "explicit"])
+def test_scalar_trials_read_their_words_once(mode, L, trials, monkeypatch):
+    """`run_trial` sizes its first read with `batch.trial_words`, so no
+    trial of any pair reads its stream a second time."""
+    refills = []
+    refill = Draws._refill
+
+    def spy(draws, need):
+        refills.append(need)
+        refill(draws, need)
+
+    monkeypatch.setattr(Draws, "_refill", spy)
+    for protocol, attack in PAIRS:
+        spec = _spec(protocol, attack, L, mode=mode)
+        for t in range(trials):
+            refills.clear()
+            run_trial(spec, t)
+            assert refills[0] == batch.trial_words(spec)
+            assert len(refills) == 1, (protocol, attack, t)
+
+
+def test_a_chunk_stays_within_its_stated_memory():
+    """A batched chunk's traced peak, for the most word-hungry pair, stays
+    within the bytes per lane-round that `MAX_LANE_ROUNDS` is sized by."""
+    stated = re.search(r"near (\d+) bytes per lane-round", inspect.getsource(harness))
+    transition_table()
+    for L, lanes in ((64, 256), (128, 128)):
+        spec = _spec("improved", "measure-resend", L)
+        assert lanes * spec.num_rounds() <= harness.MAX_LANE_ROUNDS
+        run_chunk(spec, 0, 16)
+        tracemalloc.start()
+        try:
+            run_chunk(spec, 0, lanes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= int(stated.group(1)) * lanes * spec.num_rounds(), (L, peak)
 
 
 def test_word_budget_is_a_worst_case():
