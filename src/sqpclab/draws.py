@@ -53,8 +53,9 @@ class Draws:
     replayed from the raw words of a PCG64 bit generator.
 
     Words are read `block` at a time, the first block when the stream is
-    built, so the bit generator runs ahead of the draws served. `half` is a
-    buffered half-word to serve first (-1 for none).
+    built, so the bit generator runs ahead of the draws served; each refill
+    doubles the block, so a long stream takes few reads however small its
+    first. `half` is a buffered half-word to serve first (-1 for none).
     """
 
     __slots__ = ("_source", "_block", "_words", "_next", "_half")
@@ -114,6 +115,7 @@ class Draws:
     def _refill(self, need: int) -> None:
         """Read at least `need` more words, served after the unserved ones."""
         raw = self._source.random_raw(max(need, self._block))
+        self._block *= 2
         words = [*self._words, *raw.tolist()]
         self._words = iter(words)
         self._next = self._words.__next__
@@ -126,6 +128,8 @@ def as_draws(seed) -> Draws:
 
     A `Generator` is read ahead a block of words at a time, so its state
     after the run depends on that block size; only PCG64 can be replayed.
+    A fresh PCG64 reads a first block of 8 words: a `Simulator` seeded by an
+    int often draws only a few.
     """
     if isinstance(seed, Draws):
         return seed
@@ -139,7 +143,7 @@ def as_draws(seed) -> Draws:
             half = state["uinteger"]
             source.state = {**state, "has_uint32": 0, "uinteger": 0}
         return Draws(source, half=half)
-    return Draws(np.random.PCG64(seed))
+    return Draws(np.random.PCG64(seed), 8)
 
 
 def _hasher(const: int, mult: int):

@@ -23,8 +23,8 @@ arrays, seeding them all at once with `draws.pcg64_states`; the scalar
 engine seeds each trial with numpy's own SeedSequence, so equal reports also
 check that vectorized seeding. Both read a trial's words once, as many as
 `batch.trial_words` proves it may draw (unequal-mode redraws may read more).
-`run_experiment` runs a chunk of at least BATCH_MIN_LANES trials batched, a
-smaller one trial by trial.
+`run_experiment` runs a chunk of at least BATCH_MIN_LANES trials batched, as
+it does an 8-trial experiment, and a smaller one trial by trial.
 
 Aggregation streams: `run_experiment` folds each chunk's report fields
 (`batch.Lanes`) into integer `TrialCounts` as the chunk finishes, and
@@ -321,14 +321,16 @@ class TrialCounts:
 
 
 # Chunks of at least this many trials run on the batched engine, smaller
-# ones trial by trial on the scalar engine. The engines break even near 12
-# lanes at L=1, 8 and 64 (all 12 pairs timed); 8 trials run 0.7x as fast
-# batched as scalar, 16 about 1.2-1.4x.
-BATCH_MIN_LANES = 16
+# ones trial by trial on the scalar engine. Timed over all 12 pairs, the
+# median pair breaks even near 8 lanes at L=1, 3 at L=8 and 1 at L=64: 8
+# lanes run 0.8-1.3x as fast batched as scalar at L=1, 1.4-4.0x at L=8 and
+# 2.7-9.5x at L=64.
+BATCH_MIN_LANES = 8
 
-# Lanes times rounds of one chunk: with arrays near 135 bytes per lane-round
-# (the traced peak of improved measure-resend at L=64, 128 and 512; its row
-# of words is 84 of them), a chunk's arrays stay near 34 MiB for any L.
+# Lanes times rounds of one chunk: with arrays near 130 bytes per lane-round
+# (the traced peak of improved measure-resend at L=64 and 128 is 126; its
+# row of words is 86 of them, and its windows of codes for the cursor step
+# 21), a chunk's arrays stay near 33 MiB for any L.
 MAX_LANE_ROUNDS = 1 << 18
 
 

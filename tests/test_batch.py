@@ -242,16 +242,18 @@ def test_crafted_tie_words_give_scalar_reports(protocol, attack, monkeypatch):
 
 
 def test_engine_is_chosen_by_chunk_size(monkeypatch):
-    """A sweep-l8-shaped experiment never runs a trial on the scalar engine;
-    an 8-trial one always does."""
+    """Sweep-l8- and long-l64-shaped experiments never run a trial on the
+    scalar engine; a chunk below BATCH_MIN_LANES always does."""
 
     def refuse(spec, trial_index):
         raise AssertionError("scalar engine called")
 
     monkeypatch.setattr(harness, "run_trial", refuse)
     run_experiment(ExperimentSpec(protocol="improved", attack="outside", secret_bits=8, trials=200))
+    for protocol in ("jiang", "improved"):
+        run_experiment(ExperimentSpec(protocol=protocol, secret_bits=64, trials=8))
     with pytest.raises(AssertionError, match="scalar engine called"):
-        run_experiment(ExperimentSpec(protocol="jiang", secret_bits=8, trials=8))
+        run_experiment(ExperimentSpec(protocol="jiang", secret_bits=8, trials=harness.BATCH_MIN_LANES - 1))
 
 
 def test_long_trials_run_in_smaller_chunks(monkeypatch):

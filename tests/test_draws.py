@@ -94,6 +94,27 @@ def test_generator_hands_over_its_buffered_half_word():
     assert as_draws(draws) is draws
 
 
+def test_simulator_seeded_by_an_int_draws_numpy_across_refills(monkeypatch):
+    """`Simulator(seed=s)` reads a first block of 8 words and doubles the
+    block at each refill; across several refills its draws stay those of
+    `default_rng(s)`."""
+    blocks = []
+    refill = Draws._refill
+
+    def spy(draws, need):
+        blocks.append(draws._block)
+        refill(draws, need)
+
+    monkeypatch.setattr(Draws, "_refill", spy)
+    rng = random.Random(4)
+    for seed in (0, 9, 2**40 + 3, 2**63 - 1):
+        blocks.clear()
+        sim = Simulator(seed=seed)
+        _replay_matches(sim._rng, np.random.default_rng(seed), rng, 300)
+        assert len(blocks) >= 4
+        assert blocks == [8 << k for k in range(len(blocks))]
+
+
 def test_integers_rejects_a_range_it_cannot_replay():
     draws = as_draws(3)
     for high in (3, 6, 2**32 + 1, 2**33, 0):
@@ -119,8 +140,8 @@ def test_streams_sharing_a_source_stay_exact_past_their_first_block():
 
 def test_unequal_redraws_past_the_first_block_stay_exact(monkeypatch):
     """Unequal secrets at L=1 redraw y until it differs from x; with a
-    one-word first block every redraw refills, and the draws and the trial
-    reports still match numpy's stream."""
+    one-word first block the redraws refill again and again, and the draws
+    and the trial reports still match numpy's stream."""
     spec = ExperimentSpec(protocol="improved", secret_bits=1, secrets="unequal", seed=4, trials=60)
     redraws = 0
     for i in range(spec.trials):
@@ -205,7 +226,8 @@ def test_bell_draw_is_scaled_by_the_total_weight():
 
 def test_streams_sharing_a_source_stay_exact_across_threads():
     """Each trial stream reads a PCG64 of its own, so four threads
-    refilling every word, with no lock, still get numpy's draws."""
+    refilling from one-word first blocks, with no lock, still get numpy's
+    draws."""
     failures = []
 
     def check(offset):

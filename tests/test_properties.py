@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqpclab.adversary import ATTACKS
+from sqpclab.batch import Lanes, run_chunk
 from sqpclab.cli import main
-from sqpclab.harness import AggregateReport, ExperimentSpec, run_experiment
+from sqpclab.harness import AggregateReport, ExperimentSpec, run_experiment, run_trial
 from sqpclab.protocol import (
     AbortReason,
     ProtocolConfig,
@@ -125,6 +126,48 @@ def test_improved_publication_carries_nothing_of_the_raw_keys(swap):
     )
 
 
+# -- the batched engine against the scalar one ------------------------------------
+
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def chunks(draw):
+    """(spec, first, count): any pair and secrets mode, p_ctrl and p_detect
+    at 0 and 1 among others, rounds factors from 1, L up to 16, seeds and
+    trial indices on both sides of 2**32, and up to 40 lanes."""
+    protocol = draw(st.sampled_from(["jiang", "improved"]))
+    L = draw(st.integers(1, 16))
+    secrets = draw(st.sampled_from(["random", "equal", "unequal", "explicit"]))
+    if secrets == "explicit":
+        x, y = (draw(st.integers(0, 2**L - 1)) for _ in range(2))
+        secrets = f"explicit:{x:X},{y:X}"
+    spec = ExperimentSpec(
+        protocol=protocol,
+        attack=draw(st.sampled_from(list(ATTACKS))),
+        secret_bits=L,
+        rounds_factor=draw(st.integers(1, 3)),
+        p_ctrl=draw(_PROBABILITY),
+        p_detect=draw(_PROBABILITY) if protocol == "improved" else 0.5,
+        seed=draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**70))),
+        threshold=draw(st.sampled_from([0.0, 0.25])),
+        secrets=secrets,
+    )
+    first = draw(st.one_of(st.integers(1, 5000), st.integers(2**32, 2**32 + 5000)))
+    return spec, first, draw(st.integers(1, 40))
+
+
+@deterministic
+@given(chunks())
+def test_chunk_lanes_equal_scalar_reports(chunk):
+    """`run_chunk` gives every lane the report fields `run_trial` gives its
+    trial."""
+    spec, first, count = chunk
+    lanes = run_chunk(spec, first, count)
+    expected = Lanes.of(run_trial(spec, t) for t in range(first, first + count))
+    assert [field.tolist() for field in lanes] == [field.tolist() for field in expected]
+
+
 # -- fuzz of the input boundaries ----------------------------------------------
 
 # Each real flag with values it accepts. Trials and secret lengths stay tiny,
@@ -203,8 +246,7 @@ _JSON = st.recursive(
 )
 
 # A real report with a trap-count table and a completed trial, as JSON
-# gives it back. 8 trials run on the scalar engine, so collecting this
-# module builds no batched table.
+# gives it back.
 _REPORT = json.loads(json.dumps(run_experiment(
     ExperimentSpec(protocol="improved", attack="measure-resend", secret_bits=2, trials=8, seed=0)
 ).to_dict()))
