@@ -206,26 +206,6 @@ class Lanes(NamedTuple):
         """Lanes that a security check (Bell or trap) aborted."""
         return (self.reason == 1) | (self.reason == 2)
 
-    @classmethod
-    def of(cls, reports) -> "Lanes":
-        """The fields of scalar `TrialReport`s."""
-        rows = [
-            (
-                REASONS.index(r.outcome.abort_reason),
-                r.outcome.first_differing_ordinal or 0,
-                bool(r.verdict_correct),
-                r.n,
-                r.m,
-                r.case1_rounds,
-                r.case1_errors,
-                r.trap_mismatches,
-                -1 if r.adversary_recovered_secret_correct is None
-                else int(r.adversary_recovered_secret_correct),
-            )
-            for r in reports
-        ]
-        return cls(*map(np.array, zip(*rows)))
-
 
 def _half_words_per_round(attack, improved: bool) -> int:
     """A worst case of one round's play draws, in half-words (a `random()`

@@ -15,16 +15,14 @@ of y follows as a call of its own. Each bit consumes exactly one 32-bit
 half-word, and unused half-words carry over between calls, so one call of
 n*L bits yields the same bits and leaves the same state as n calls of L.
 
-Two engines run the trials and give each the same report. `run_trial` is
-the scalar reference: one trial through `protocol.run_protocol`, the
-simulator and a channel strategy, and the way to replay any single trial.
-The batched engine (`batch.run_chunk`) runs a chunk of trials as numpy
-arrays, seeding them all at once with `draws.pcg64_states`; the scalar
-engine seeds each trial with numpy's own SeedSequence, so equal reports also
-check that vectorized seeding. Both read a trial's words once, as many as
+The batched engine (`batch.run_chunk`) runs every experiment: it plays a
+chunk of trials as numpy arrays, seeding them all at once with
+`draws.pcg64_states`. `run_trial` is the scalar engine: one trial through
+`protocol.run_protocol`, the simulator and a channel strategy, seeded with
+numpy's own SeedSequence. It is the reference the batched engine's lanes
+must equal, which also checks the vectorized seeding, and the way to replay
+any single trial. Both read a trial's words once, as many as
 `batch.trial_words` proves it may draw (unequal-mode redraws may read more).
-`run_experiment` runs a chunk of at least BATCH_MIN_LANES trials batched, as
-it does an 8-trial experiment, and a smaller one trial by trial.
 
 Aggregation streams: `run_experiment` folds each chunk's report fields
 (`batch.Lanes`) into integer `TrialCounts` as the chunk finishes, and
@@ -69,8 +67,11 @@ DEFAULT_ROUNDS_FACTOR = {"jiang": 5, "improved": 11}
 
 SECRET_MODES = ("random", "equal", "unequal")
 
-# Rounds a trial may run. One trial holds about 0.7 KB per round (peak RSS
-# of improved trials at L=64 to 4,096), so this keeps it near 0.7 GiB.
+# Rounds a trial may run. An experiment plays a trial this long in a chunk
+# of its own, near 180 bytes per round (see MAX_LANE_ROUNDS): 209 MiB peak
+# RSS for improved measure-resend. Replaying it through `run_trial` takes
+# 1.2-2.0 KB per round (RSS growth of improved trials at L=4,096 and 16,384,
+# from no attack to outside), so about 2 GiB.
 MAX_ROUNDS = 1 << 20
 
 
@@ -320,28 +321,24 @@ class TrialCounts:
     cells: dict[tuple[int, bool], int] = field(default_factory=dict)
 
 
-# Chunks of at least this many trials run on the batched engine, smaller
-# ones trial by trial on the scalar engine. Timed over all 12 pairs, the
-# median pair breaks even near 8 lanes at L=1, 3 at L=8 and 1 at L=64: 8
-# lanes run 0.8-1.3x as fast batched as scalar at L=1, 1.4-4.0x at L=8 and
-# 2.7-9.5x at L=64.
-BATCH_MIN_LANES = 8
-
-# Lanes times rounds of one chunk: with arrays near 130 bytes per lane-round
-# (the traced peak of improved measure-resend at L=64 and 128 is 126; its
-# row of words is 86 of them, and its windows of codes for the cursor step
-# 21), a chunk's arrays stay near 33 MiB for any L.
+# Lanes times rounds of one chunk, unless a single trial has more rounds.
+# Arrays of a chunk of many lanes take near 130 bytes per lane-round (the
+# traced peak of improved measure-resend is 126 at L=64 and 128, 125 with 4
+# lanes at L=4,096; its row of words is 86 of them, and its windows of codes
+# for the cursor step 21), so they stay near 33 MiB. But a chunk holds at
+# least one lane, and a 1-lane chunk takes near 180 bytes per round (172
+# traced at L=1,024 and 4,096), so one of more than 2**18 rounds grows past
+# 33 MiB: at MAX_ROUNDS, to 172 MiB traced.
 MAX_LANE_ROUNDS = 1 << 18
 
 
 def run_experiment(spec: ExperimentSpec) -> AggregateReport:
     """Run all trials and aggregate; per-trial aborts are data, not errors.
 
-    Trials run in chunks of SEED_BLOCK, or of a power of two below it that
-    keeps lanes x rounds within MAX_LANE_ROUNDS: a chunk of at least
-    BATCH_MIN_LANES trials on the batched engine (`batch.run_chunk`), a
-    smaller one through `run_trial`. Both give each trial the same report,
-    so the engine never changes a result.
+    Trials run on the batched engine (`batch.run_chunk`) in chunks of
+    SEED_BLOCK, or of a power of two below it that keeps lanes x rounds
+    within MAX_LANE_ROUNDS, down to one trial a chunk. Each trial's report
+    equals the one `run_trial` gives it.
     """
     model = detection_model(Variant(spec.protocol), spec.attack)
     extract = None if model is None else model[0]
@@ -350,12 +347,7 @@ def run_experiment(spec: ExperimentSpec) -> AggregateReport:
     while step > 1 and step * spec.num_rounds() > MAX_LANE_ROUNDS:
         step //= 2
     for first in range(0, spec.trials, step):
-        count = min(step, spec.trials - first)
-        if count >= BATCH_MIN_LANES:
-            lanes = run_chunk(spec, first, count)
-        else:
-            lanes = Lanes.of(run_trial(spec, t) for t in range(first, first + count))
-        _fold(counts, lanes, extract)
+        _fold(counts, run_chunk(spec, first, min(step, spec.trials - first)), extract)
     return aggregate(spec, counts)
 
 

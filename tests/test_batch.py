@@ -23,6 +23,8 @@ from sqpclab.draws import Draws
 from sqpclab.harness import ExperimentSpec, run_experiment, run_trial
 from sqpclab.protocol import ComparisonOutcome, TrialReport
 
+from scalar_fold import scalar_report
+
 PAIRS = [(p, a) for p in ("jiang", "improved") for a in ATTACKS]
 SEEDS = (3, 17, 2**32 + 5)
 MODES = ("random", "equal", "unequal", "explicit")
@@ -191,13 +193,23 @@ def test_chunks_of_every_size_equal_scalar_reports(protocol, attack):
     _assert_equal(spec, 256, 44)
 
 
-def test_experiment_across_a_seed_block_equals_the_scalar_fold(monkeypatch):
+def test_experiment_across_a_seed_block_equals_the_scalar_fold():
     """300 trials run as a 256-lane chunk and a 44-lane one; the report
     equals the one folded from scalar trials."""
     spec = ExperimentSpec(protocol="improved", attack="outside", secret_bits=2, trials=300, seed=8)
-    batched = run_experiment(spec)
-    monkeypatch.setattr(harness, "BATCH_MIN_LANES", spec.trials + 1)
-    assert run_experiment(spec) == batched
+    assert run_experiment(spec) == scalar_report(spec)
+
+
+@pytest.mark.parametrize("protocol, attack", PAIRS)
+def test_small_experiments_equal_the_scalar_fold(protocol, attack, monkeypatch):
+    """Experiments of 1, 3 and 7 trials, and one of 2 trials forced into
+    1-lane chunks, report exactly what their scalar trials fold to."""
+    for L, trials in itertools.product((1, 8), (1, 3, 7)):
+        spec = ExperimentSpec(protocol=protocol, attack=attack, secret_bits=L, trials=trials, seed=L + trials)
+        assert run_experiment(spec).to_dict() == scalar_report(spec).to_dict(), (L, trials)
+    spec = ExperimentSpec(protocol=protocol, attack=attack, secret_bits=8, trials=2, seed=6)
+    monkeypatch.setattr(harness, "MAX_LANE_ROUNDS", spec.num_rounds())
+    assert run_experiment(spec).to_dict() == scalar_report(spec).to_dict()
 
 
 # -- crafted words -----------------------------------------------------------------------
@@ -238,22 +250,31 @@ def test_crafted_tie_words_give_scalar_reports(protocol, attack, monkeypatch):
         _assert_equal(spec, 0, count, read)
 
 
-# -- engine choice and bounds ----------------------------------------------------------
+# -- one experiment path and its bounds ---------------------------------------------------
 
 
-def test_engine_is_chosen_by_chunk_size(monkeypatch):
-    """Sweep-l8- and long-l64-shaped experiments never run a trial on the
-    scalar engine; a chunk below BATCH_MIN_LANES always does."""
+def test_experiments_never_run_the_scalar_engine(monkeypatch):
+    """Experiments of 1, 7 and 200 trials, and one whose chunks shrink to a
+    single lane, run every trial on the batched engine."""
 
-    def refuse(spec, trial_index):
+    def refuse(*args):
         raise AssertionError("scalar engine called")
 
     monkeypatch.setattr(harness, "run_trial", refuse)
-    run_experiment(ExperimentSpec(protocol="improved", attack="outside", secret_bits=8, trials=200))
-    for protocol in ("jiang", "improved"):
-        run_experiment(ExperimentSpec(protocol=protocol, secret_bits=64, trials=8))
-    with pytest.raises(AssertionError, match="scalar engine called"):
-        run_experiment(ExperimentSpec(protocol="jiang", secret_bits=8, trials=harness.BATCH_MIN_LANES - 1))
+    monkeypatch.setattr(harness, "run_protocol", refuse)
+    for trials in (1, 7, 200):
+        run_experiment(ExperimentSpec(protocol="improved", attack="outside", secret_bits=8, trials=trials))
+    spec = ExperimentSpec(protocol="jiang", attack="participant", secret_bits=8, trials=3)
+    chunks = []
+
+    def spy(spec, first, count):
+        chunks.append((first, count))
+        return run_chunk(spec, first, count)
+
+    monkeypatch.setattr(harness, "run_chunk", spy)
+    monkeypatch.setattr(harness, "MAX_LANE_ROUNDS", spec.num_rounds())
+    run_experiment(spec)
+    assert chunks == [(0, 1), (1, 1), (2, 1)]
 
 
 def test_long_trials_run_in_smaller_chunks(monkeypatch):
@@ -270,7 +291,7 @@ def test_long_trials_run_in_smaller_chunks(monkeypatch):
     monkeypatch.setattr(harness, "run_chunk", spy)
     monkeypatch.setattr(harness, "MAX_LANE_ROUNDS", 32 * spec.num_rounds())
     assert run_experiment(spec) == whole
-    assert chunks == [(0, 32), (32, 32), (64, 32)]  # and 4 trials run scalar
+    assert chunks == [(0, 32), (32, 32), (64, 32), (96, 4)]
 
 
 def test_a_lane_never_reads_past_its_row_unnoticed(monkeypatch):
@@ -338,22 +359,33 @@ def test_scalar_trials_read_their_words_once(mode, L, trials, monkeypatch):
             assert len(refills) == 1, (protocol, attack, t)
 
 
+def _traced_peak(spec, lanes: int) -> int:
+    """The traced peak of a chunk of `lanes` lanes, after a warm-up chunk."""
+    run_chunk(spec, 0, min(lanes, 16))
+    tracemalloc.start()
+    try:
+        run_chunk(spec, 0, lanes)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_chunk_stays_within_its_stated_memory():
     """A batched chunk's traced peak, for the most word-hungry pair, stays
-    within the bytes per lane-round that `MAX_LANE_ROUNDS` is sized by."""
-    stated = re.search(r"near (\d+) bytes per lane-round", inspect.getsource(harness))
+    within the bytes per lane-round that `MAX_LANE_ROUNDS` is sized by, and
+    a 1-lane chunk's within the bytes per round stated for it."""
+    source = inspect.getsource(harness)
+    stated = re.search(r"near (\d+) bytes per lane-round", source)
     transition_table()
     for L, lanes in ((64, 256), (128, 128)):
         spec = _spec("improved", "measure-resend", L)
         assert lanes * spec.num_rounds() <= harness.MAX_LANE_ROUNDS
-        run_chunk(spec, 0, 16)
-        tracemalloc.start()
-        try:
-            run_chunk(spec, 0, lanes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(spec, lanes)
         assert peak <= int(stated.group(1)) * lanes * spec.num_rounds(), (L, peak)
+    alone = re.search(r"1-lane chunk takes near (\d+) bytes per round", source)
+    spec = _spec("improved", "measure-resend", 1024)
+    peak = _traced_peak(spec, 1)
+    assert peak <= int(alone.group(1)) * spec.num_rounds(), peak
 
 
 def test_word_budget_is_a_worst_case():

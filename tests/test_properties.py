@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqpclab.adversary import ATTACKS
-from sqpclab.batch import Lanes, run_chunk
+from sqpclab.batch import run_chunk
 from sqpclab.cli import main
 from sqpclab.harness import AggregateReport, ExperimentSpec, run_experiment, run_trial
 from sqpclab.protocol import (
@@ -24,6 +24,8 @@ from sqpclab.protocol import (
     Variant,
     run_protocol,
 )
+
+from scalar_fold import lanes_of
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -164,7 +166,7 @@ def test_chunk_lanes_equal_scalar_reports(chunk):
     trial."""
     spec, first, count = chunk
     lanes = run_chunk(spec, first, count)
-    expected = Lanes.of(run_trial(spec, t) for t in range(first, first + count))
+    expected = lanes_of(run_trial(spec, t) for t in range(first, first + count))
     assert [field.tolist() for field in lanes] == [field.tolist() for field in expected]
 
 
