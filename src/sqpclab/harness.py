@@ -267,8 +267,13 @@ def detection_model(variant: Variant, attack: str):
 
 # Trials run in chunks that start at a multiple of their size, a power of
 # two up to SEED_BLOCK, so a chunk never straddles 2**32 and one
-# `pcg64_states` call seeds it.
-SEED_BLOCK = 256
+# `pcg64_states` call seeds it. A chunk's fixed cost, 0.6-1.3 ms (seeding,
+# the stages' numpy calls, `_fold`), is a quarter to a half of a 256-lane
+# chunk at L=1, where a lane costs 4-8 us; 1024 lanes pay it a quarter as
+# often, for 2 MiB more peak RSS (2048 would add near 4 MiB).
+# A full-width chunk at L=1 peaks near 1,900 KiB traced. The cap stays at
+# or below `batch.SLICE_CELLS`, so one round of a chunk fits a slice.
+SEED_BLOCK = 1024
 
 
 def trial_rng(seed: int, trial_index: int, words: int = 256) -> Draws:
@@ -337,8 +342,8 @@ def run_experiment(spec: ExperimentSpec) -> AggregateReport:
 
     Trials run on the batched engine (`batch.run_chunk`) in chunks of
     SEED_BLOCK, or of a power of two below it that keeps lanes x rounds
-    within MAX_LANE_ROUNDS, down to one trial a chunk. Each trial's report
-    equals the one `run_trial` gives it.
+    within MAX_LANE_ROUNDS, down to one trial a chunk. A lane draws only from
+    its own trial's stream, so its report equals the one `run_trial` gives.
     """
     model = detection_model(Variant(spec.protocol), spec.attack)
     extract = None if model is None else model[0]

@@ -194,10 +194,21 @@ def test_chunks_of_every_size_equal_scalar_reports(protocol, attack):
 
 
 def test_experiment_across_a_seed_block_equals_the_scalar_fold():
-    """300 trials run as a 256-lane chunk and a 44-lane one; the report
+    """1,100 trials run as a full-width chunk and a 76-lane one; the report
     equals the one folded from scalar trials."""
-    spec = ExperimentSpec(protocol="improved", attack="outside", secret_bits=2, trials=300, seed=8)
+    spec = ExperimentSpec(protocol="improved", attack="outside", secret_bits=1, trials=1100, seed=8)
+    assert spec.trials == harness.SEED_BLOCK + 76
     assert run_experiment(spec) == scalar_report(spec)
+
+
+def test_chunk_width_never_changes_a_report(monkeypatch):
+    """Each lane draws only from its own trial's stream, so an experiment
+    reports the same with chunks of 64, 256 or 1024 lanes."""
+    spec = ExperimentSpec(protocol="improved", attack="measure-resend", secret_bits=1, trials=1100, seed=9)
+    whole = run_experiment(spec).to_dict()
+    for block in (64, 256, 1024):
+        monkeypatch.setattr(harness, "SEED_BLOCK", block)
+        assert run_experiment(spec).to_dict() == whole, block
 
 
 @pytest.mark.parametrize("protocol, attack", PAIRS)
@@ -253,6 +264,18 @@ def test_crafted_tie_words_give_scalar_reports(protocol, attack, monkeypatch):
 # -- one experiment path and its bounds ---------------------------------------------------
 
 
+def _spy_chunks(monkeypatch) -> list[tuple[int, int]]:
+    """The (first, count) of every chunk `run_experiment` runs from now on."""
+    chunks = []
+
+    def spy(spec, first, count):
+        chunks.append((first, count))
+        return run_chunk(spec, first, count)
+
+    monkeypatch.setattr(harness, "run_chunk", spy)
+    return chunks
+
+
 def test_experiments_never_run_the_scalar_engine(monkeypatch):
     """Experiments of 1, 7 and 200 trials, and one whose chunks shrink to a
     single lane, run every trial on the batched engine."""
@@ -265,13 +288,7 @@ def test_experiments_never_run_the_scalar_engine(monkeypatch):
     for trials in (1, 7, 200):
         run_experiment(ExperimentSpec(protocol="improved", attack="outside", secret_bits=8, trials=trials))
     spec = ExperimentSpec(protocol="jiang", attack="participant", secret_bits=8, trials=3)
-    chunks = []
-
-    def spy(spec, first, count):
-        chunks.append((first, count))
-        return run_chunk(spec, first, count)
-
-    monkeypatch.setattr(harness, "run_chunk", spy)
+    chunks = _spy_chunks(monkeypatch)
     monkeypatch.setattr(harness, "MAX_LANE_ROUNDS", spec.num_rounds())
     run_experiment(spec)
     assert chunks == [(0, 1), (1, 1), (2, 1)]
@@ -282,16 +299,26 @@ def test_long_trials_run_in_smaller_chunks(monkeypatch):
     and the report does not change."""
     spec = ExperimentSpec(protocol="improved", attack="outside", secret_bits=8, trials=100, seed=4)
     whole = run_experiment(spec)
-    chunks = []
-
-    def spy(spec, first, count):
-        chunks.append((first, count))
-        return run_chunk(spec, first, count)
-
-    monkeypatch.setattr(harness, "run_chunk", spy)
+    chunks = _spy_chunks(monkeypatch)
     monkeypatch.setattr(harness, "MAX_LANE_ROUNDS", 32 * spec.num_rounds())
     assert run_experiment(spec) == whole
     assert chunks == [(0, 32), (32, 32), (64, 32), (96, 4)]
+
+
+@pytest.mark.parametrize("protocol", ["jiang", "improved"])
+def test_benchmark_shapes_keep_their_chunk_plans(protocol, monkeypatch):
+    """4,000 trials at L=1 run in four chunks of up to 1024 lanes; 200 at
+    L=8 and 8 at L=64 each run as one chunk."""
+    chunks = _spy_chunks(monkeypatch)
+    plans = {
+        (1, 4000): [(0, 1024), (1024, 1024), (2048, 1024), (3072, 928)],
+        (8, 200): [(0, 200)],
+        (64, 8): [(0, 8)],
+    }
+    for (L, trials), plan in plans.items():
+        chunks.clear()
+        run_experiment(ExperimentSpec(protocol=protocol, secret_bits=L, trials=trials))
+        assert chunks == plan, (L, trials)
 
 
 def test_a_lane_never_reads_past_its_row_unnoticed(monkeypatch):
@@ -372,11 +399,16 @@ def _traced_peak(spec, lanes: int) -> int:
 
 def test_a_chunk_stays_within_its_stated_memory():
     """A batched chunk's traced peak, for the most word-hungry pair, stays
-    within the bytes per lane-round that `MAX_LANE_ROUNDS` is sized by, and
+    within the bytes per lane-round that `MAX_LANE_ROUNDS` is sized by, a
+    full-width chunk's at L=1 within the peak stated for `SEED_BLOCK`, and
     a 1-lane chunk's within the bytes per round stated for it."""
     source = inspect.getsource(harness)
     stated = re.search(r"near (\d+) bytes per lane-round", source)
     transition_table()
+    widest = re.search(r"full-width chunk at L=1 peaks near ([\d,]+) KiB", source)
+    assert harness.SEED_BLOCK <= batch.SLICE_CELLS
+    peak = _traced_peak(_spec("improved", "measure-resend", 1), harness.SEED_BLOCK)
+    assert peak <= int(widest.group(1).replace(",", "")) * 1024, peak
     for L, lanes in ((64, 256), (128, 128)):
         spec = _spec("improved", "measure-resend", L)
         assert lanes * spec.num_rounds() <= harness.MAX_LANE_ROUNDS

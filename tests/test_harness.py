@@ -249,7 +249,9 @@ def test_stderr_shrinks_with_trials():
 
 def test_experiment_memory_does_not_grow_with_trials():
     """Trials are folded into counts as they finish: ten times the trials
-    must not raise the peak traced memory of an experiment."""
+    must not raise the peak traced memory of an experiment. Both runs fill
+    whole chunks, so only the trial count differs between them."""
+    block = harness.SEED_BLOCK
 
     def peak(trials: int) -> int:
         tracemalloc.start()
@@ -262,8 +264,8 @@ def test_experiment_memory_does_not_grow_with_trials():
     # Untraced warm-up at the measured size: fills the simulator's
     # interned-state table and the allocator's pools before either peak is
     # taken, so the result does not depend on which tests ran before.
-    run_experiment(ExperimentSpec(protocol="jiang", secret_bits=1, trials=5000))
-    assert peak(5000) <= peak(500) + 64 * 1024
+    run_experiment(ExperimentSpec(protocol="jiang", secret_bits=1, trials=10 * block))
+    assert peak(10 * block) <= peak(block) + 64 * 1024
 
 
 def test_aggregate_report_round_trip():
