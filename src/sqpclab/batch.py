@@ -23,14 +23,17 @@ arrays:
     1. `seed_and_read`: seed the lanes and read their rows;
     2. `draw_keys`: key and secret bits, one block for every lane, then
        unequal-mode redraws of y for the lanes that need them;
-    3. `advance_cursors`: each lane's cursor at the start of every round. A
-       round depends on the rounds before it only through the cursor (and,
-       in jiang, whether each side has made its L calculates, after which
-       its SIFTs draw a filler bit), and which words a round reads depends
-       only on that and on each word's choice and detect codes (u >= p_ctrl,
-       u < p_detect). So a table, built once by `_walk_round` over every
-       window of codes, gives the cursor's step, and the cursors advance by
-       one lookup a round;
+    3. `advance_cursors`: each lane's cursor at the start of every round, a
+       node ``2 * word + buffered``. A round depends on the rounds before it
+       only through the node (and, in jiang, whether each side has made its
+       L calculates, after which its SIFTs draw a filler bit), and which
+       words a round reads depends only on that and on each word's choice
+       and detect codes (u >= p_ctrl, u < p_detect). So tables built once
+       per pair by `_walk_round` give each word's two nodes a byte, looked
+       up once per chunk from the word's window of codes: an improved round
+       is then one lookup of its step and one add; a jiang round looks up
+       the step of its byte by whether each side draws filler bits, and
+       counts SIFTs only while they can change that;
     4. `play_rounds`: the round program, over slices of (rounds x lanes)
        cells at once: `_walk_round` from each cell's cursor gives every
        draw's position, then the Bell kind, the forward legs as the `Attack`
@@ -72,6 +75,9 @@ MAX_TABLE_STATES = 128
 # Lane-rounds that the round program and TP's pass take at once, so their
 # temporaries stay below 1 MiB however many rounds a chunk plays.
 SLICE_CELLS = 1 << 11
+# Words that a row's read and the cursor step's windows of codes take at
+# once, so their temporaries stay below 256 KiB however long a row is.
+SLICE_WORDS = 1 << 14
 
 # Lanes.reason codes: completed, then the abort reasons in declaration order.
 REASONS = (None, *AbortReason)
@@ -247,12 +253,16 @@ def _pcg64_reader(states):
 
     def read(lanes, starts, width: int) -> np.ndarray:
         rows = np.empty((len(lanes), width), dtype="<u8")
-        for row, lane, start in zip(rows, lanes, starts):
+        pieces = [
+            (slice(at, at + SLICE_WORDS), min(SLICE_WORDS, width - at)) for at in range(0, width, SLICE_WORDS)
+        ]
+        for row, lane, start in zip(rows, lanes, np.asarray(starts).tolist()):
             fields["state"], fields["inc"] = states[lane]
             source.state = setting
             if start:
-                source.advance(int(start))
-            row[:] = source.random_raw(width)
+                source.advance(start)
+            for piece, size in pieces:
+                row[piece] = source.random_raw(size)
         return rows
 
     return read
@@ -319,51 +329,71 @@ def _walk_round(attack, improved: bool, p, hb, code, filler):
 
 
 class Steps(NamedTuple):
-    """A round's cursor step, by the entry it starts from (see
-    `_round_steps`)."""
+    """A round's cursor step, by node (see `_round_steps`)."""
 
     skip: int  # words a round reads before its first code, at the fewest
-    window: int  # words whose codes an entry holds
-    advance: np.ndarray  # words the round reads
-    key: np.ndarray  # the next entry's buffered bit: whether a half-word is left
-    sifts: np.ndarray  # jiang: whether Alice (row 0) and Bob (row 1) SIFT
+    window: int  # words whose codes a window holds
+    # [codes]: a byte for each of a word's two nodes, buffered 0 in the low
+    # byte and 1 in the high: improved, the node's step; jiang, its entry
+    pair: np.ndarray
+    # jiang, by entry | Alice's and Bob's filler bits << 2 * window + 1: the
+    # node's step, and whether Alice (row 0) and Bob (row 1) SIFT
+    step: np.ndarray | None
+    sifts: np.ndarray | None
 
 
 @cache
 def _round_steps(attack: str, improved: bool) -> Steps:
-    """`Steps` of a (protocol, attack) pair, by entry ``codes | buffered <<
-    shift | fills << shift + 1``, where ``shift = 2 * window - 1``. `codes`
-    packs the choice and detect codes of the `window` words from `skip`
-    words past the cursor on: the first one's choice code at bit 0, then
-    the detect and choice codes of each next word. A round reads no code
-    before Alice's choice, and no detect code before a choice code. `fills`
-    (jiang) says whether Alice (bit 0) and Bob (bit 1) draw filler bits.
-    Built on first use, by `_walk_round` over every entry."""
+    """`Steps` of a (protocol, attack) pair. A lane's cursor is the node
+    ``2 * word + buffered``, and its round steps it by twice the words the
+    round reads plus the change in its buffered bit. The step depends on a
+    window of codes: the detect and choice codes of the `window` words from
+    `skip` words past the cursor on, two bits a word from bit 0, the detect
+    code below the choice code and held inverted (u >= p_detect), so that
+    both are `_at_least` bits. A round reads no code before Alice's choice,
+    and no detect code before a choice code, so never bit 0. A jiang entry
+    is ``codes | buffered << 2 * window``; its step also depends on whether
+    Alice and Bob draw filler bits. Built on first use, by `_walk_round`
+    over every window, buffered bit and filler bits."""
     row = ATTACKS[attack]
     skip = (len(row.forged) + 1) // 2 + len(row.measured)  # with a half-word buffered
     # The words a round may read codes of, from `skip` on: Alice's choice
     # word comes a word later in some rows when no half-word is buffered,
     # and Bob's detect (improved) or choice (jiang) word ends them.
     window = 6 if improved else 3
-    shift = 2 * window - 1
+    shift = 2 * window
+    # codes | buffered << shift, then (jiang) Alice's and Bob's filler bits
     entry = np.arange(1 << shift + (1 if improved else 3), dtype=np.int32)
+    buffered = entry >> shift & 1
 
     def code(q, detect):
-        bit = 2 * (q - skip) - detect
-        assert 0 <= bit.min() and bit.max() < shift, "a round reads past its window of codes"
-        return (entry >> bit & 1).astype(bool)
+        bit = 2 * (q - skip) + 1 - detect
+        assert 0 < bit.min() and bit.max() < shift, "a round reads past its window of codes"
+        return (entry >> bit & 1).astype(bool) ^ detect
 
     def filler(side, sift):
         return sift & (entry >> shift + 1 + side & 1).astype(bool)
 
-    *_, sides, p, hb = _walk_round(row, improved, np.zeros_like(entry), (entry >> shift & 1) - 1, code, filler)
-    sifts = None if improved else np.array([sides[0][0], sides[1][0]], np.uint8)
-    return Steps(skip, window, p.astype(np.uint8), ((hb >= 0) << shift).astype(np.uint16), sifts)
+    *_, sides, p, hb = _walk_round(row, improved, np.zeros_like(entry), buffered - 1, code, filler)
+    step = 2 * p + (hb >= 0) - buffered
+    assert 0 < step.min() and step.max() < 256, "a round's step outgrows its byte"
+    if improved:
+        step = step.astype("<u2")
+        return Steps(skip, window, step[: 1 << shift] | step[1 << shift :] << 8, None, None)
+    codes = np.arange(1 << shift, dtype="<u2")
+    return Steps(
+        skip, window, codes | (codes | 1 << shift) << 8,
+        step.astype(np.intp), np.array([sides[0][0], sides[1][0]], np.uint8),
+    )
 
 
-def _at_least(words, bound: int):
-    """words >= bound, for a bound up to 2**64."""
-    return words >= bound if bound < 1 << 64 else np.zeros(words.shape, bool)
+def _at_least(words, bound: int, out=None):
+    """words >= bound, for a bound up to 2**64, into `out` if given."""
+    if bound < 1 << 64:
+        return np.greater_equal(words, bound, out=out)
+    out = np.empty(words.shape, bool) if out is None else out
+    out[...] = False
+    return out
 
 
 def _code_bounds(spec) -> tuple[int, int]:
@@ -481,60 +511,85 @@ def draw_keys(spec, words, read) -> Keys:
 def advance_cursors(spec, words, keys: Keys):
     """The cursor step: each lane's next word at the start of every round
     and after the last, (rounds + 1 x lanes), and whether it has a half-word
-    buffered at the start of every round, (rounds x lanes). Each word's
-    codes are packed into a window of the codes from it on, over the part of
-    the row that play may read, so a round's step is one lookup in
-    `_round_steps`."""
+    buffered at the start of every round, (rounds x lanes). A lane's cursor
+    is a node, ``2 * word + buffered``. Each word's window of codes is
+    looked up once in `_round_steps`' pair table, which gives a byte for
+    each of the word's two nodes, so a node indexes the bytes directly:
+    improved, its step; jiang, its entry, whose step also depends on each
+    side's filler bits."""
     improved = spec.protocol == "improved"
     steps = _round_steps(spec.attack, improved)
-    skip, window, shift = steps.skip, steps.window, 2 * steps.window - 1
+    skip, window = steps.skip, steps.window
     count, width = words.shape
     L, rounds = spec.secret_bits, spec.num_rounds()
     play_end = (spec.drawn_blocks() * L + 1) // 2 + _play_words(spec)
     ctrl, detect = _code_bounds(spec)
-    # each word's choice code above its detect code, then windows of them
-    # by doubling: packed[:, c] holds the codes of words c to c + span - 1
-    end = play_end + skip + window - 1
-    cols = min(width, end)
-    packed = np.zeros((count, end), np.uint16)
-    packed[:, :cols] = _at_least(words[:, :cols], ctrl)
-    packed <<= 1
-    packed[:, :cols] |= ~_at_least(words[:, :cols], detect)
-    span = 1
-    while span < window:
-        more = min(span, window - span)
-        later = packed[:, span:] & (1 << 2 * more) - 1
-        later <<= 2 * span
-        packed[:, :-span] |= later
-        del later
-        span += more
-    packed >>= 1  # the first word's detect code
-    windows = np.zeros((count, width), np.uint16)
-    windows[:, :play_end] = packed[:, skip : skip + play_end]
-    del packed
-    windows = windows.reshape(-1)
+    # Each word's window of codes, a piece of the flat rows at a time: each
+    # word's choice code above its inverted detect code (jiang reads none),
+    # then windows of them by doubling, until `codes[c]` holds those of
+    # words c + skip on. Windows that run into the next row, or past the
+    # rows, hold codes that no lane reads: a lane that reads past its row
+    # raises below.
+    flat = words.reshape(-1)
+    size = len(flat)
+    by_node = np.empty(size, "<u2")
+    scratch = [np.empty(SLICE_WORDS + window - 1, "<u2") for _ in range(2)]
+    for at in range(0, size, SLICE_WORDS):
+        drawn = flat[at + skip : at + skip + SLICE_WORDS + window - 1]
+        codes, later = (part[: min(SLICE_WORDS, size - at) + window - 1] for part in scratch)
+        codes[len(drawn) :] = 0
+        _at_least(drawn, ctrl, out=codes[: len(drawn)])
+        codes <<= 1
+        if improved:
+            codes[: len(drawn)] |= _at_least(drawn, detect, out=later[: len(drawn)])
+        span = 1
+        while span < window:
+            np.left_shift(codes[span:], 2 * span, out=later[:-span])
+            codes[:-span] |= later[:-span]
+            span *= 2
+        codes &= (1 << 2 * window) - 1
+        np.take(steps.pair, codes[: 1 - window], out=by_node[at : at + SLICE_WORDS], mode="clip")
+    by_node = by_node.view(np.uint8)
 
-    word = np.empty((rounds + 1, count), np.int64)
-    word[0] = keys.word
-    entries = np.empty((rounds, count), np.int64)
-    key = np.where(keys.half >= 0, 1 << shift, 0)
+    node = np.empty((rounds + 1, count), np.int64)
+    node[0] = 2 * keys.word + (keys.half >= 0)
     if improved:
-        for now, after, entry in zip(word[:-1], word[1:], entries):
-            np.bitwise_or(windows[now], key, out=entry)
-            np.add(now, steps.advance[entry], out=after)
-            key = steps.key[entry]
+        for now, after in zip(node[:-1], node[1:]):
+            np.add(now, by_node[now], out=after)
     else:
-        made = np.zeros((2, count), np.int64)  # each side's SIFTs
-        fill_a, fill_b = (np.where(np.arange(rounds + 1) >= L, 2 << shift + side, 0) for side in (0, 1))
-        for now, after, entry in zip(word[:-1], word[1:], entries):
-            np.bitwise_or(windows[now], key, out=entry)
-            np.add(now, steps.advance[entry], out=after)
-            made += steps.sifts[:, entry]
-            key = steps.key[entry] | fill_a[made[0]] | fill_b[made[1]]
-    del windows
-    if (word[-1] - np.arange(count) * width > play_end).any():
+        alice = 2 << 2 * window  # Alice's filler bit; Bob's is twice it
+
+        def walk(first, last, fills):
+            table = steps.step[fills : fills + alice]
+            for now, after in zip(node[first:last], node[first + 1 : last + 1]):
+                np.add(now, table.take(by_node[now]), out=after)
+
+        # A side makes at most one SIFT a round, so none draws a filler bit
+        # before round L. Its SIFTs count from round L - 1 on, until both
+        # sides of every lane draw them: `made` holds each side's SIFTs so
+        # far, Bob's offset by rounds + 1, so that both index `filled`.
+        walk(0, L - 1, 0)
+        made = steps.sifts.take(by_node[node[: L - 1]], axis=1).sum(axis=1, dtype=np.intp)
+        made += [[0], [rounds + 1]]
+        filled = np.where(np.arange(rounds + 1) >= L, [[alice], [2 * alice]], 0).reshape(-1)
+        fill = np.zeros(count, np.intp)
+        r = L - 1
+        while r < rounds:
+            entry = by_node[node[r]] | fill
+            np.add(node[r], steps.step.take(entry), out=node[r + 1])
+            made += steps.sifts.take(entry, axis=1)
+            fills = filled.take(made)
+            r += 1
+            if np.count_nonzero(fills) == 2 * count:
+                break
+            np.bitwise_or(fills[0], fills[1], out=fill)
+        walk(r, rounds, 3 * alice)
+    del by_node
+    buffered = (node[:-1] & 1).astype(bool)
+    node >>= 1
+    if (node[-1] - np.arange(count) * width > play_end).any():
         raise AssertionError("a lane read past its row of words")
-    return word, (entries & 1 << shift).astype(bool)
+    return node, buffered
 
 
 def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:

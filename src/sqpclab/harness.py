@@ -68,8 +68,8 @@ DEFAULT_ROUNDS_FACTOR = {"jiang": 5, "improved": 11}
 SECRET_MODES = ("random", "equal", "unequal")
 
 # Rounds a trial may run. An experiment plays a trial this long in a chunk
-# of its own, near 180 bytes per round (see MAX_LANE_ROUNDS): 209 MiB peak
-# RSS for improved measure-resend. Replaying it through `run_trial` takes
+# of its own, 117 traced bytes per round (see MAX_LANE_ROUNDS): 151 MiB
+# peak RSS for improved measure-resend. Replaying it through `run_trial` takes
 # 1.2-2.0 KB per round (RSS growth of improved trials at L=4,096 and 16,384,
 # from no attack to outside), so about 2 GiB.
 MAX_ROUNDS = 1 << 20
@@ -328,12 +328,13 @@ class TrialCounts:
 
 # Lanes times rounds of one chunk, unless a single trial has more rounds.
 # Arrays of a chunk of many lanes take near 130 bytes per lane-round (the
-# traced peak of improved measure-resend is 126 at L=64 and 128, 125 with 4
-# lanes at L=4,096; its row of words is 86 of them, and its windows of codes
-# for the cursor step 21), so they stay near 33 MiB. But a chunk holds at
-# least one lane, and a 1-lane chunk takes near 180 bytes per round (172
-# traced at L=1,024 and 4,096), so one of more than 2**18 rounds grows past
-# 33 MiB: at MAX_ROUNDS, to 172 MiB traced.
+# traced peak of improved measure-resend is 117 at L=64 and 128, 116 with 4
+# lanes at L=4,096, and jiang measure-resend's 93 at L=64; improved's row
+# of words is 86 of them, and the cursor step's bytes, one per node, 21),
+# so they stay near 33 MiB. But a chunk holds at least one lane, and a
+# 1-lane chunk takes near 155 bytes per round (149 traced at L=1,024, 119 at
+# 4,096), so one of more than 2**18 rounds grows past 33 MiB: at
+# MAX_ROUNDS, to 117 MiB traced.
 MAX_LANE_ROUNDS = 1 << 18
 
 

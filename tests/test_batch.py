@@ -261,6 +261,73 @@ def test_crafted_tie_words_give_scalar_reports(protocol, attack, monkeypatch):
         _assert_equal(spec, 0, count, read)
 
 
+# -- the cursor step ---------------------------------------------------------------------
+
+
+def _walked_cursors(spec, words, keys):
+    """Each lane's word cursor at the start of every round and after the
+    last, whether it has a half-word buffered at the start of every round,
+    and each side's round of its L-th SIFT (-1 for none), walked a round at
+    a time by `_walk_round` from every lane's cursor, with the codes read
+    from `random()` of each word and each side's SIFTs counted as they come."""
+    attack, improved = ATTACKS[spec.attack], spec.protocol == "improved"
+    L, rounds = spec.secret_bits, spec.num_rounds()
+    u = (words.reshape(-1) >> np.uint64(11)) * 2.0**-53
+    word = np.empty((rounds + 1, len(words)), np.int64)
+    buffered = np.empty((rounds, len(words)), bool)
+    made = np.zeros((2, len(words)), np.int64)
+    last = np.full((2, len(words)), -1)
+    p, hb = keys.word, keys.half
+
+    def code(q, detect):
+        return u[q] < spec.p_detect if detect else u[q] >= spec.p_ctrl
+
+    def filler(side, sift):
+        return sift & (made[side] >= L)
+
+    for r in range(rounds):
+        word[r], buffered[r] = p, hb >= 0
+        *_, sides, p, hb = batch._walk_round(attack, improved, p, hb, code, filler)
+        for side, (sift, *_) in enumerate(sides):
+            made[side] += sift
+            last[side][sift & (made[side] == L)] = r
+    word[rounds] = p
+    return word, buffered, last
+
+
+@pytest.mark.parametrize("protocol", ["jiang", "improved"])
+def test_cursor_step_equals_a_walk_of_every_round(protocol):
+    """`advance_cursors` gives the cursors that walking every round gives:
+    at p_ctrl and p_detect 0, 0.5 and 1, rounds factors 1 and 2 and the
+    default, L of 1, 3 and 64, for every attack. Jiang lanes make their L-th
+    SIFT at different rounds, or (p_ctrl 1) never; unequal-mode lanes at
+    L=1 re-read their rows from further on."""
+    fills, rereads = set(), 0
+    for attack, L, factor, p_ctrl, p_detect in itertools.product(
+        ATTACKS, (1, 3, 64), (1, 2, None), (0.0, 0.5, 1.0), (0.0, 0.5, 1.0)
+    ):
+        if (L == 64 and factor is None) or (protocol == "jiang" and p_detect != 0.5):
+            continue
+        settings = {"rounds_factor": factor} if factor else {}
+        mode = "unequal" if L == 1 else "random"
+        spec = _spec(protocol, attack, L, 2**32 + 1, mode=mode, p_ctrl=p_ctrl, p_detect=p_detect, **settings)
+        count = 8 if L == 64 else 64
+        calls = []
+        words, read = batch.seed_and_read(spec, 0, count)
+        keys = batch.draw_keys(spec, words, lambda *args: calls.append(args) or read(*args))
+        word, buffered = batch.advance_cursors(spec, words, keys)
+        expected_word, expected_buffered, last = _walked_cursors(spec, words, keys)
+        assert np.array_equal(word, expected_word), (attack, L, factor, p_ctrl, p_detect)
+        assert np.array_equal(buffered, expected_buffered), (attack, L, factor, p_ctrl, p_detect)
+        rereads += len(calls)
+        if p_ctrl == 1:
+            assert (last < 0).all()
+        fills.update(last.ravel().tolist())
+    assert rereads > 0
+    if protocol == "jiang":
+        assert len(fills) > 10 and -1 in fills
+
+
 # -- one experiment path and its bounds ---------------------------------------------------
 
 
@@ -398,10 +465,11 @@ def _traced_peak(spec, lanes: int) -> int:
 
 
 def test_a_chunk_stays_within_its_stated_memory():
-    """A batched chunk's traced peak, for the most word-hungry pair, stays
-    within the bytes per lane-round that `MAX_LANE_ROUNDS` is sized by, a
-    full-width chunk's at L=1 within the peak stated for `SEED_BLOCK`, and
-    a 1-lane chunk's within the bytes per round stated for it."""
+    """A batched chunk's traced peak, for the most word-hungry pair of each
+    protocol, stays within the bytes per lane-round that `MAX_LANE_ROUNDS`
+    is sized by, a full-width chunk's at L=1 within the peak stated for
+    `SEED_BLOCK`, and a 1-lane chunk's within the bytes per round stated
+    for it."""
     source = inspect.getsource(harness)
     stated = re.search(r"near (\d+) bytes per lane-round", source)
     transition_table()
@@ -409,11 +477,11 @@ def test_a_chunk_stays_within_its_stated_memory():
     assert harness.SEED_BLOCK <= batch.SLICE_CELLS
     peak = _traced_peak(_spec("improved", "measure-resend", 1), harness.SEED_BLOCK)
     assert peak <= int(widest.group(1).replace(",", "")) * 1024, peak
-    for L, lanes in ((64, 256), (128, 128)):
-        spec = _spec("improved", "measure-resend", L)
+    for protocol, L, lanes in (("improved", 64, 256), ("improved", 128, 128), ("jiang", 64, 256)):
+        spec = _spec(protocol, "measure-resend", L)
         assert lanes * spec.num_rounds() <= harness.MAX_LANE_ROUNDS
         peak = _traced_peak(spec, lanes)
-        assert peak <= int(stated.group(1)) * lanes * spec.num_rounds(), (L, peak)
+        assert peak <= int(stated.group(1)) * lanes * spec.num_rounds(), (protocol, L, peak)
     alone = re.search(r"1-lane chunk takes near (\d+) bytes per round", source)
     spec = _spec("improved", "measure-resend", 1024)
     peak = _traced_peak(spec, 1)
