@@ -17,6 +17,7 @@ import io
 import json
 import sys
 from dataclasses import fields
+from functools import cache
 
 from .adversary import ATTACKS
 from .harness import (
@@ -44,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(escaped)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared: parsing leaves it
+    unchanged, and building it costs more than a parse."""
     parser = _Parser(
         prog="sqpclab",
         description="Run a private-comparison protocol experiment.",

@@ -20,10 +20,12 @@ numpy's per-call dispatch and gives the same values in the same order.
 ``SeedSequence([seed, i])`` at once, for indices that differ only in their
 low 32 bits: the SeedSequence mixing runs in numpy uint32 arithmetic over
 the vector of indices, and PCG64's two-step seeding in 128-bit arithmetic on
-pairs of uint64 limbs; only the results become Python ints. The batched
-engine reads a whole chunk's words from these states. A scalar trial's
-`Draws` reads a PCG64 that numpy's own SeedSequence seeded, so each engine's
-seeding is checked against the other's.
+pairs of uint64 limbs. The results stay limbs, no Python int built, and
+the batched engine writes each lane's straight into one PCG64's state words
+before reading its row: 1.6-2.2 µs a lane at L=1 for the write,
+`random_raw` and the row copy. A scalar trial's `Draws` reads a PCG64 that
+numpy's own SeedSequence seeded, so each engine's seeding is checked
+against the other's.
 """
 from __future__ import annotations
 
@@ -168,9 +170,13 @@ def _words32(value: int, count: int) -> list[np.ndarray]:
     ]
 
 
-def pcg64_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
-    """PCG64's (state, inc) for ``SeedSequence([seed, i])``, i from `first`
-    to `first + count - 1`, which must share their bits above the low 32."""
+def pcg64_states(seed: int, first: int, count: int) -> np.ndarray:
+    """PCG64's state and inc for ``SeedSequence([seed, i])``, i from `first`
+    to `first + count - 1`, which must share their bits above the low 32:
+    a (count x 4) uint64 array of (state low, state high, inc low, inc
+    high), 0.25 ms for 1024 indices. `batch._pcg64_reader` writes a row of it
+    into a PCG64's state words, 1.6-2.2 µs a lane with its read at L=1, after
+    checking how numpy orders those words, which numpy does not document."""
     high = first >> 32
     if first < 0 or (first + count - 1) >> 32 != high:
         raise ValueError("trial indices must be non-negative and share their high words")
@@ -207,7 +213,7 @@ def pcg64_states(seed: int, first: int, count: int) -> list[tuple[int, int]]:
     # then two LCG steps around adding the seed to the state.
     inc = (inc_high << np.uint64(1) | inc_low >> np.uint64(63), inc_low << np.uint64(1) | np.uint64(1))
     state = _add128(_mul128(_add128(inc, (seed_high, seed_low))), inc)
-    return list(zip(_to_ints(state), _to_ints(inc)))
+    return np.stack((state[1], state[0], inc[1], inc[0]), axis=1)
 
 
 def _add128(a, b):
@@ -228,7 +234,3 @@ def _mul128(a):
     high = p11 + (p01 >> half) + (p10 >> half) + (mid >> half)
     return high + a[1] * _MULT_HIGH + a[0] * _MULT_LOW, low
 
-
-def _to_ints(value) -> list[int]:
-    """Python ints from a (high, low) pair of uint64 arrays."""
-    return [high << 64 | low for high, low in zip(value[0].tolist(), value[1].tolist())]

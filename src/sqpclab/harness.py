@@ -267,10 +267,11 @@ def detection_model(variant: Variant, attack: str):
 
 # Trials run in chunks that start at a multiple of their size, a power of
 # two up to SEED_BLOCK, so a chunk never straddles 2**32 and one
-# `pcg64_states` call seeds it. A chunk's fixed cost, 0.6-1.3 ms (seeding,
+# `pcg64_states` call seeds it. A chunk's fixed cost, 0.7-0.8 ms (seeding,
 # the stages' numpy calls, `_fold`), is a quarter to a half of a 256-lane
-# chunk at L=1, where a lane costs 4-8 us; 1024 lanes pay it a quarter as
-# often, for 2 MiB more peak RSS (2048 would add near 4 MiB).
+# chunk at L=1, where a lane costs 3.5-7 us, 1.6-2.2 us of it seeding and
+# reading its row; 1024 lanes pay it a quarter as often, for 2 MiB more
+# peak RSS (2048 would add near 4 MiB).
 # A full-width chunk at L=1 peaks near 1,900 KiB traced. The cap stays at
 # or below `batch.SLICE_CELLS`, so one round of a chunk fits a slice.
 SEED_BLOCK = 1024

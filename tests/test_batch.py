@@ -5,6 +5,7 @@ lane's report fields must equal the `TrialReport` that `run_trial` gives the
 same trial, for every (protocol, attack) pair, secret length, secrets mode
 and setting below, and for crafted words that land on exact float ties.
 """
+import ctypes
 import inspect
 import itertools
 import os
@@ -12,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ import pytest
 from sqpclab import batch, harness, qsim
 from sqpclab.adversary import ATTACKS
 from sqpclab.batch import REASONS, Lanes, run_chunk, transition_table
-from sqpclab.draws import Draws
+from sqpclab.draws import Draws, pcg64_states
 from sqpclab.harness import ExperimentSpec, run_experiment, run_trial
 from sqpclab.protocol import ComparisonOutcome, TrialReport
 
@@ -411,8 +413,9 @@ def test_each_lane_is_read_once(mode, monkeypatch):
     calls = []
     reader = batch._pcg64_reader
 
-    def spying(states):
-        read = reader(states)
+    def spying(limbs):
+        assert limbs.shape == (64, 4) and limbs.dtype == np.uint64
+        read = reader(limbs)
 
         def spy(lanes, starts, width):
             calls.append(np.asarray(starts).copy())
@@ -429,6 +432,66 @@ def test_each_lane_is_read_once(mode, monkeypatch):
         assert all(starts.all() for starts in calls[1:])
         reads += len(calls)
     assert (reads > 2 * len(PAIRS)) == (mode == "unequal")
+
+
+@pytest.mark.parametrize("width", [5, batch.SLICE_WORDS + 3])
+@pytest.mark.parametrize("first", [2**32 - 4, 2**32])
+def test_reader_gives_numpy_words(first, width, monkeypatch):
+    """Each row holds the words of numpy's own PCG64 for its trial, from its
+    start on, whether read in one piece or several; right after a lane's
+    state is written, numpy's state getter reads that lane's (state, inc)
+    and no buffered half-word."""
+    pcg64, seed = np.random.PCG64, 2**32 + 5
+    seen = []  # numpy's view of the state at each advance and read
+
+    class PCG64(pcg64):  # numpy's state setter checks the class name
+        def advance(self, delta):
+            seen.append(self.state)
+            return super().advance(delta)
+
+        def random_raw(self, size=None, output=True):
+            seen.append(self.state)
+            return super().random_raw(size, output)
+
+    monkeypatch.setattr(np.random, "PCG64", PCG64)
+    read = batch._pcg64_reader(pcg64_states(seed, first, 4))
+    pieces = -(-width // batch.SLICE_WORDS)
+    for lanes, starts in (([0, 1, 2, 3], [0, 0, 0, 0]), ([3, 0, 2], [1, 7, 2**40])):
+        seen.clear()
+        rows = read(np.array(lanes), np.array(starts), width)
+        for row, lane, start in zip(rows, lanes, starts):
+            ref = pcg64(np.random.SeedSequence([seed, first + lane]))
+            assert seen[0] == ref.state and seen[0]["has_uint32"] == 0
+            del seen[: pieces + bool(start)]
+            assert row.tolist() == ref.advance(start).random_raw(width).tolist()
+        assert not seen
+
+
+def test_an_unknown_state_layout_raises(monkeypatch):
+    """A PCG64 whose state setter leaves the words at `state_address`
+    unchanged makes the reader raise one line before it reads a word."""
+    words = (ctypes.c_uint64 * 4)()
+    struct = ctypes.c_void_p(ctypes.addressof(words))  # its first field points at the words
+    calls = []
+
+    class Stub:
+        def __init__(self, seed):
+            self.ctypes = SimpleNamespace(state_address=ctypes.addressof(struct))
+
+        state = property(fset=lambda self, value: None)  # sets nothing
+
+        def advance(self, delta):
+            calls.append(delta)
+
+        def random_raw(self, size):
+            calls.append(size)
+            return np.zeros(size, np.uint64)
+
+    monkeypatch.setattr(np.random, "PCG64", Stub)
+    with pytest.raises(RuntimeError, match="PCG64 state layout") as error:
+        run_chunk(_spec("jiang", "none", 1), 0, 8)
+    assert "\n" not in str(error.value)
+    assert not calls
 
 
 @pytest.mark.parametrize("L, trials", [(1, 40), (8, 12), (64, 4)])

@@ -63,9 +63,11 @@ def test_trial_streams_equal_numpy():
 def test_blocked_seeding_equals_seed_sequence(seed):
     blocks = ((0, 300), (4000, 40), (2**32 - 30, 30), (2**32, 256), (2**40 + 512, 256))
     for first, count in blocks:
-        states = pcg64_states(seed, first, count)
-        for offset, (state, inc) in enumerate(states):
+        limbs = pcg64_states(seed, first, count)
+        assert limbs.shape == (count, 4) and limbs.dtype == np.uint64
+        for offset, (state_low, state_high, inc_low, inc_high) in enumerate(limbs.tolist()):
             ref = np.random.PCG64(np.random.SeedSequence([seed, first + offset]))
+            state, inc = state_high << 64 | state_low, inc_high << 64 | inc_low
             assert ref.state["state"] == {"state": state, "inc": inc}
 
 
