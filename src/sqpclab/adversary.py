@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .draws import Draws
 from .protocol import Choice, Leg, MaskRecord, ValidationError, Variant
 from .qsim import QubitHandle, Simulator
 
@@ -80,7 +79,7 @@ class ChannelStrategy:
         self._forged, self._measured = attack.forged, attack.measured
         self.shared_key: tuple[int, ...] | None = None
         self.sim: Simulator | None = None
-        self.rng: Draws | None = None
+        self.rng = None  # the run's generator
         self.variant: Variant | None = None
         # return leg -> forward leg whose held genuine half it delivers
         self._swap = {
@@ -104,7 +103,7 @@ class ChannelStrategy:
         if leg in self._forged:
             key = (leg, round_index)
             self.held[key] = qubit
-            bit = self.fake_bits[key] = self.rng.integers(2)
+            bit = self.fake_bits[key] = int(self.rng.integers(2))
             return self.sim.prepare_basis(bit)
         if leg in self._measured:
             self.learned_bits[2 * round_index + (leg is _BOB)] = self.sim.measure_z(qubit)

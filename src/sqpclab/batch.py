@@ -13,10 +13,10 @@ compare the same floats as `Simulator.measure_z` and `measure_bell`.
 
 `run_chunk` runs trials `first` to `first + count - 1`, one lane each. Each
 lane reads its trial's raw PCG64 words from one row of a (lanes x words)
-matrix, as `Draws` serves them: a word cursor, and a buffered half-word
-that the next half-word draw takes first. The row holds a proven worst case
-of all the words a trial reads (`trial_words`, which also sizes a scalar
-trial's first read), so each lane's row is read once, and a lane that would
+matrix and decodes them as numpy's `Generator` does (see the draws module):
+a word cursor, and a buffered half-word that the next half-word draw takes
+first. The row holds a proven worst case of all the words a trial reads
+(`trial_words`), so each lane's row is read once, and a lane that would
 read past its row raises. `run_chunk` runs these stages, each a function of
 arrays:
 
@@ -236,8 +236,8 @@ def trial_words(spec) -> int:
     redraws of y aside: its key and secret bits, a half-word each; its play
     (`_half_words_per_round`); TP's pass, one word per case-1 round and per
     SIFT qubit, so at most 2 a round; and an insider's measurement of each
-    of Alice's held returns, at most 1 a round. Both engines size a trial's
-    first read with it."""
+    of Alice's held returns, at most 1 a round. It is the width of a lane's
+    row."""
     attack = ATTACKS[spec.attack]
     later = (2 + (attack.insider and attack.swap_back)) * spec.num_rounds()
     return (spec.drawn_blocks() * spec.secret_bits + 1) // 2 + _play_words(spec) + later

@@ -1,4 +1,4 @@
-"""numpy's draws, replayed from raw PCG64 words.
+"""numpy's PCG64 seeding and draws, in raw-word terms, for the batched engine.
 
 Every random decision of the lab is one of three numpy `Generator` calls,
 and each is a fixed function of the PCG64 bit generator's 64-bit output
@@ -12,9 +12,9 @@ words w:
       numpy's ``next_uint32`` does;
     - ``integers(0, 2, size=n)`` is n such half-word draws.
 
-`Draws` reads the words from a PCG64's ``random_raw`` a block at a time and
-serves these calls from them in plain Python, which costs a fraction of
-numpy's per-call dispatch and gives the same values in the same order.
+The batched engine decodes each lane's raw words by these rules. The scalar
+engine draws through numpy's own `Generator`, so the lane tests, which
+compare the two engines report for report, check the rules against numpy.
 
 `pcg64_states` seeds PCG64 for consecutive indices i of
 ``SeedSequence([seed, i])`` at once, for indices that differ only in their
@@ -23,21 +23,14 @@ the vector of indices, and PCG64's two-step seeding in 128-bit arithmetic on
 pairs of uint64 limbs. The results stay limbs, no Python int built, and
 the batched engine writes each lane's straight into one PCG64's state words
 before reading its row: 1.6-2.2 µs a lane at L=1 for the write,
-`random_raw` and the row copy. A scalar trial's `Draws` reads a PCG64 that
-numpy's own SeedSequence seeded, so each engine's seeding is checked
-against the other's.
+`random_raw` and the row copy. A scalar trial's `Generator` is seeded by
+numpy's own SeedSequence, so the lane tests check this seeding too.
 """
 from __future__ import annotations
 
-from itertools import islice
-from operator import length_hint
-
 import numpy as np
 
-_TO_UNIT = 2.0**-53
 _LOW32 = 0xFFFFFFFF
-# Ranges `integers` serves; 1 draws nothing, as in numpy.
-_POWERS_OF_TWO = frozenset(1 << k for k in range(1, 33))
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
@@ -48,104 +41,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier, as (high, low) uint64 limbs.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HIGH, _MULT_LOW = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
-
-
-class Draws:
-    """A numpy `Generator`'s `random()`, `integers(high)` and bit blocks,
-    replayed from the raw words of a PCG64 bit generator.
-
-    Words are read `block` at a time, the first block when the stream is
-    built, so the bit generator runs ahead of the draws served; each refill
-    doubles the block, so a long stream takes few reads however small its
-    first. `half` is a buffered half-word to serve first (-1 for none).
-    """
-
-    __slots__ = ("_source", "_block", "_words", "_next", "_half")
-
-    def __init__(self, source, block: int = 256, half: int = -1):
-        self._source = source
-        self._block = block
-        self._words = iter(())  # iterator over the words not yet served
-        self._next = self._words.__next__
-        self._half = half
-        self._refill(block)
-
-    def random(self) -> float:
-        """``Generator.random()``: a float in [0, 1) from one word."""
-        try:
-            return (self._next() >> 11) * _TO_UNIT
-        except StopIteration:
-            self._refill(1)
-            return (self._next() >> 11) * _TO_UNIT
-
-    def integers(self, high: int) -> int:
-        """``Generator.integers(high)`` for a power of two `high` <= 2**32."""
-        if high not in _POWERS_OF_TWO:
-            if high == 1:
-                return 0
-            raise ValueError(f"high must be a power of two up to 2**32, got {high!r}")
-        half = self._half
-        if half < 0:
-            try:
-                word = self._next()
-            except StopIteration:
-                self._refill(1)
-                word = self._next()
-            self._half = word >> 32
-            return ((word & _LOW32) * high) >> 32
-        self._half = -1
-        return (half * high) >> 32
-
-    def bits(self, n: int) -> list[int]:
-        """``Generator.integers(0, 2, size=n).tolist()``: n half-word draws."""
-        out = []
-        if n and self._half >= 0:
-            out.append(self._half >> 31)
-            self._half = -1
-            n -= 1
-        count = (n + 1) // 2
-        if length_hint(self._words) < count:
-            self._refill(count)
-        for word in islice(self._words, count):
-            out.append((word >> 31) & 1)
-            out.append(word >> 63)
-        if n % 2:
-            out.pop()
-            self._half = word >> 32
-        return out
-
-    def _refill(self, need: int) -> None:
-        """Read at least `need` more words, served after the unserved ones."""
-        raw = self._source.random_raw(max(need, self._block))
-        self._block *= 2
-        words = [*self._words, *raw.tolist()]
-        self._words = iter(words)
-        self._next = self._words.__next__
-
-
-def as_draws(seed) -> Draws:
-    """The draw stream of a library seed: a `Draws` as is, the bit generator
-    of a `Generator` (starting from its buffered half-word, which is taken
-    from it), or a fresh PCG64 for an int or None, as `default_rng` seeds it.
-
-    A `Generator` is read ahead a block of words at a time, so its state
-    after the run depends on that block size; only PCG64 can be replayed.
-    A fresh PCG64 reads a first block of 8 words: a `Simulator` seeded by an
-    int often draws only a few.
-    """
-    if isinstance(seed, Draws):
-        return seed
-    if isinstance(seed, np.random.Generator):
-        source = seed.bit_generator
-        if not isinstance(source, np.random.PCG64):
-            raise TypeError(f"draws are replayed from PCG64 only, got {source!r}")
-        state = source.state
-        half = -1
-        if state["has_uint32"]:
-            half = state["uinteger"]
-            source.state = {**state, "has_uint32": 0, "uinteger": 0}
-        return Draws(source, half=half)
-    return Draws(np.random.PCG64(seed), 8)
 
 
 def _hasher(const: int, mult: int):

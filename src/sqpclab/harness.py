@@ -1,28 +1,25 @@
 """Monte Carlo experiment runner and the attacks' detection model.
 
 An experiment is T independent protocol runs under one configuration.
-Trial i draws what ``default_rng(np.random.SeedSequence([seed, i]))`` would
-draw; that mixing rule is part of the report contract, so identical specs
-give bit-identical reports. The draws are replayed from the generator's
-raw PCG64 words by a `Draws` stream (see the draws module), which gives
-numpy's values exactly. Within a trial the draw order is fixed: shared
+Trial i draws from ``default_rng(np.random.SeedSequence([seed, i]))``;
+that mixing rule is part of the report contract, so identical specs give
+bit-identical reports. Within a trial the draw order is fixed: shared
 key, Alice raw key, Bob raw key, secrets, then the protocol run itself.
 
 Draw layout: K, RA, RB and the drawn secrets (x, then y unless the mode is
-equal; none in explicit mode) come from one ``bits(n*L)`` call, numpy's
-``integers(0, 2, size=n*L)``, sliced in that order; an unequal-mode redraw
-of y follows as a call of its own. Each bit consumes exactly one 32-bit
-half-word, and unused half-words carry over between calls, so one call of
-n*L bits yields the same bits and leaves the same state as n calls of L.
+equal; none in explicit mode) come from one ``integers(0, 2, size=n*L)``
+call, sliced in that order; an unequal-mode redraw of y follows as a call
+of its own. Each bit consumes exactly one 32-bit half-word, and unused
+half-words carry over between calls, so one call of n*L bits yields the
+same bits and leaves the same state as n calls of L.
 
 The batched engine (`batch.run_chunk`) runs every experiment: it plays a
 chunk of trials as numpy arrays, seeding them all at once with
 `draws.pcg64_states`. `run_trial` is the scalar engine: one trial through
-`protocol.run_protocol`, the simulator and a channel strategy, seeded with
-numpy's own SeedSequence. It is the reference the batched engine's lanes
-must equal, which also checks the vectorized seeding, and the way to replay
-any single trial. Both read a trial's words once, as many as
-`batch.trial_words` proves it may draw (unequal-mode redraws may read more).
+`protocol.run_protocol`, the simulator and a channel strategy, drawing
+through numpy's own Generator. It is the reference the batched engine's
+lanes must equal, which also checks the vectorized seeding and the batched
+engine's decoding of raw words, and the way to replay any single trial.
 
 Aggregation streams: `run_experiment` folds each chunk's report fields
 (`batch.Lanes`) into integer `TrialCounts` as the chunk finishes, and
@@ -47,8 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from .adversary import ATTACKS, make_strategy
-from .batch import REASONS, Lanes, run_chunk, trial_words
-from .draws import Draws
+from .batch import REASONS, Lanes, run_chunk
 from .protocol import (
     AbortReason,
     Leg,
@@ -70,8 +66,8 @@ SECRET_MODES = ("random", "equal", "unequal")
 # Rounds a trial may run. An experiment plays a trial this long in a chunk
 # of its own, 117 traced bytes per round (see MAX_LANE_ROUNDS): 151 MiB
 # peak RSS for improved measure-resend. Replaying it through `run_trial` takes
-# 1.2-2.0 KB per round (RSS growth of improved trials at L=4,096 and 16,384,
-# from no attack to outside), so about 2 GiB.
+# 0.7-1.6 KB per round (RSS growth of improved trials at L=4,096 and 16,384,
+# from no attack to outside), so up to about 1.6 GiB.
 MAX_ROUNDS = 1 << 20
 
 
@@ -277,15 +273,10 @@ def detection_model(variant: Variant, attack: str):
 SEED_BLOCK = 1024
 
 
-def trial_rng(seed: int, trial_index: int, words: int = 256) -> Draws:
-    """The documented per-trial stream: numpy's draws from
-    ``default_rng(SeedSequence([seed, trial_index]))``, replayed by a `Draws`.
-
-    The first `words` raw words are read when the stream is built, so a
-    traced seeding stage holds that read, and more as needed; `words`
-    never changes a draw.
-    """
-    return Draws(np.random.PCG64(np.random.SeedSequence([seed, trial_index])), words)
+def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
+    """The documented per-trial stream:
+    ``default_rng(SeedSequence([seed, trial_index]))``."""
+    return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
 
 
 def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
@@ -293,8 +284,8 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
     L = spec.secret_bits
     explicit = spec.explicit_secrets()
     n = spec.drawn_blocks()
-    rng = trial_rng(spec.seed, trial_index, trial_words(spec))
-    bits = rng.bits(n * L)
+    rng = trial_rng(spec.seed, trial_index)
+    bits = rng.integers(0, 2, size=n * L).tolist()
     k, ra, rb, *drawn = (tuple(bits[j : j + L]) for j in range(0, n * L, L))
     if explicit is not None:
         x, y = explicit
@@ -303,7 +294,7 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
     else:
         x, y = drawn
         while spec.secrets == "unequal" and y == x:
-            y = tuple(rng.bits(L))
+            y = tuple(rng.integers(0, 2, size=L).tolist())
     cfg = ProtocolConfig(
         x, y, k, ra, rb, spec.num_rounds(), spec.p_ctrl, spec.p_detect, spec.threshold
     )

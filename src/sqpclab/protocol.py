@@ -29,8 +29,7 @@ pass writes each round's `RoundRecord`, an immutable named tuple, once; the
 frozen `Transcript` holds them with the published masks and r values.
 
 Channel interface: `run_protocol` drives any object with
-`bind(sim, rng, variant, shared_key)` (`rng` is the run's draw stream, a
-`Draws`),
+`bind(sim, rng, variant, shared_key)` (`rng` is the run's generator),
 `transmit(leg, round_index, qubit) -> QubitHandle`,
 `observe_choices(alice_choices)`, `observe_publication(MaskRecord)` and a
 `recovered_secret` attribute (None, or the secret bits it decoded). The
@@ -52,7 +51,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .draws import Draws, as_draws
 from .qsim import BellKind, QubitHandle, Simulator
 
 
@@ -264,24 +262,23 @@ def compute_mask_improved(k_bit: int, ra_bit: int, x_bit: int, ma_bit: int) -> i
 _CTRL, _CALCULATE, _DETECT = Choice.CTRL, Choice.SIFT_CALCULATE, Choice.SIFT_DETECT
 _TO_ALICE, _TO_BOB, _FROM_ALICE, _FROM_BOB = Leg
 _BELL_KINDS = tuple(BellKind)
-# Builds a record without the Python-level NamedTuple constructor.
-_tuple_new = tuple.__new__
 
 
 def run_protocol(
     variant: Variant,
     cfg: ProtocolConfig,
     channel=None,
-    seed: int | np.random.Generator | Draws | None = None,
+    seed: int | np.random.Generator | None = None,
 ) -> tuple[ComparisonOutcome, Transcript, TrialReport]:
     """Execute one full protocol run through an (optionally adversarial) channel.
 
-    A single draw stream drives every random decision and measurement of
-    the run, so a seed fixes the whole transcript. `seed` is an int, None, a
-    numpy Generator or a `Draws`; the draws are numpy's, replayed from raw
-    PCG64 words (see `draws.as_draws`), and a Generator is read ahead in
-    blocks, so its state after the run is not pinned. The channel shares
-    the stream. Each round draws, in order: the Bell kind, whatever the
+    A single generator drives every random decision and measurement of the
+    run, so a seed fixes the whole transcript. `seed` is a generator, used
+    as is (anything with `integers` and `random`, such as a numpy
+    Generator, whose state afterwards is exactly that of the run's draws),
+    or a seed for `np.random.default_rng`, such as an int or None; a seed
+    that `default_rng` rejects raises ValidationError. The channel shares the
+    generator. Each round draws, in order: the Bell kind, whatever the
     channel draws on the forward legs, Alice's choice and SIFT operation,
     then Bob's. `channel` is any object with the channel interface (see the
     module docstring); None means an untouched channel, and no transmit call
@@ -290,7 +287,15 @@ def run_protocol(
     """
     if not isinstance(variant, Variant):
         raise ValidationError(f"variant must be a Variant, got {variant!r}")
-    rng = as_draws(seed)
+    try:
+        rng = (
+            seed if hasattr(seed, "integers") and hasattr(seed, "random")
+            else np.random.default_rng(seed)
+        )
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"seed must be a nonnegative integer, None or a generator, got {seed!r}"
+        ) from None
     sim = Simulator(rng)
     L = len(cfg.x)
     transmit = None
@@ -313,7 +318,7 @@ def run_protocol(
     def sift(side: int, received: QubitHandle):
         """A SIFT by `side`: (choice, outgoing qubit, ordinal, trap bit)."""
         if improved and random() < p_detect:
-            trap = integers(2)
+            trap = int(integers(2))
             return _DETECT, prepare_basis(trap), None, trap
         # SIFT(calculate). The jiang variant discards the received qubit and
         # encodes from key material; the improved variant measures it.
@@ -323,7 +328,7 @@ def run_protocol(
         elif len(bits) < L:
             bit = encoded[side][len(bits)]
         else:
-            bit = integers(2)  # filler past the comparison length
+            bit = int(integers(2))  # filler past the comparison length
         bits.append(bit)
         return _CALCULATE, prepare_basis(bit), len(bits), None
 
@@ -380,10 +385,10 @@ def run_protocol(
                 tp_trap_b = measure_z(back_b)
                 traps_b += 1
                 bad_b += tp_trap_b != trap_b
-        records.append(_tuple_new(RoundRecord, (
+        records.append(RoundRecord(
             i, kind, choice_a, choice_b, ord_a, ord_b, ma, mb, trap_a, trap_b,
             tp_trap_a, tp_trap_b, bell,
-        )))
+        ))
 
     # Integrity checks, Bell then traps; an error-free check passes, even an empty one.
     masks = r_values = None
@@ -419,7 +424,7 @@ def run_protocol(
     if channel is not None and channel.recovered_secret is not None:
         recovered = channel.recovered_secret == cfg.x
     truth = cfg.x == cfg.y
-    return outcome, transcript, _tuple_new(TrialReport, (
+    return outcome, transcript, TrialReport(
         outcome,
         None if outcome.aborted else outcome.equal == truth,
         traps_a,
@@ -428,4 +433,4 @@ def run_protocol(
         bell_errors,
         bad_a + bad_b,
         recovered,
-    ))
+    )

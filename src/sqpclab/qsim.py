@@ -9,11 +9,8 @@ Conventions:
       so a 2-qubit register orders its amplitudes as |00>, |01>, |10>, |11>.
     - Amplitudes are real (float64): the prepared states and both
       measurement bases are real, so every state reached is too.
-    - All measurement randomness comes from a single stream owned by the
-      Simulator; each projection consumes exactly one uniform draw. The
-      stream is a `Draws` (see the draws module): numpy's `random()`,
-      replayed from raw PCG64 words, so the outcomes are those a numpy
-      Generator with the same seed would give.
+    - All measurement randomness comes from a single generator owned by
+      the Simulator; each projection consumes exactly one `random()` draw.
     - Measured qubits stay in their register, collapsed. Custody of qubits
       is the caller's bookkeeping; handles stay valid across merges.
     - A Simulator keeps every register it made until it is discarded, one
@@ -40,8 +37,6 @@ from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
-
-from .draws import Draws, as_draws
 
 MAX_REGISTER_QUBITS = 4
 
@@ -102,10 +97,6 @@ class QubitHandle(NamedTuple):
 
     register_id: int
     index: int
-
-
-# Builds a handle without the Python-level NamedTuple constructor.
-_tuple_new = tuple.__new__
 
 
 class _State:
@@ -216,14 +207,16 @@ class Simulator:
     """Owner of all registers and of the single measurement-outcome stream.
 
     One Simulator per protocol run; identical seed and operation sequence
-    reproduce identical outcomes. `seed` is an int, None, a numpy Generator
-    or a `Draws` (see `draws.as_draws`): a Draws is used as is, and a
-    Generator is read ahead a block of raw words at a time, so its state
-    after the run is not pinned.
+    reproduce identical outcomes. `seed` is a generator, used as is
+    (anything with `integers` and `random`, such as a numpy Generator), or
+    a seed for `np.random.default_rng`, such as an int or None.
     """
 
-    def __init__(self, seed: int | np.random.Generator | Draws | None = None):
-        self._rng = as_draws(seed)
+    def __init__(self, seed: int | np.random.Generator | None = None):
+        self._rng = (
+            seed if hasattr(seed, "integers") and hasattr(seed, "random")
+            else np.random.default_rng(seed)
+        )
         self._registers: dict[int, _State] = {}
         # old register id -> (surviving register id, qubit index offset)
         self._forwards: dict[int, tuple[int, int]] = {}
@@ -241,7 +234,7 @@ class Simulator:
         rid = self._next_id
         self._next_id = rid + 1
         self._registers[rid] = state
-        return _tuple_new(QubitHandle, (rid, 0))
+        return QubitHandle(rid, 0)
 
     def prepare_bell(self, kind: BellKind) -> tuple[QubitHandle, QubitHandle]:
         """Fresh Bell pair; returns the (first, second) half handles."""
@@ -252,7 +245,7 @@ class Simulator:
         rid = self._next_id
         self._next_id = rid + 1
         self._registers[rid] = state
-        return _tuple_new(QubitHandle, (rid, 0)), _tuple_new(QubitHandle, (rid, 1))
+        return QubitHandle(rid, 0), QubitHandle(rid, 1)
 
     # -- structure --------------------------------------------------------
 

@@ -21,11 +21,12 @@ import pytest
 from sqpclab import batch, harness, qsim
 from sqpclab.adversary import ATTACKS
 from sqpclab.batch import REASONS, Lanes, run_chunk, transition_table
-from sqpclab.draws import Draws, pcg64_states
+from sqpclab.draws import pcg64_states
 from sqpclab.harness import ExperimentSpec, run_experiment, run_trial
 from sqpclab.protocol import ComparisonOutcome, TrialReport
 
 from scalar_fold import scalar_report
+from word_replay import WordReplay
 
 PAIRS = [(p, a) for p in ("jiang", "improved") for a in ATTACKS]
 SEEDS = (3, 17, 2**32 + 5)
@@ -233,21 +234,11 @@ def test_small_experiments_equal_the_scalar_fold(protocol, attack, monkeypatch):
 TIES = (0, 2**11 - 1, 0x7FFFFFFFFFFFF800, 2**64 - 1)
 
 
-class _Row:
-    """A bit generator stub serving one lane's crafted words."""
-
-    def __init__(self, words):
-        self.words, self.read = words, 0
-
-    def random_raw(self, count):
-        self.read += count
-        return self.words[self.read - count : self.read]
-
-
 @pytest.mark.parametrize("protocol, attack", PAIRS)
 def test_crafted_tie_words_give_scalar_reports(protocol, attack, monkeypatch):
-    """Each lane's words mix the tie words with random ones; both engines
-    read them and must agree."""
+    """Each lane's words mix the tie words with random ones; the batched
+    engine reads them as raw words, the scalar engine through the tests'
+    word replay, and both must agree."""
     rng = np.random.default_rng(PAIRS.index((protocol, attack)))
     for L, mode in ((1, "unequal"), (2, "random")):
         spec = _spec(protocol, attack, L, mode=mode)
@@ -259,7 +250,7 @@ def test_crafted_tie_words_give_scalar_reports(protocol, attack, monkeypatch):
         def read(lanes, starts, width):
             return np.array([rows[lane, start : start + width] for lane, start in zip(lanes, starts)])
 
-        monkeypatch.setattr(harness, "trial_rng", lambda seed, t, words: Draws(_Row(rows[t]), 64))
+        monkeypatch.setattr(harness, "trial_rng", lambda seed, t: WordReplay(rows[t]))
         _assert_equal(spec, 0, count, read)
 
 
@@ -497,23 +488,25 @@ def test_an_unknown_state_layout_raises(monkeypatch):
 @pytest.mark.parametrize("L, trials", [(1, 40), (8, 12), (64, 4)])
 @pytest.mark.parametrize("mode", ["random", "equal", "explicit"])
 def test_scalar_trials_read_their_words_once(mode, L, trials, monkeypatch):
-    """`run_trial` sizes its first read with `batch.trial_words`, so no
-    trial of any pair reads its stream a second time."""
-    refills = []
-    refill = Draws._refill
+    """A lane's row, `batch.trial_words` wide, is read once, so no trial of
+    any pair may draw more words than that. The scalar engine draws through
+    numpy's own Generator, which keeps the count: the first word left
+    unread is the word at that count in the trial's stream."""
+    generators, numpy_rng = [], harness.trial_rng
 
-    def spy(draws, need):
-        refills.append(need)
-        refill(draws, need)
+    def trial_rng(seed, trial_index):
+        generators.append(numpy_rng(seed, trial_index))
+        return generators[-1]
 
-    monkeypatch.setattr(Draws, "_refill", spy)
+    monkeypatch.setattr(harness, "trial_rng", trial_rng)
     for protocol, attack in PAIRS:
         spec = _spec(protocol, attack, L, mode=mode)
+        budget = batch.trial_words(spec)
         for t in range(trials):
-            refills.clear()
             run_trial(spec, t)
-            assert refills[0] == batch.trial_words(spec)
-            assert len(refills) == 1, (protocol, attack, t)
+            stream = np.random.PCG64(np.random.SeedSequence([spec.seed, t])).random_raw(budget + 1)
+            unread = generators.pop().bit_generator.random_raw()
+            assert unread in stream, (protocol, attack, t)
 
 
 def _traced_peak(spec, lanes: int) -> int:

@@ -1,6 +1,7 @@
 """Tests for the protocol state machines and the classical XOR layer."""
 import itertools
 from dataclasses import replace
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -335,6 +336,31 @@ def test_trial_report_is_written_once():
     assert report._replace(outcome=bell_abort).detected is True
 
 
+def test_records_and_reports_hold_python_values():
+    """Every field of a run's `RoundRecord`s, `TrialReport` and its outcome,
+    and every bit a channel forged or learned, on all 12 pairs, is an int, a
+    bool, None or an enum member: no numpy scalar from a generator's draws
+    leaks into a transcript."""
+    plain = (int, bool, type(None))
+    for variant, attack in itertools.product(Variant, ATTACKS):
+        for seed in range(4):
+            cfg = make_config((1, 0), (1, seed % 2), seed=seed, rounds=40)
+            channel = make_strategy(attack)
+            outcome, transcript, report = run_protocol(
+                variant, cfg, channel, np.random.default_rng(seed)
+            )
+            values = [
+                *itertools.chain.from_iterable(transcript.rounds),
+                *report[1:],
+                *vars(outcome).values(),
+            ]
+            if channel is not None:
+                values += [*channel.fake_bits.values(), *channel.learned_bits.values()]
+            assert report.outcome is outcome
+            for value in values:
+                assert type(value) in plain or isinstance(value, Enum), (variant, attack, value)
+
+
 # -- determinism ----------------------------------------------------------------
 
 
@@ -499,3 +525,31 @@ def test_run_protocol_rejects_a_variant_that_is_not_a_variant(variant):
     with pytest.raises(ValidationError) as err:
         run_protocol(variant, cfg, seed=0)
     assert str(err.value) == f"variant must be a Variant, got {variant!r}"
+
+
+@pytest.mark.parametrize("seed", [-1, "abc", 1.5])
+def test_run_protocol_rejects_a_seed_numpy_rejects(seed):
+    """A seed that `default_rng` refuses raises the lab's own one-line error."""
+    cfg = make_config((1, 0), (1, 0))
+    with pytest.raises(ValidationError) as err:
+        run_protocol(Variant.JIANG, cfg, seed=seed)
+    assert str(err.value) == (
+        f"seed must be a nonnegative integer, None or a generator, got {seed!r}"
+    )
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_a_generator_passed_in_continues_its_stream(bit_generator):
+    """A run draws from a caller's Generator as is, and leaves it where its
+    draws end: with every choice CTRL and no channel, a round draws its
+    Bell kind and both choices, and TP's pass one Bell measurement a round."""
+    rounds = 30
+    cfg = make_config((1, 0), (1, 0), rounds=rounds, p_ctrl=1.0)
+    generator = np.random.Generator(bit_generator(12))
+    twin = np.random.Generator(bit_generator(12))
+    run_protocol(Variant.JIANG, cfg, seed=generator)
+    for _ in range(rounds):
+        twin.integers(4), twin.random(), twin.random()
+    for _ in range(rounds):
+        twin.random()
+    assert generator.random() == twin.random()
