@@ -110,7 +110,9 @@ class ChannelStrategy:
             return qubit
         forward = self._swap.get(leg)
         if forward is not None:
-            self.held[(leg, round_index)] = qubit  # never measured; Eve has no use for it
+            # the participant row Z-measures its held returns (Alice's) in
+            # `observe_choices` to read her bits; the outside row never does
+            self.held[(leg, round_index)] = qubit
             return self.held.pop((forward, round_index))
         return qubit
 

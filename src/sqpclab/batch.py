@@ -1,5 +1,28 @@
-"""Batched trial engine: a chunk of an experiment's trials run as numpy
+"""Batched trial engine: an experiment's trials run in chunks of numpy
 arrays, draw for draw the stream `harness.run_trial` makes.
+
+Every random decision of the lab is one of three numpy `Generator` calls,
+and each is a fixed function of the PCG64 bit generator's 64-bit output
+words w:
+
+    - ``random()`` takes one word: ``(w >> 11) * 2**-53`` (`_uniforms`);
+    - ``integers(high)``, for a power of two ``high``, takes one 32-bit
+      half-word u: ``(u * high) >> 32`` (numpy's Lemire method never rejects
+      for such a range), so a bit is ``u >> 31`` and a Bell kind ``u >> 30``.
+      A word gives its low half first; its high half is kept for the next
+      half-word draw, across `random()` calls too, as numpy's
+      ``next_uint32`` does (`_half`);
+    - ``integers(0, 2, size=n)`` is n such half-word draws.
+
+`pcg64_states` seeds PCG64 for consecutive indices i of
+``SeedSequence([seed, i])`` at once, for indices that differ only in their
+low 32 bits: the SeedSequence mixing in numpy uint32 arithmetic over the
+vector of indices, PCG64's two-step seeding in 128-bit arithmetic on pairs
+of uint64 limbs. No Python int is built: `_pcg64_reader` writes each lane's
+limbs straight into one PCG64's state words and reads its row, 1.6-2.2 µs a
+lane at L=1 for the write, `random_raw` and the row copy. The scalar engine
+draws through numpy's own `Generator`, so the lane tests, which compare the
+two engines report for report, check this seeding and those rules.
 
 Every operation of the protocols is Clifford, and no register they build
 holds more than three qubits, so a round's quantum state is one of a few
@@ -11,14 +34,15 @@ merged. Every float is the simulator's own memo entry (`qsim._z_memo`,
 `qsim._bell_memo`), so the engine's `u < p1` and `u * total < bound`
 compare the same floats as `Simulator.measure_z` and `measure_bell`.
 
-`run_chunk` runs trials `first` to `first + count - 1`, one lane each. Each
-lane reads its trial's raw PCG64 words from one row of a (lanes x words)
-matrix and decodes them as numpy's `Generator` does (see the draws module):
-a word cursor, and a buffered half-word that the next half-word draw takes
-first. The row holds a proven worst case of all the words a trial reads
-(`trial_words`), so each lane's row is read once, and a lane that would
-read past its row raises. `run_chunk` runs these stages, each a function of
-arrays:
+`run_chunks` runs an experiment as chunks of trials (`SEED_BLOCK`,
+`MAX_LANE_ROUNDS`), and `run_chunk` runs trials `first` to
+`first + count - 1`, one lane each. Each lane reads its trial's raw PCG64
+words from one row of a (lanes x words) matrix and decodes them by the
+rules above: a word cursor, and a buffered half-word that the next
+half-word draw takes first. The row holds a proven worst case of all the
+words a trial reads (`trial_words`), so each lane's row is read once, and a
+lane that would read past its row raises. `run_chunk` runs these stages,
+each a function of arrays:
 
     1. `seed_and_read`: seed the lanes and read their rows;
     2. `draw_keys`: key and secret bits, one block for every lane, then
@@ -65,10 +89,29 @@ import numpy as np
 
 from . import qsim
 from .adversary import ATTACKS
-from .draws import pcg64_states
 from .protocol import AbortReason, Leg
 
 _UNIT = 2.0**-53
+# Trials run in chunks that start at a multiple of their size, a power of
+# two up to SEED_BLOCK, so a chunk never straddles 2**32 and one
+# `pcg64_states` call seeds it. A chunk's fixed cost, 0.7-0.8 ms (seeding,
+# the stages' numpy calls, the harness's fold), is a quarter to a half of a
+# 256-lane chunk at L=1, where a lane costs 3.5-7 us, its seeding and row
+# read included; 1024 lanes pay it a quarter as often, for 2 MiB more
+# peak RSS (2048 would add near 4 MiB).
+# A full-width chunk at L=1 peaks near 1,900 KiB traced. The cap stays at
+# or below SLICE_CELLS, so one round of a chunk fits a slice.
+SEED_BLOCK = 1024
+# Lanes times rounds of one chunk, unless a single trial has more rounds.
+# Arrays of a chunk of many lanes take near 130 bytes per lane-round (the
+# traced peak of improved measure-resend is 117 at L=64 and 128, 116 with 4
+# lanes at L=4,096, and jiang measure-resend's 93 at L=64; improved's row
+# of words is 86 of them, and the cursor step's bytes, one per node, 21),
+# so they stay near 33 MiB. But a chunk holds at least one lane, and a
+# 1-lane chunk takes near 155 bytes per round (149 traced at L=1,024, 119 at
+# 4,096), so one of more than 2**18 rounds grows past 33 MiB: at
+# `harness.MAX_ROUNDS`, to 117 MiB traced.
+MAX_LANE_ROUNDS = 1 << 18
 # Columns per state: Z at positions 0-3, Bell at ordered pairs 4 * a + b.
 _Z_SLOTS, _BELL_SLOTS = 4, 16
 # The closure holds 82 states; the bound stops one that would not end.
@@ -225,6 +268,11 @@ def _half_words_per_round(attack, improved: bool) -> int:
     return 1 + len(attack.forged) + 2 * len(attack.measured) + 2 * side
 
 
+def _key_words(spec) -> int:
+    """The words of a trial's key and secret bits, a half-word each."""
+    return (spec.drawn_blocks() * spec.secret_bits + 1) // 2
+
+
 def _play_words(spec) -> int:
     """A proven worst case of the words one trial's play reads."""
     half_words = _half_words_per_round(ATTACKS[spec.attack], spec.protocol == "improved")
@@ -240,7 +288,107 @@ def trial_words(spec) -> int:
     row."""
     attack = ATTACKS[spec.attack]
     later = (2 + (attack.insider and attack.swap_back)) * spec.num_rounds()
-    return (spec.drawn_blocks() * spec.secret_bits + 1) // 2 + _play_words(spec) + later
+    return _key_words(spec) + _play_words(spec) + later
+
+
+# -- seeding ---------------------------------------------------------------------
+
+_LOW32 = 0xFFFFFFFF
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# PCG64's 128-bit LCG multiplier, as (high, low) uint64 limbs.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HIGH, _MULT_LOW = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash step over uint32 arrays, with its running constant."""
+
+    def step(value):
+        nonlocal const
+        value = value ^ const
+        const = (const * mult) & _LOW32
+        value = value * const
+        return value ^ (value >> 16)
+
+    return step
+
+
+def _words32(value: int, count: int) -> list[np.ndarray]:
+    """`value`'s 32-bit words, least significant first, each repeated
+    `count` times; as SeedSequence coerces an int, 0 has one word."""
+    return [
+        np.full(count, value >> shift & _LOW32, dtype=np.uint32)
+        for shift in range(0, max(value.bit_length(), 1), 32)
+    ]
+
+
+def pcg64_states(seed: int, first: int, count: int) -> np.ndarray:
+    """PCG64's state and inc for ``SeedSequence([seed, i])``, i from `first`
+    to `first + count - 1`, which must share their bits above the low 32:
+    a (count x 4) uint64 array of (state low, state high, inc low, inc
+    high), 0.25 ms for 1024 indices."""
+    high = first >> 32
+    if first < 0 or (first + count - 1) >> 32 != high:
+        raise ValueError("trial indices must be non-negative and share their high words")
+    # The entropy words, as SeedSequence coerces [seed, i]: seed's 32-bit
+    # words, least significant first, then i's.
+    words = _words32(seed, count)
+    words.append(np.arange(first & _LOW32, (first & _LOW32) + count, dtype=np.uint32))
+    if high:
+        words += _words32(high, count)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(count, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): eight uint32 outputs, paired low word first,
+    # give PCG64's seed (two words) and stream (two words), high word first.
+    output = _hasher(_INIT_B, _MULT_B)
+    out = [output(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
+    seed_high, seed_low, inc_high, inc_low = (
+        out[k] | out[k + 1] << np.uint64(32) for k in range(0, 8, 2)
+    )
+    # PCG64's seeding, mod 2**128 on (high, low) limbs: inc from the stream,
+    # then two LCG steps around adding the seed to the state.
+    inc = (inc_high << np.uint64(1) | inc_low >> np.uint64(63), inc_low << np.uint64(1) | np.uint64(1))
+    state = _add128(_mul128(_add128(inc, (seed_high, seed_low))), inc)
+    return np.stack((state[1], state[0], inc[1], inc[0]), axis=1)
+
+
+def _add128(a, b):
+    """a + b mod 2**128, each a (high, low) pair of uint64 arrays."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
+
+
+def _mul128(a):
+    """a * PCG64's multiplier mod 2**128: the full 128-bit product of the low
+    limbs, from 32-bit halves, plus the cross products in the high limb."""
+    half, mask = np.uint64(32), np.uint64(_LOW32)
+    a0, a1 = a[1] & mask, a[1] >> half
+    m0, m1 = _MULT_LOW & mask, _MULT_LOW >> half
+    p00, p01, p10, p11 = a0 * m0, a0 * m1, a1 * m0, a1 * m1
+    mid = (p00 >> half) + (p01 & mask) + (p10 & mask)
+    low = (p00 & mask) | mid << half
+    high = p11 + (p01 >> half) + (p10 >> half) + (mid >> half)
+    return high + a[1] * _MULT_HIGH + a[0] * _MULT_LOW, low
 
 
 def _pcg64_reader(limbs):
@@ -250,12 +398,12 @@ def _pcg64_reader(limbs):
     source = np.random.PCG64(0)
     # Each lane writes its limbs straight into the four uint64 words that
     # hold the state and inc, which the first field of the struct at
-    # `state_address` points at: 1.6-2.2 us a lane with its read at L=1,
-    # where numpy's state-dict setter would make it 2.9-3.7 us. numpy does
-    # not document their order (it differs without 128-bit integers), so a
-    # known state set through that setter finds it, and leaves no buffered
-    # half-word; a layout that is not a permutation of the known limbs
-    # raises before any word is read.
+    # `state_address` points at; numpy's state-dict setter would take
+    # 2.9-3.7 us a lane with its read at L=1. numpy does not document their
+    # order (it differs without 128-bit integers), so a known state set
+    # through that setter finds it, and leaves no buffered half-word; a
+    # layout that is not a permutation of the known limbs raises before any
+    # word is read.
     known = [1, 2, 3, 4]  # in `pcg64_states` order
     state = {"state": known[1] << 64 | known[0], "inc": known[3] << 64 | known[2]}
     source.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
@@ -476,10 +624,8 @@ class Returns(NamedTuple):
 
 
 def seed_and_read(spec, first: int, count: int, read=None):
-    """Each lane's row of words, (lanes x words), and the reader, which
-    `draw_keys` calls again for unequal-mode redraws. `read(lanes, starts,
-    width)` supplies raw words as `_pcg64_reader` does; by default, those of
-    the trials' own streams, seeded here."""
+    """Each lane's row of words, (lanes x words), and the reader (see
+    `run_chunk`), which `draw_keys` calls again for unequal-mode redraws."""
     if read is None:
         read = _pcg64_reader(pcg64_states(spec.seed, first, count))
     # the last columns only pad a gather
@@ -492,7 +638,7 @@ def draw_keys(spec, words, read) -> Keys:
     count, width = words.shape
     L = spec.secret_bits
     drawn = spec.drawn_blocks() * L
-    bits_end = (drawn + 1) // 2  # redraws must end here too: `trial_words` counts none
+    bits_end = _key_words(spec)  # redraws must end here too: `trial_words` counts none
     halves = words.view("<u4")  # a word's low half first
     bits = (halves[:, :drawn] >> 31).astype(np.uint8)
     k, ra, rb = bits[:, :L], bits[:, L : 2 * L], bits[:, 2 * L : 3 * L]
@@ -536,7 +682,7 @@ def advance_cursors(spec, words, keys: Keys):
     skip, window = steps.skip, steps.window
     count, width = words.shape
     L, rounds = spec.secret_bits, spec.num_rounds()
-    play_end = (spec.drawn_blocks() * L + 1) // 2 + _play_words(spec)
+    play_end = _key_words(spec) + _play_words(spec)
     ctrl, detect = _code_bounds(spec)
     # Each word's window of codes, a piece of the flat rows at a time: each
     # word's choice code above its inverted detect code (jiang reads none),
@@ -814,3 +960,14 @@ def run_chunk(spec, first: int, count: int, read=None) -> Lanes:
     returns = measure_returns(spec, words, play, word[-1])
     del words, word, buffered
     return check_lanes(spec, keys, play, returns)
+
+
+def run_chunks(spec):
+    """Each chunk's `Lanes`, in trial order: chunks of SEED_BLOCK trials, or
+    of a power of two below it that keeps lanes x rounds within
+    MAX_LANE_ROUNDS, down to one trial a chunk."""
+    step = SEED_BLOCK
+    while step > 1 and step * spec.num_rounds() > MAX_LANE_ROUNDS:
+        step //= 2
+    for first in range(0, spec.trials, step):
+        yield run_chunk(spec, first, min(step, spec.trials - first))

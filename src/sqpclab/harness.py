@@ -9,17 +9,15 @@ key, Alice raw key, Bob raw key, secrets, then the protocol run itself.
 Draw layout: K, RA, RB and the drawn secrets (x, then y unless the mode is
 equal; none in explicit mode) come from one ``integers(0, 2, size=n*L)``
 call, sliced in that order; an unequal-mode redraw of y follows as a call
-of its own. Each bit consumes exactly one 32-bit half-word, and unused
-half-words carry over between calls, so one call of n*L bits yields the
-same bits and leaves the same state as n calls of L.
+of its own. Each bit takes one 32-bit half-word (see `batch`), so one call
+of n*L bits yields the same bits and leaves the same state as n calls of L.
 
-The batched engine (`batch.run_chunk`) runs every experiment: it plays a
-chunk of trials as numpy arrays, seeding them all at once with
-`draws.pcg64_states`. `run_trial` is the scalar engine: one trial through
+The batched engine (`batch.run_chunks`) runs every experiment: it plans
+its chunks, seeds each chunk's trials at once and plays them as numpy
+arrays. `run_trial` is the scalar engine: one trial through
 `protocol.run_protocol`, the simulator and a channel strategy, drawing
 through numpy's own Generator. It is the reference the batched engine's
-lanes must equal, which also checks the vectorized seeding and the batched
-engine's decoding of raw words, and the way to replay any single trial.
+lanes must equal, and the way to replay any single trial.
 
 Aggregation streams: `run_experiment` folds each chunk's report fields
 (`batch.Lanes`) into integer `TrialCounts` as the chunk finishes, and
@@ -44,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .adversary import ATTACKS, make_strategy
-from .batch import REASONS, Lanes, run_chunk
+from .batch import REASONS, Lanes, run_chunks
 from .protocol import (
     AbortReason,
     Leg,
@@ -64,10 +62,10 @@ DEFAULT_ROUNDS_FACTOR = {"jiang": 5, "improved": 11}
 SECRET_MODES = ("random", "equal", "unequal")
 
 # Rounds a trial may run. An experiment plays a trial this long in a chunk
-# of its own, 117 traced bytes per round (see MAX_LANE_ROUNDS): 151 MiB
-# peak RSS for improved measure-resend. Replaying it through `run_trial` takes
-# 0.7-1.6 KB per round (RSS growth of improved trials at L=4,096 and 16,384,
-# from no attack to outside), so up to about 1.6 GiB.
+# of its own, 117 traced bytes per round (see `batch.MAX_LANE_ROUNDS`):
+# 151 MiB peak RSS for improved measure-resend. Replaying it through
+# `run_trial` takes 0.7-1.6 KB per round (RSS growth of improved trials at
+# L=4,096 and 16,384, from no attack to outside), so up to about 1.6 GiB.
 MAX_ROUNDS = 1 << 20
 
 
@@ -261,18 +259,6 @@ def detection_model(variant: Variant, attack: str):
 # -- experiment execution ------------------------------------------------------
 
 
-# Trials run in chunks that start at a multiple of their size, a power of
-# two up to SEED_BLOCK, so a chunk never straddles 2**32 and one
-# `pcg64_states` call seeds it. A chunk's fixed cost, 0.7-0.8 ms (seeding,
-# the stages' numpy calls, `_fold`), is a quarter to a half of a 256-lane
-# chunk at L=1, where a lane costs 3.5-7 us, 1.6-2.2 us of it seeding and
-# reading its row; 1024 lanes pay it a quarter as often, for 2 MiB more
-# peak RSS (2048 would add near 4 MiB).
-# A full-width chunk at L=1 peaks near 1,900 KiB traced. The cap stays at
-# or below `batch.SLICE_CELLS`, so one round of a chunk fits a slice.
-SEED_BLOCK = 1024
-
-
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """The documented per-trial stream:
     ``default_rng(SeedSequence([seed, trial_index]))``."""
@@ -318,34 +304,19 @@ class TrialCounts:
     cells: dict[tuple[int, bool], int] = field(default_factory=dict)
 
 
-# Lanes times rounds of one chunk, unless a single trial has more rounds.
-# Arrays of a chunk of many lanes take near 130 bytes per lane-round (the
-# traced peak of improved measure-resend is 117 at L=64 and 128, 116 with 4
-# lanes at L=4,096, and jiang measure-resend's 93 at L=64; improved's row
-# of words is 86 of them, and the cursor step's bytes, one per node, 21),
-# so they stay near 33 MiB. But a chunk holds at least one lane, and a
-# 1-lane chunk takes near 155 bytes per round (149 traced at L=1,024, 119 at
-# 4,096), so one of more than 2**18 rounds grows past 33 MiB: at
-# MAX_ROUNDS, to 117 MiB traced.
-MAX_LANE_ROUNDS = 1 << 18
-
-
 def run_experiment(spec: ExperimentSpec) -> AggregateReport:
     """Run all trials and aggregate; per-trial aborts are data, not errors.
 
-    Trials run on the batched engine (`batch.run_chunk`) in chunks of
-    SEED_BLOCK, or of a power of two below it that keeps lanes x rounds
-    within MAX_LANE_ROUNDS, down to one trial a chunk. A lane draws only from
-    its own trial's stream, so its report equals the one `run_trial` gives.
+    Trials run on the batched engine, in the chunks `batch.run_chunks`
+    plans. A lane draws only from its own trial's stream, so its report
+    equals the one `run_trial` gives.
     """
     model = detection_model(Variant(spec.protocol), spec.attack)
     extract = None if model is None else model[0]
     counts = TrialCounts()
-    step = SEED_BLOCK
-    while step > 1 and step * spec.num_rounds() > MAX_LANE_ROUNDS:
-        step //= 2
-    for first in range(0, spec.trials, step):
-        _fold(counts, run_chunk(spec, first, min(step, spec.trials - first)), extract)
+    for lanes in run_chunks(spec):
+        _fold(counts, lanes, extract)
+        del lanes  # not held while the next chunk runs
     return aggregate(spec, counts)
 
 

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qsim import BellKind, QubitHandle, Simulator
+from .qsim import BellKind, QubitHandle, Simulator, ValidationError, as_generator
 
 
 class Variant(Enum):
@@ -83,10 +83,6 @@ class Leg(Enum):
     # hash is equivalent to Enum's Python-level one: channels key their
     # per-qubit bookkeeping by (leg, round).
     __hash__ = object.__hash__
-
-
-class ValidationError(ValueError):
-    """A configuration value is out of range or malformed."""
 
 
 @cache
@@ -273,12 +269,10 @@ def run_protocol(
     """Execute one full protocol run through an (optionally adversarial) channel.
 
     A single generator drives every random decision and measurement of the
-    run, so a seed fixes the whole transcript. `seed` is a generator, used
-    as is (anything with `integers` and `random`, such as a numpy
-    Generator, whose state afterwards is exactly that of the run's draws),
-    or a seed for `np.random.default_rng`, such as an int or None; a seed
-    that `default_rng` rejects raises ValidationError. The channel shares the
-    generator. Each round draws, in order: the Bell kind, whatever the
+    run, so a seed fixes the whole transcript. `seed` goes through
+    `qsim.as_generator`; a numpy Generator passed in is used as is, so its
+    state afterwards is exactly that of the run's draws. The channel shares
+    the generator. Each round draws, in order: the Bell kind, whatever the
     channel draws on the forward legs, Alice's choice and SIFT operation,
     then Bob's. `channel` is any object with the channel interface (see the
     module docstring); None means an untouched channel, and no transmit call
@@ -287,15 +281,7 @@ def run_protocol(
     """
     if not isinstance(variant, Variant):
         raise ValidationError(f"variant must be a Variant, got {variant!r}")
-    try:
-        rng = (
-            seed if hasattr(seed, "integers") and hasattr(seed, "random")
-            else np.random.default_rng(seed)
-        )
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"seed must be a nonnegative integer, None or a generator, got {seed!r}"
-        ) from None
+    rng = as_generator(seed)
     sim = Simulator(rng)
     L = len(cfg.x)
     transmit = None

@@ -46,6 +46,24 @@ MAX_INTERNED_STATES = 4096
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 
+class ValidationError(ValueError):
+    """A configuration value is out of range or malformed."""
+
+
+def as_generator(seed):
+    """`seed` itself if it has `integers` and `random`, such as a numpy
+    Generator, else ``np.random.default_rng(seed)`` for a seed such as an
+    int or None, raising ValidationError for one `default_rng` rejects."""
+    if hasattr(seed, "integers") and hasattr(seed, "random"):
+        return seed
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"seed must be a nonnegative integer, None or a generator, got {seed!r}"
+        ) from None
+
+
 class QsimError(Exception):
     """Base error for register operations."""
 
@@ -207,16 +225,11 @@ class Simulator:
     """Owner of all registers and of the single measurement-outcome stream.
 
     One Simulator per protocol run; identical seed and operation sequence
-    reproduce identical outcomes. `seed` is a generator, used as is
-    (anything with `integers` and `random`, such as a numpy Generator), or
-    a seed for `np.random.default_rng`, such as an int or None.
+    reproduce identical outcomes. `seed` is taken by `as_generator`.
     """
 
     def __init__(self, seed: int | np.random.Generator | None = None):
-        self._rng = (
-            seed if hasattr(seed, "integers") and hasattr(seed, "random")
-            else np.random.default_rng(seed)
-        )
+        self._rng = as_generator(seed)
         self._registers: dict[int, _State] = {}
         # old register id -> (surviving register id, qubit index offset)
         self._forwards: dict[int, tuple[int, int]] = {}

@@ -20,8 +20,7 @@ import pytest
 
 from sqpclab import batch, harness, qsim
 from sqpclab.adversary import ATTACKS
-from sqpclab.batch import REASONS, Lanes, run_chunk, transition_table
-from sqpclab.draws import pcg64_states
+from sqpclab.batch import REASONS, Lanes, pcg64_states, run_chunk, transition_table
 from sqpclab.harness import ExperimentSpec, run_experiment, run_trial
 from sqpclab.protocol import ComparisonOutcome, TrialReport
 
@@ -200,7 +199,7 @@ def test_experiment_across_a_seed_block_equals_the_scalar_fold():
     """1,100 trials run as a full-width chunk and a 76-lane one; the report
     equals the one folded from scalar trials."""
     spec = ExperimentSpec(protocol="improved", attack="outside", secret_bits=1, trials=1100, seed=8)
-    assert spec.trials == harness.SEED_BLOCK + 76
+    assert spec.trials == batch.SEED_BLOCK + 76
     assert run_experiment(spec) == scalar_report(spec)
 
 
@@ -210,7 +209,7 @@ def test_chunk_width_never_changes_a_report(monkeypatch):
     spec = ExperimentSpec(protocol="improved", attack="measure-resend", secret_bits=1, trials=1100, seed=9)
     whole = run_experiment(spec).to_dict()
     for block in (64, 256, 1024):
-        monkeypatch.setattr(harness, "SEED_BLOCK", block)
+        monkeypatch.setattr(batch, "SEED_BLOCK", block)
         assert run_experiment(spec).to_dict() == whole, block
 
 
@@ -222,7 +221,7 @@ def test_small_experiments_equal_the_scalar_fold(protocol, attack, monkeypatch):
         spec = ExperimentSpec(protocol=protocol, attack=attack, secret_bits=L, trials=trials, seed=L + trials)
         assert run_experiment(spec).to_dict() == scalar_report(spec).to_dict(), (L, trials)
     spec = ExperimentSpec(protocol=protocol, attack=attack, secret_bits=8, trials=2, seed=6)
-    monkeypatch.setattr(harness, "MAX_LANE_ROUNDS", spec.num_rounds())
+    monkeypatch.setattr(batch, "MAX_LANE_ROUNDS", spec.num_rounds())
     assert run_experiment(spec).to_dict() == scalar_report(spec).to_dict()
 
 
@@ -332,7 +331,7 @@ def _spy_chunks(monkeypatch) -> list[tuple[int, int]]:
         chunks.append((first, count))
         return run_chunk(spec, first, count)
 
-    monkeypatch.setattr(harness, "run_chunk", spy)
+    monkeypatch.setattr(batch, "run_chunk", spy)
     return chunks
 
 
@@ -349,7 +348,7 @@ def test_experiments_never_run_the_scalar_engine(monkeypatch):
         run_experiment(ExperimentSpec(protocol="improved", attack="outside", secret_bits=8, trials=trials))
     spec = ExperimentSpec(protocol="jiang", attack="participant", secret_bits=8, trials=3)
     chunks = _spy_chunks(monkeypatch)
-    monkeypatch.setattr(harness, "MAX_LANE_ROUNDS", spec.num_rounds())
+    monkeypatch.setattr(batch, "MAX_LANE_ROUNDS", spec.num_rounds())
     run_experiment(spec)
     assert chunks == [(0, 1), (1, 1), (2, 1)]
 
@@ -360,7 +359,7 @@ def test_long_trials_run_in_smaller_chunks(monkeypatch):
     spec = ExperimentSpec(protocol="improved", attack="outside", secret_bits=8, trials=100, seed=4)
     whole = run_experiment(spec)
     chunks = _spy_chunks(monkeypatch)
-    monkeypatch.setattr(harness, "MAX_LANE_ROUNDS", 32 * spec.num_rounds())
+    monkeypatch.setattr(batch, "MAX_LANE_ROUNDS", 32 * spec.num_rounds())
     assert run_experiment(spec) == whole
     assert chunks == [(0, 32), (32, 32), (64, 32), (96, 4)]
 
@@ -526,16 +525,16 @@ def test_a_chunk_stays_within_its_stated_memory():
     is sized by, a full-width chunk's at L=1 within the peak stated for
     `SEED_BLOCK`, and a 1-lane chunk's within the bytes per round stated
     for it."""
-    source = inspect.getsource(harness)
+    source = inspect.getsource(batch)
     stated = re.search(r"near (\d+) bytes per lane-round", source)
     transition_table()
     widest = re.search(r"full-width chunk at L=1 peaks near ([\d,]+) KiB", source)
-    assert harness.SEED_BLOCK <= batch.SLICE_CELLS
-    peak = _traced_peak(_spec("improved", "measure-resend", 1), harness.SEED_BLOCK)
+    assert batch.SEED_BLOCK <= batch.SLICE_CELLS
+    peak = _traced_peak(_spec("improved", "measure-resend", 1), batch.SEED_BLOCK)
     assert peak <= int(widest.group(1).replace(",", "")) * 1024, peak
     for protocol, L, lanes in (("improved", 64, 256), ("improved", 128, 128), ("jiang", 64, 256)):
         spec = _spec(protocol, "measure-resend", L)
-        assert lanes * spec.num_rounds() <= harness.MAX_LANE_ROUNDS
+        assert lanes * spec.num_rounds() <= batch.MAX_LANE_ROUNDS
         peak = _traced_peak(spec, lanes)
         assert peak <= int(stated.group(1)) * lanes * spec.num_rounds(), (protocol, L, peak)
     alone = re.search(r"1-lane chunk takes near (\d+) bytes per round", source)

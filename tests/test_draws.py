@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from sqpclab.draws import pcg64_states
+from sqpclab.batch import pcg64_states
 from sqpclab.qsim import BellKind, Simulator
 
 from word_replay import WordReplay

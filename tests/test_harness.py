@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from sqpclab import harness
+from sqpclab import batch, harness
 from sqpclab.adversary import ATTACKS
 from sqpclab.harness import (
     DEFAULT_ROUNDS_FACTOR,
@@ -251,7 +251,7 @@ def test_experiment_memory_does_not_grow_with_trials():
     """Trials are folded into counts as they finish: ten times the trials
     must not raise the peak traced memory of an experiment. Both runs fill
     whole chunks, so only the trial count differs between them."""
-    block = harness.SEED_BLOCK
+    block = batch.SEED_BLOCK
 
     def peak(trials: int) -> int:
         tracemalloc.start()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sqpclab.adversary import ATTACKS, ChannelStrategy, make_strategy
-from sqpclab.qsim import BellKind
+from sqpclab.qsim import BellKind, Simulator
 from sqpclab.protocol import (
     AbortReason,
     Choice,
@@ -529,13 +529,15 @@ def test_run_protocol_rejects_a_variant_that_is_not_a_variant(variant):
 
 @pytest.mark.parametrize("seed", [-1, "abc", 1.5])
 def test_run_protocol_rejects_a_seed_numpy_rejects(seed):
-    """A seed that `default_rng` refuses raises the lab's own one-line error."""
+    """A seed that `default_rng` refuses raises the lab's own one-line
+    error, from `run_protocol` and from `Simulator` alike."""
     cfg = make_config((1, 0), (1, 0))
-    with pytest.raises(ValidationError) as err:
-        run_protocol(Variant.JIANG, cfg, seed=seed)
-    assert str(err.value) == (
-        f"seed must be a nonnegative integer, None or a generator, got {seed!r}"
-    )
+    for call in (lambda: run_protocol(Variant.JIANG, cfg, seed=seed), lambda: Simulator(seed)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == (
+            f"seed must be a nonnegative integer, None or a generator, got {seed!r}"
+        )
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])

@@ -3,7 +3,7 @@ PCG64 words, so that tests can feed the scalar engine crafted words that
 land on exact float ties, which no seed of a real Generator reaches.
 
 It serves the three calls the lab makes, decoded as numpy decodes them (see
-the `sqpclab.draws` docstring): `random()`, `integers(high)` for a power of
+the `sqpclab.batch` docstring): `random()`, `integers(high)` for a power of
 two `high`, and `integers(0, 2, size=n)`. `tests/test_draws.py` checks it
 against a real `Generator`. Reading past the last word raises StopIteration.
 """
