@@ -69,7 +69,13 @@ each a function of arrays:
     5. `measure_returns`: an insider's measurements of Alice's held
        returns, then TP's pass. Both draw only `random()`, one word per
        measurement, so each round's word offset is a cumulative sum over the
-       played choices, from where the play ended;
+       played choices, from where the play ended. TP's Bell check of a
+       double-CTRL round finds its slot with one flat lookup and compares
+       the draw ``u * total`` with the two edges of the prepared kind
+       (`Table.bell_edges`): `measure_bell` picks the first kind whose
+       cumulative weight exceeds the draw, and those weights never
+       decrease, so the draw gives that kind exactly when it lies between
+       them. Its slices are twice the round program's;
     6. `check_lanes`: the checks and the comparison values, per lane.
 
 Each draw the scalar engine makes is made at the same stream position, also
@@ -99,25 +105,30 @@ _UNIT = 2.0**-53
 # 256-lane chunk at L=1, where a lane costs 3.5-7 us, its seeding and row
 # read included; 1024 lanes pay it a quarter as often, for 2 MiB more
 # peak RSS (2048 would add near 4 MiB).
-# A full-width chunk at L=1 peaks near 1,900 KiB traced. The cap stays at
-# or below SLICE_CELLS, so one round of a chunk fits a slice.
+# A full-width chunk at L=1 peaks near 1,900 KiB traced (1,723 measured,
+# improved measure-resend). The cap stays at or below SLICE_CELLS, so one
+# round of a chunk fits a slice.
 SEED_BLOCK = 1024
 # Lanes times rounds of one chunk, unless a single trial has more rounds.
 # Arrays of a chunk of many lanes take near 130 bytes per lane-round (the
-# traced peak of improved measure-resend is 117 at L=64 and 128, 116 with 4
+# traced peak of improved measure-resend is 116 at L=64 and 128 and with 4
 # lanes at L=4,096, and jiang measure-resend's 93 at L=64; improved's row
 # of words is 86 of them, and the cursor step's bytes, one per node, 21),
 # so they stay near 33 MiB. But a chunk holds at least one lane, and a
-# 1-lane chunk takes near 155 bytes per round (149 traced at L=1,024, 119 at
+# 1-lane chunk takes near 155 bytes per round (146 traced at L=1,024, 118 at
 # 4,096), so one of more than 2**18 rounds grows past 33 MiB: at
-# `harness.MAX_ROUNDS`, to 117 MiB traced.
+# `harness.MAX_ROUNDS`, to 116 MiB traced.
 MAX_LANE_ROUNDS = 1 << 18
 # Columns per state: Z at positions 0-3, Bell at ordered pairs 4 * a + b.
 _Z_SLOTS, _BELL_SLOTS = 4, 16
 # The closure holds 82 states; the bound stops one that would not end.
 MAX_TABLE_STATES = 128
-# Lane-rounds that the round program and TP's pass take at once, so their
-# temporaries stay below 1 MiB however many rounds a chunk plays.
+assert MAX_TABLE_STATES * _BELL_SLOTS * 5 < 2**15, "Bell edge indices outgrow int16"
+# Lane-rounds that the round program takes at once, and TP's pass twice
+# as many, so their temporaries stay below 1 MiB however many rounds a
+# chunk plays. TP's pass keeps fewer bytes a cell (int16 state ids, two
+# compares a Bell check); the round program at TP's width would lift a
+# full-width L=1 chunk to 2,129 KiB traced, past the 1,900 stated above.
 SLICE_CELLS = 1 << 11
 # Words that a row's read and the cursor step's windows of codes take at
 # once, so their temporaries stay below 256 KiB however long a row is.
@@ -134,7 +145,10 @@ class Table(NamedTuple):
 
     Ids 0 and 1 are |0> and |1>, so a basis bit is its state's id, and ids
     2 to 5 are the Bell states in BellKind order. Columns that the closure
-    does not compute hold -1 (ids) or NaN.
+    does not compute hold -1 (ids) or NaN. The id columns (`z_post`,
+    `bell_post`, `kron`, `bell_slot`) are int16, as is every state id the
+    stages compute from them: ids and slots stay below 2**15, and so do the
+    indices into `bell_edges`.
     """
 
     states: tuple  # the interned qsim state of each id
@@ -149,6 +163,9 @@ class Table(NamedTuple):
     # round, by the pair's register and what each side returns (-1: its half
     # of the pair, 0 or 1: a forgery), Alice's qubit first; -1 for none
     bell_slot: np.ndarray
+    # [5 * slot + kind], [5 * slot + kind + 1]: the draws u * total that give
+    # `kind` lie in [lower, upper), from -inf, bell_cum[slot, :3], +inf
+    bell_edges: np.ndarray
 
 
 @cache
@@ -210,11 +227,12 @@ def transition_table() -> Table:
         tuple(states),
         np.array([s.num_qubits for s in states]),
         np.full(size * _Z_SLOTS, np.nan),
-        np.full(size * _Z_SLOTS * 2, -1),
+        np.full(size * _Z_SLOTS * 2, -1, np.int16),
         np.full(size * _BELL_SLOTS, np.nan),
         np.full((size * _BELL_SLOTS, 4), np.nan),
-        np.full((size * _BELL_SLOTS, 4), -1),
-        np.full((size, size), -1),
+        np.full((size * _BELL_SLOTS, 4), -1, np.int16),
+        np.full((size, size), -1, np.int16),
+        None,
         None,
     )
     for slot, (p1, posts) in z.items():
@@ -232,14 +250,21 @@ def transition_table() -> Table:
     same = (a < 0) & (b < 0)
     merged = np.where(same, pair, table.kron[reg_a, reg_b])
     slot = merged * _BELL_SLOTS + np.where(same, 1, table.qubits[reg_a] + (b < 0))
-    table = table._replace(bell_slot=np.where((merged < 0) | (table.qubits[pair] != 2), -1, slot))
+    edges = np.full((size * _BELL_SLOTS, 5), np.inf)
+    edges[:, 0] = -np.inf
+    edges[:, 1:4] = table.bell_cum[:, :3]
+    table = table._replace(
+        bell_slot=np.where((merged < 0) | (table.qubits[pair] != 2), -1, slot).astype(np.int16),
+        bell_edges=edges.reshape(-1),
+    )
     for column in table[1:]:
         column.flags.writeable = False
     return table
 
 
 class Lanes(NamedTuple):
-    """Each lane's `TrialReport` fields, as arrays over the lanes."""
+    """Each lane's `TrialReport` fields, as arrays over the lanes: int8
+    codes, bools and int32 counts, so a 1024-lane chunk's take 27 KiB."""
 
     reason: np.ndarray  # index into REASONS
     first: np.ndarray  # first differing ordinal of a completed lane, 0 for none
@@ -578,9 +603,9 @@ def _measure_z(table, state, position, u):
     return outcome, table.z_post[2 * slot + outcome]
 
 
-def _slices(rounds: int, count: int):
-    """Slices of the rounds, each of about SLICE_CELLS lane-rounds."""
-    step = max(1, SLICE_CELLS // count)
+def _slices(rounds: int, count: int, cells: int):
+    """Slices of the rounds, each of about `cells` lane-rounds."""
+    step = max(1, cells // count)
     return [slice(r, r + step) for r in range(0, rounds, step)]
 
 
@@ -788,7 +813,7 @@ def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
         upto[side] = made[side] + np.cumsum(sift, axis=0)
         return sift & (upto[side] > L)
 
-    for rows in _slices(rounds, count):
+    for rows in _slices(rounds, count, SLICE_CELLS):
         b = buffered[rows]
         kind, legs, sides, _, hb = _walk_round(
             attack, improved, word[:-1][rows], b.astype(np.int64) - 1, code, filler
@@ -850,38 +875,60 @@ def measure_returns(spec, words, play: Play, end) -> Returns:
         np.empty(shape, bool), np.empty(shape, bool), np.empty(shape, bool),
         np.empty(shape, bool) if observe and spec.protocol == "jiang" else None,
     )
-    for rows in _slices(*shape):
+
+    def tp_pass(rows, start):
+        """TP's measurements of a slice of rounds, whose first round reads
+        each lane's word `start` on; returns each lane's next word after
+        it. Its temporaries go with it, before the next slice makes its own."""
         a, b = sift[0, rows], sift[1, rows]
+        case1 = ~a & ~b
+        draws = np.maximum(a + b.astype(np.int8), case1)
+        index = np.cumsum(draws, axis=0)
+        index -= draws
+        index += start
+        after = index[-1] + draws[-1]
+        u_a = _uniforms(flat_words, index)  # Alice's Z, or the Bell measurement
+        index += a
+        back, pair = play.back[:, rows], play.pair[rows]
+        in_pair = back < 0
+        returns.out_a[rows], post = _measure_z(table, np.where(in_pair[0], pair, back[0]), 0, u_a)
+        r0 = np.where(a & in_pair[0], post, pair)
+        u_b = _uniforms(flat_words, index)
+        returns.out_b[rows] = _measure_z(table, np.where(in_pair[1], r0, back[1]), in_pair[1], u_b)[0]
+        del index, u_b  # not held through the Bell check
+
+        # Bell measurements of the double-CTRL rounds. The other cells measure
+        # their pair too and are not counted, so the arrays of every slice
+        # have its size, which keeps the heap from fragmenting. A cell is
+        # wrong when its draw falls outside the edges of its prepared kind.
+        held = np.where(case1, back, -1)
+        held[0] *= 3
+        entry = pair * 9  # bell_slot[pair, 1 + a, 1 + b], flat
+        entry += held[0]
+        entry += held[1]
+        entry += 4
+        slot = table.bell_slot.reshape(-1)[entry]
+        if (slot < 0).any():
+            raise ValueError(f"attack {spec.attack!r} merges registers outside the table")
+        draw = u_a  # u * total, in place
+        draw *= table.bell_total[slot]
+        edge = slot * 5
+        edge += play.kinds[rows]
+        wrong = draw < table.bell_edges[edge]
+        edge += 1
+        wrong |= draw >= table.bell_edges[edge]
+        returns.wrong[rows] = wrong & case1
+        return after
+
+    for rows in _slices(*shape, 2 * SLICE_CELLS):
         if returns.learned is not None:
-            index = np.cumsum(a, axis=0)
+            index = np.cumsum(sift[0, rows], axis=0)
             index += insider - 1
             returns.learned[rows] = _measure_z(
                 table, play.sent[0, rows], 0, _uniforms(flat_words, index)
             )[0]
             insider = index[-1] + 1
-        case1 = ~a & ~b
-        draws = np.maximum(a + b.astype(np.int8), case1)
-        index = np.cumsum(draws, axis=0)
-        index += pos - draws
-        pos = index[-1] + draws[-1]
-        u_a = _uniforms(flat_words, index)  # Alice's Z, or the Bell measurement
-        u_b = _uniforms(flat_words, index + a)
-        back, pair = play.back[:, rows], play.pair[rows]
-        in_pair = back < 0
-        returns.out_a[rows], post = _measure_z(table, np.where(in_pair[0], pair, back[0]), 0, u_a)
-        r0 = np.where(a & in_pair[0], post, pair)
-        returns.out_b[rows] = _measure_z(table, np.where(in_pair[1], r0, back[1]), in_pair[1], u_b)[0]
-
-        # Bell measurements of the double-CTRL rounds. The other cells measure
-        # their pair too and are not counted, so the arrays of every slice
-        # have its size, which keeps the heap from fragmenting.
-        held = np.where(case1, back, -1) + 1
-        slot = table.bell_slot[pair, held[0], held[1]]
-        if (slot < 0).any():
-            raise ValueError(f"attack {spec.attack!r} merges registers outside the table")
-        draw = u_a * table.bell_total[slot]
-        outcome = (draw[..., None] >= table.bell_cum[slot, :3]).sum(axis=-1)
-        returns.wrong[rows] = case1 & (outcome != play.kinds[rows])
+        pos = tp_pass(rows, pos)
     return returns
 
 
@@ -893,11 +940,11 @@ def check_lanes(spec, keys: Keys, play: Play, returns: Returns) -> Lanes:
     k, ra, rb, x, y = keys[:5]
     sift, detect, sent = play.sift, play.detect, play.sent
     case1 = ~sift[0] & ~sift[1]
-    case1_rounds = case1.sum(axis=0)
-    case1_errors = returns.wrong.sum(axis=0)
-    traps = detect.sum(axis=1)
+    case1_rounds = case1.sum(axis=0, dtype=np.int32)
+    case1_errors = returns.wrong.sum(axis=0, dtype=np.int32)
+    traps = detect.sum(axis=1, dtype=np.int32)
     bad = [
-        (detect[s] & (out != sent[s])).sum(axis=0)
+        (detect[s] & (out != sent[s])).sum(axis=0, dtype=np.int32)
         for s, out in ((0, returns.out_a), (1, returns.out_b))
     ]
     calc = sift & ~detect
@@ -914,7 +961,7 @@ def check_lanes(spec, keys: Keys, play: Play, returns: Returns) -> Lanes:
         ],
         [1, 2, 3],
         0,
-    )
+    ).astype(np.int8)
     done = reason == 0
     # each completed lane's first L calculate rounds per side, lane by lane
     paired = (calc & (np.cumsum(calc, axis=1, dtype=np.int32) <= L) & done).transpose(0, 2, 1)
@@ -927,7 +974,7 @@ def check_lanes(spec, keys: Keys, play: Play, returns: Returns) -> Lanes:
         pub_a, pub_b = ra[done], rb[done]
     r = ma ^ mb ^ pub_a ^ pub_b
     count = len(reason)
-    first_diff = np.zeros(count, np.int64)
+    first_diff = np.zeros(count, np.int32)
     first_diff[done] = np.where(r.any(axis=1), r.argmax(axis=1) + 1, 0)
     recovered = np.full(count, -1, np.int8)
     if returns.learned is not None:

@@ -149,6 +149,39 @@ def test_table_entries_equal_the_scalar_engines_memos(monkeypatch):
     assert len(qsim._STATES) >= 30 and seen >= 45
 
 
+def _first_kind(draw, cumulative) -> int:
+    """`Simulator.measure_bell`'s rule: the first kind whose cumulative
+    weight exceeds the draw, else the last."""
+    for k, bound in enumerate(cumulative):
+        if draw < bound:
+            return k
+    return len(cumulative) - 1
+
+
+def test_bell_edges_give_measure_bells_kind():
+    """For every Bell slot the table holds and each prepared kind, a draw
+    counts as wrong by the edges rule exactly when `measure_bell`'s loop
+    picks another kind: at 0, the total, each cumulative bound and one
+    float either side of it. The id columns are int16, and so is every
+    index into the edges."""
+    table = transition_table()
+    for column in (table.z_post, table.bell_post, table.kron, table.bell_slot):
+        assert column.dtype == np.int16
+    assert 5 * table.bell_slot.max() + 5 <= len(table.bell_edges) <= np.iinfo(np.int16).max
+    checked = 0
+    for slot in np.flatnonzero(~np.isnan(table.bell_total)):
+        total, cumulative = table.bell_total[slot], table.bell_cum[slot].tolist()
+        draws = {0.0, total}
+        for bound in cumulative:
+            draws |= {bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)}
+        for draw, kind in itertools.product(sorted(draws), range(4)):
+            lower, upper = table.bell_edges[5 * slot + kind : 5 * slot + kind + 2]
+            wrong = draw < lower or draw >= upper
+            assert wrong == (_first_kind(draw, cumulative) != kind), (slot, draw, kind)
+            checked += 1
+    assert checked >= 1000
+
+
 def test_table_is_built_lazily():
     """Importing the package builds no table; the first batched chunk does."""
     code = (
@@ -193,6 +226,17 @@ def test_chunks_of_every_size_equal_scalar_reports(protocol, attack):
     spec = _spec(protocol, attack, 1, 2**32 + 1, mode="unequal")
     _assert_equal(spec, 0, 256)
     _assert_equal(spec, 256, 44)
+
+
+@pytest.mark.parametrize("cells, lanes", [(1, 3), (37, 5)])
+def test_slices_of_any_width_equal_scalar_reports(cells, lanes, monkeypatch):
+    """Slices of one round, and of an odd width that rounds never divide,
+    carry each lane's buffered half-word, SIFT counts and TP's word offsets
+    from slice to slice: every pair at L=8, and unequal secrets at L=1."""
+    monkeypatch.setattr(batch, "SLICE_CELLS", cells)
+    for protocol, attack in PAIRS:
+        _assert_equal(_spec(protocol, attack, 8, 11), 0, lanes)
+        _assert_equal(_spec(protocol, attack, 1, 12, mode="unequal"), 0, 8 * lanes)
 
 
 def test_experiment_across_a_seed_block_equals_the_scalar_fold():
@@ -526,21 +570,35 @@ def test_a_chunk_stays_within_its_stated_memory():
     `SEED_BLOCK`, and a 1-lane chunk's within the bytes per round stated
     for it."""
     source = inspect.getsource(batch)
-    stated = re.search(r"near (\d+) bytes per lane-round", source)
+    stated = int(re.search(r"near (\d+) bytes per lane-round", source).group(1))
     transition_table()
     widest = re.search(r"full-width chunk at L=1 peaks near ([\d,]+) KiB", source)
+    widest = int(widest.group(1).replace(",", ""))
     assert batch.SEED_BLOCK <= batch.SLICE_CELLS
     peak = _traced_peak(_spec("improved", "measure-resend", 1), batch.SEED_BLOCK)
-    assert peak <= int(widest.group(1).replace(",", "")) * 1024, peak
+    print(f"full-width chunk at L=1: {peak / 1024:,.0f} KiB traced, {widest:,} stated")
+    assert peak <= widest * 1024, peak
     for protocol, L, lanes in (("improved", 64, 256), ("improved", 128, 128), ("jiang", 64, 256)):
         spec = _spec(protocol, "measure-resend", L)
         assert lanes * spec.num_rounds() <= batch.MAX_LANE_ROUNDS
         peak = _traced_peak(spec, lanes)
-        assert peak <= int(stated.group(1)) * lanes * spec.num_rounds(), (protocol, L, peak)
-    alone = re.search(r"1-lane chunk takes near (\d+) bytes per round", source)
+        cells = lanes * spec.num_rounds()
+        print(f"{protocol} L={L}, {lanes} lanes: {peak / cells:.1f} bytes per lane-round, {stated} stated")
+        assert peak <= stated * cells, (protocol, L, peak)
+    alone = int(re.search(r"1-lane chunk takes near (\d+) bytes per round", source).group(1))
     spec = _spec("improved", "measure-resend", 1024)
     peak = _traced_peak(spec, 1)
-    assert peak <= int(alone.group(1)) * spec.num_rounds(), peak
+    print(f"1-lane chunk at L=1,024: {peak / spec.num_rounds():.1f} bytes per round, {alone} stated")
+    assert peak <= alone * spec.num_rounds(), peak
+
+
+def test_a_chunks_lanes_are_narrow():
+    """A lane's report fields are int8 codes, bools and int32 counts, 27
+    bytes a lane, so a full-width chunk's `Lanes` stay far inside the 64 KiB
+    that `test_experiment_memory_does_not_grow_with_trials` allows an
+    experiment to grow by."""
+    lanes = run_chunk(_spec("jiang", "participant", 1), 0, batch.SEED_BLOCK)
+    assert sum(field.nbytes for field in lanes) == 27 * batch.SEED_BLOCK
 
 
 def test_word_budget_is_a_worst_case():

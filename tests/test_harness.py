@@ -265,7 +265,9 @@ def test_experiment_memory_does_not_grow_with_trials():
     # interned-state table and the allocator's pools before either peak is
     # taken, so the result does not depend on which tests ran before.
     run_experiment(ExperimentSpec(protocol="jiang", secret_bits=1, trials=10 * block))
-    assert peak(10 * block) <= peak(block) + 64 * 1024
+    grown = peak(10 * block) - peak(block)
+    print(f"peak grew {grown:,} bytes with ten times the trials, {64 * 1024:,} allowed")
+    assert grown <= 64 * 1024
 
 
 def test_aggregate_report_round_trip():
