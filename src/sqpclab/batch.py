@@ -28,11 +28,12 @@ Every operation of the protocols is Clifford, and no register they build
 holds more than three qubits, so a round's quantum state is one of a few
 dozen vectors. `transition_table` numbers them once, lazily, and stores
 each transition as numpy arrays indexed by state id: a Z measurement's
-p1 and post-states per position, a Bell measurement's total, cumulative
-weights and post-states per ordered pair, and the state of two registers
-merged. Every float is the simulator's own memo entry (`qsim._z_memo`,
-`qsim._bell_memo`), so the engine's `u < p1` and `u * total < bound`
-compare the same floats as `Simulator.measure_z` and `measure_bell`.
+p1 and post-states per position, the state of two registers merged, and
+the total and cumulative weights of TP's Bell measurement of a register's
+first and last qubit, the only pair TP measures. Every float is the
+simulator's own memo entry (`qsim._z_memo`, `qsim._bell_memo`), so the
+engine's `u < p1` and `u * total < bound` compare the same floats as
+`Simulator.measure_z` and `measure_bell`.
 
 `run_chunks` runs an experiment as chunks of trials (`SEED_BLOCK`,
 `MAX_LANE_ROUNDS`), and `run_chunk` runs trials `first` to
@@ -66,29 +67,30 @@ each a function of arrays:
        the transition table. Only the kind can read a half-word that an
        earlier round left buffered: every round's first draw either takes
        the buffered half or buffers one;
-    5. `measure_returns`: an insider's measurements of Alice's held
-       returns, then TP's pass. Both draw only `random()`, one word per
+    5. `measure_returns`: TP's pass. It draws only `random()`, one word per
        measurement, so each round's word offset is a cumulative sum over the
-       played choices, from where the play ended. TP's Bell check of a
-       double-CTRL round finds its slot with one flat lookup and compares
-       the draw ``u * total`` with the two edges of the prepared kind
-       (`Table.bell_edges`): `measure_bell` picks the first kind whose
-       cumulative weight exceeds the draw, and those weights never
-       decrease, so the draw gives that kind exactly when it lies between
-       them. Its slices are twice the round program's;
+       played choices, from where the play ended, past an insider's words
+       (its Z measurements of Alice's outgoing qubits, skipped unread: see
+       below). TP's Bell check of a double-CTRL round finds its register
+       with one flat lookup and compares the draw ``u * total`` with the
+       two edges of the prepared kind (`Table.bell_edges`): `measure_bell`
+       picks the first kind whose cumulative weight exceeds the draw, and
+       those weights never decrease, so the draw gives that kind exactly
+       when it lies between them. Its slices are twice the round program's;
     6. `check_lanes`: the checks and the comparison values, per lane.
 
-Each draw the scalar engine makes is made at the same stream position, also
-when its result is unused, such as a Z measurement of an eigenstate. No
-`Simulator`, channel strategy, `RoundRecord` or `Transcript` is built; the
-per-lane report fields come back as `Lanes` arrays.
+Each draw the scalar engine makes keeps its stream position, also when its
+result is unused, such as a Z measurement of an eigenstate; one of |0> or
+|1> (a forgery, or Alice's outgoing qubit) gives its bit whatever the word,
+so its word is counted and not read. No `Simulator`, channel strategy,
+`RoundRecord` or `Transcript` is built; the per-lane report fields come
+back as `Lanes` arrays.
 """
 from __future__ import annotations
 
 import ctypes
 import math
 from functools import cache
-from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -105,7 +107,7 @@ _UNIT = 2.0**-53
 # 256-lane chunk at L=1, where a lane costs 3.5-7 us, its seeding and row
 # read included; 1024 lanes pay it a quarter as often, for 2 MiB more
 # peak RSS (2048 would add near 4 MiB).
-# A full-width chunk at L=1 peaks near 1,900 KiB traced (1,723 measured,
+# A full-width chunk at L=1 peaks near 1,900 KiB traced (1,706 measured,
 # improved measure-resend). The cap stays at or below SLICE_CELLS, so one
 # round of a chunk fits a slice.
 SEED_BLOCK = 1024
@@ -115,15 +117,17 @@ SEED_BLOCK = 1024
 # lanes at L=4,096, and jiang measure-resend's 93 at L=64; improved's row
 # of words is 86 of them, and the cursor step's bytes, one per node, 21),
 # so they stay near 33 MiB. But a chunk holds at least one lane, and a
-# 1-lane chunk takes near 155 bytes per round (146 traced at L=1,024, 118 at
+# 1-lane chunk takes near 155 bytes per round (145 traced at L=1,024, 118 at
 # 4,096), so one of more than 2**18 rounds grows past 33 MiB: at
 # `harness.MAX_ROUNDS`, to 116 MiB traced.
 MAX_LANE_ROUNDS = 1 << 18
-# Columns per state: Z at positions 0-3, Bell at ordered pairs 4 * a + b.
-_Z_SLOTS, _BELL_SLOTS = 4, 16
-# The closure holds 82 states; the bound stops one that would not end.
+# Z columns per state, at positions 0-3.
+_Z_SLOTS = 4
+# The closure holds 42 states; the bound stops one that would not end.
 MAX_TABLE_STATES = 128
-assert MAX_TABLE_STATES * _BELL_SLOTS * 5 < 2**15, "Bell edge indices outgrow int16"
+# TP's int16 lookups stay below 2**15: 5 * id + kind + 1 into `bell_edges`,
+# and 9 * pair + 8 into `bell_register`.
+assert MAX_TABLE_STATES * 9 < 2**15, "TP's Bell indices outgrow int16"
 # Lane-rounds that the round program takes at once, and TP's pass twice
 # as many, so their temporaries stay below 1 MiB however many rounds a
 # chunk plays. TP's pass keeps fewer bytes a cell (int16 state ids, two
@@ -144,38 +148,38 @@ class Table(NamedTuple):
     """The protocols' register states and their transitions, by state id.
 
     Ids 0 and 1 are |0> and |1>, so a basis bit is its state's id, and ids
-    2 to 5 are the Bell states in BellKind order. Columns that the closure
-    does not compute hold -1 (ids) or NaN. The id columns (`z_post`,
-    `bell_post`, `kron`, `bell_slot`) are int16, as is every state id the
-    stages compute from them: ids and slots stay below 2**15, and so do the
-    indices into `bell_edges`.
+    2 to 5 are the Bell states in BellKind order. TP Bell-measures a
+    register of 2 or 3 qubits at its first and last qubit, Alice's and
+    Bob's, so the Bell columns hold that one measurement per id. Columns
+    that the closure does not compute hold -1 (ids) or NaN. The id columns
+    (`z_post`, `kron`, `bell_register`) are int16, as is every state id the
+    stages compute from them: ids stay below 2**15, and so do the indices
+    into `bell_edges`.
     """
 
     states: tuple  # the interned qsim state of each id
     qubits: np.ndarray  # register size
     z_p1: np.ndarray  # [id * 4 + pos]
     z_post: np.ndarray  # [(id * 4 + pos) * 2 + outcome]
-    bell_total: np.ndarray  # [id * 16 + 4 * a + b]
-    bell_cum: np.ndarray  # [id * 16 + 4 * a + b, kind]
-    bell_post: np.ndarray  # [id * 16 + 4 * a + b, kind]
     kron: np.ndarray  # [id_a, id_b]: the merged register, a's qubits first
-    # [pair, 1 + a, 1 + b]: the Bell slot of TP's measurement of a double-CTRL
+    # [pair, 1 + a, 1 + b]: the register TP Bell-measures in a double-CTRL
     # round, by the pair's register and what each side returns (-1: its half
     # of the pair, 0 or 1: a forgery), Alice's qubit first; -1 for none
-    bell_slot: np.ndarray
-    # [5 * slot + kind], [5 * slot + kind + 1]: the draws u * total that give
-    # `kind` lie in [lower, upper), from -inf, bell_cum[slot, :3], +inf
+    bell_register: np.ndarray
+    bell_total: np.ndarray  # [id]
+    # [5 * id + kind], [5 * id + kind + 1]: the draws u * total that give
+    # `kind` lie in [lower, upper), from -inf, the first three cumulative
+    # weights, +inf
     bell_edges: np.ndarray
 
 
 @cache
 def transition_table() -> Table:
     """The closure of the 2 basis states and the 4 Bell states under Z
-    measurement at each position and Bell measurement of each ordered pair
-    (of registers of up to 2 qubits) and under merging two registers into
-    one of 3 qubits at most; a merged 3-qubit register gets the Bell
-    measurements of the pairs that straddle the merge, TP's one measurement
-    of it, whose post-states end the closure. Built on first use."""
+    measurement at each position (of registers of up to 2 qubits) and under
+    merging two registers into one of 3 qubits at most; each register of 2
+    or 3 qubits gets TP's Bell measurement of its first and last qubit,
+    whose post-states no stage reads. Built on first use."""
     states, ids = [], {}
 
     def number(state):
@@ -187,11 +191,11 @@ def transition_table() -> Table:
             states.append(state)
         return ids[state.key]
 
-    z, bell, kron = {}, {}, {}
+    z, kron = {}, {}
 
-    def measure_bell(state, a, b):
-        total, cumulative, posts = state.bell.get((a, b)) or qsim._bell_memo(state, a, b)
-        bell[number(state) * _BELL_SLOTS + 4 * a + b] = (total, cumulative, list(map(number, posts)))
+    def merge(first, second):
+        merged = first.kron.get(second.key) or qsim._kron(first, second)
+        kron[number(first), number(second)] = number(merged)
 
     prepared = [qsim._intern(1, row) for row in qsim._Z_BASIS]
     prepared += [qsim._intern(2, row) for row in qsim._BELL_BASIS]
@@ -204,23 +208,16 @@ def transition_table() -> Table:
         for pos in range(state.num_qubits):
             p1, posts = state.z.get(pos) or qsim._z_memo(state, pos)
             z[number(state) * _Z_SLOTS + pos] = (p1, list(map(number, posts)))
-        for a, b in permutations(range(state.num_qubits), 2):
-            measure_bell(state, a, b)
         if state.num_qubits == 1:
             for other in states[:done]:
                 for first, second in ((state, other), (other, state)):
                     if first.num_qubits == 1 and second.num_qubits == 1:
-                        merged = first.kron.get(second.key) or qsim._kron(first, second)
-                        kron[number(first), number(second)] = number(merged)
+                        merge(first, second)
     small = states[:done]
     for first in small:
         for second in small:
             if first.num_qubits + second.num_qubits == 3:
-                merged = first.kron.get(second.key) or qsim._kron(first, second)
-                kron[number(first), number(second)] = number(merged)
-                for a in range(first.num_qubits):
-                    for b in range(second.num_qubits):
-                        measure_bell(merged, a, first.num_qubits + b)
+                merge(first, second)
 
     size = len(states)
     table = Table(
@@ -228,34 +225,30 @@ def transition_table() -> Table:
         np.array([s.num_qubits for s in states]),
         np.full(size * _Z_SLOTS, np.nan),
         np.full(size * _Z_SLOTS * 2, -1, np.int16),
-        np.full(size * _BELL_SLOTS, np.nan),
-        np.full((size * _BELL_SLOTS, 4), np.nan),
-        np.full((size * _BELL_SLOTS, 4), -1, np.int16),
         np.full((size, size), -1, np.int16),
         None,
-        None,
+        np.full(size, np.nan),
+        np.full((size, 5), np.nan),
     )
     for slot, (p1, posts) in z.items():
         table.z_p1[slot] = p1
         table.z_post[2 * slot : 2 * slot + 2] = posts
-    for slot, (total, cumulative, posts) in bell.items():
-        table.bell_total[slot] = total
-        table.bell_cum[slot] = cumulative
-        table.bell_post[slot] = posts
     for pair, merged in kron.items():
         table.kron[pair] = merged
+    table.bell_edges[:, 0], table.bell_edges[:, 4] = -np.inf, np.inf
+    for i, state in enumerate(states):
+        last = state.num_qubits - 1
+        if last > 0:
+            total, cumulative, _ = state.bell.get((0, last)) or qsim._bell_memo(state, 0, last)
+            table.bell_total[i] = total
+            table.bell_edges[i, 1:4] = cumulative[:3]
     pair = np.arange(size)[:, None, None]
     a, b = np.arange(-1, 2)[:, None], np.arange(-1, 2)
-    reg_a, reg_b = np.where(a < 0, pair, a), np.where(b < 0, pair, b)
     same = (a < 0) & (b < 0)
-    merged = np.where(same, pair, table.kron[reg_a, reg_b])
-    slot = merged * _BELL_SLOTS + np.where(same, 1, table.qubits[reg_a] + (b < 0))
-    edges = np.full((size * _BELL_SLOTS, 5), np.inf)
-    edges[:, 0] = -np.inf
-    edges[:, 1:4] = table.bell_cum[:, :3]
+    merged = np.where(same, pair, table.kron[np.where(a < 0, pair, a), np.where(b < 0, pair, b)])
     table = table._replace(
-        bell_slot=np.where((merged < 0) | (table.qubits[pair] != 2), -1, slot).astype(np.int16),
-        bell_edges=edges.reshape(-1),
+        bell_register=np.where(table.qubits[pair] != 2, -1, merged).astype(np.int16),
+        bell_edges=table.bell_edges.reshape(-1),
     )
     for column in table[1:]:
         column.flags.writeable = False
@@ -309,8 +302,8 @@ def trial_words(spec) -> int:
     redraws of y aside: its key and secret bits, a half-word each; its play
     (`_half_words_per_round`); TP's pass, one word per case-1 round and per
     SIFT qubit, so at most 2 a round; and an insider's measurement of each
-    of Alice's held returns, at most 1 a round. It is the width of a lane's
-    row."""
+    of Alice's held returns, at most 1 a round, which `measure_returns`
+    counts and skips. It is the width of a lane's row."""
     attack = ATTACKS[spec.attack]
     later = (2 + (attack.insider and attack.swap_back)) * spec.num_rounds()
     return _key_words(spec) + _play_words(spec) + later
@@ -638,14 +631,12 @@ class Play(NamedTuple):
 
 
 class Returns(NamedTuple):
-    """TP's measurements, (rounds x lanes): each side's Z outcome, Bell
-    errors of the double-CTRL rounds, and a jiang insider's Z outcomes of
-    Alice's held returns (None without one)."""
+    """TP's measurements, (rounds x lanes): each side's Z outcome and Bell
+    errors of the double-CTRL rounds."""
 
     out_a: np.ndarray
     out_b: np.ndarray
     wrong: np.ndarray
-    learned: np.ndarray | None
 
 
 def seed_and_read(spec, first: int, count: int, read=None):
@@ -832,12 +823,11 @@ def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
         for s, (sift, is_detect, measured, bit, drawn) in enumerate(sides):
             bits = flat_halves[bit] >> 31
             if improved:
-                u = _uniforms(flat_words, measured)
                 if fake[s] is None:
-                    out, post = _measure_z(table, r0, s, u)
+                    out, post = _measure_z(table, r0, s, _uniforms(flat_words, measured))
                     r0 = np.where(sift & ~is_detect, post, r0)
-                else:
-                    out = _measure_z(table, fake[s], 0, u)[0]
+                else:  # a forgery is |0> or |1>, so its Z is its bit
+                    out = fake[s]
                 play.detect[s, rows] = is_detect
             else:
                 out = encoded[s][lane_bits + np.minimum(upto[s] - sift, L - 1)]
@@ -851,30 +841,26 @@ def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
 
 
 def measure_returns(spec, words, play: Play, end) -> Returns:
-    """An insider's measurement of each of Alice's held returns, then TP's
-    pass, a slice of rounds at a time. The insider reads one word per SIFT
-    round of Alice's (measuring her outgoing qubit), TP one per case-1
-    round and per SIFT qubit; each lane reads them from where its play
-    ended (`end`, its next word after the last round), in its row. Only a
-    jiang insider decodes anything from the outcomes, so an improved one's
-    words are skipped unread."""
+    """TP's pass, a slice of rounds at a time: one word per case-1 round
+    and per SIFT qubit. Each lane reads them in its row from where its play
+    ended (`end`, its next word after the last round), past an insider's
+    words: one per SIFT round of Alice's, whose Z measurement of her
+    outgoing qubit the scalar engine draws. That qubit is |0> or |1>, so the
+    outcome is the bit she sent whatever the word (`check_lanes` reads
+    `Play.sent`), and the insider's words are skipped unread."""
     table = transition_table()
     attack = ATTACKS[spec.attack]
     count, width = words.shape
     flat_words = words.reshape(-1)
     sift = play.sift
-    observe = attack.insider and attack.swap_back
-    alice = sift[0].sum(axis=0)
     tp = len(sift[0]) + (sift[0] & sift[1]).sum(axis=0)  # 1 draw a round, 2 if both SIFT
     pos = end
-    if (pos - np.arange(count) * width + tp + (alice if observe else 0) > trial_words(spec)).any():
+    if attack.insider and attack.swap_back:
+        pos = pos + sift[0].sum(axis=0)
+    if (pos - np.arange(count) * width + tp > trial_words(spec)).any():
         raise AssertionError("a lane read past its row of words")
-    insider, pos = pos, pos + (alice if observe else 0)
     shape = sift.shape[1:]
-    returns = Returns(
-        np.empty(shape, bool), np.empty(shape, bool), np.empty(shape, bool),
-        np.empty(shape, bool) if observe and spec.protocol == "jiang" else None,
-    )
+    returns = Returns(np.empty(shape, bool), np.empty(shape, bool), np.empty(shape, bool))
 
     def tp_pass(rows, start):
         """TP's measurements of a slice of rounds, whose first round reads
@@ -903,16 +889,16 @@ def measure_returns(spec, words, play: Play, end) -> Returns:
         # wrong when its draw falls outside the edges of its prepared kind.
         held = np.where(case1, back, -1)
         held[0] *= 3
-        entry = pair * 9  # bell_slot[pair, 1 + a, 1 + b], flat
+        entry = pair * 9  # bell_register[pair, 1 + a, 1 + b], flat
         entry += held[0]
         entry += held[1]
         entry += 4
-        slot = table.bell_slot.reshape(-1)[entry]
-        if (slot < 0).any():
+        register = table.bell_register.reshape(-1)[entry]
+        if (register < 0).any():
             raise ValueError(f"attack {spec.attack!r} merges registers outside the table")
         draw = u_a  # u * total, in place
-        draw *= table.bell_total[slot]
-        edge = slot * 5
+        draw *= table.bell_total[register]
+        edge = register * 5
         edge += play.kinds[rows]
         wrong = draw < table.bell_edges[edge]
         edge += 1
@@ -921,13 +907,6 @@ def measure_returns(spec, words, play: Play, end) -> Returns:
         return after
 
     for rows in _slices(*shape, 2 * SLICE_CELLS):
-        if returns.learned is not None:
-            index = np.cumsum(sift[0, rows], axis=0)
-            index += insider - 1
-            returns.learned[rows] = _measure_z(
-                table, play.sent[0, rows], 0, _uniforms(flat_words, index)
-            )[0]
-            insider = index[-1] + 1
         pos = tp_pass(rows, pos)
     return returns
 
@@ -977,8 +956,10 @@ def check_lanes(spec, keys: Keys, play: Play, returns: Returns) -> Lanes:
     first_diff = np.zeros(count, np.int32)
     first_diff[done] = np.where(r.any(axis=1), r.argmax(axis=1) + 1, 0)
     recovered = np.full(count, -1, np.int8)
-    if returns.learned is not None:
-        decoded = returns.learned.T[paired[0]].reshape(-1, L) ^ ra[done] ^ k[done]
+    attack = ATTACKS[spec.attack]
+    if not improved and attack.insider and attack.swap_back:
+        # a jiang insider's Z of Alice's outgoing qubit is the bit she sent
+        decoded = sent[0].T[paired[0]].reshape(-1, L) ^ ra[done] ^ k[done]
         recovered[done] = (decoded == x[done]).all(axis=1)
     return Lanes(
         reason,

@@ -62,8 +62,8 @@ DEFAULT_ROUNDS_FACTOR = {"jiang": 5, "improved": 11}
 SECRET_MODES = ("random", "equal", "unequal")
 
 # Rounds a trial may run. An experiment plays a trial this long in a chunk
-# of its own, 117 traced bytes per round (see `batch.MAX_LANE_ROUNDS`):
-# 151 MiB peak RSS for improved measure-resend. Replaying it through
+# of its own, whose traced size `batch.MAX_LANE_ROUNDS` states: 151 MiB
+# peak RSS for improved measure-resend. Replaying it through
 # `run_trial` takes 0.7-1.6 KB per round (RSS growth of improved trials at
 # L=4,096 and 16,384, from no attack to outside), so up to about 1.6 GiB.
 MAX_ROUNDS = 1 << 20

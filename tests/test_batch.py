@@ -83,31 +83,47 @@ def _assert_equal(spec, first, count, read=None):
 def test_table_is_closed_and_within_its_bound():
     table = transition_table()
     size = len(table.states)
-    assert size <= batch.MAX_TABLE_STATES
+    stated = re.search(r"closure holds (\d+) states", inspect.getsource(batch)).group(1)
+    assert size == int(stated) <= batch.MAX_TABLE_STATES
     small = table.qubits <= 2
-    for column in (table.z_post, table.bell_post, table.kron):
+    for column in (table.z_post, table.kron, table.bell_register):
         assert column.max() < size and column.min() >= -1
-    # Every register of up to 2 qubits is measured at every position and
-    # ordered pair; every merge of two of them into 3 qubits is present.
-    for state in np.flatnonzero(small):
+    # Every register of up to 2 qubits is Z-measured at every position, and
+    # one of 3 qubits at none; every merge of two of them into 3 qubits is
+    # present.
+    for state in range(size):
         n = table.qubits[state]
         for pos in range(4):
-            assert np.isnan(table.z_p1[4 * state + pos]) == (pos >= n)
-        for a, b in itertools.product(range(4), repeat=2):
-            present = a != b and a < n and b < n
-            assert np.isnan(table.bell_total[16 * state + 4 * a + b]) != present
+            assert np.isnan(table.z_p1[4 * state + pos]) == (pos >= n or n > 2)
     for a, b in itertools.product(np.flatnonzero(small), repeat=2):
         merged = table.kron[a, b]
         assert (merged >= 0) == (table.qubits[a] + table.qubits[b] <= 3)
         if merged >= 0:
             assert table.qubits[merged] == table.qubits[a] + table.qubits[b]
+    # TP's Bell measurement is present exactly for registers of 2 or 3
+    # qubits, and its edges with it.
+    present = (table.qubits == 2) | (table.qubits == 3)
+    assert (np.isnan(table.bell_total) != present).all()
+    edges = table.bell_edges.reshape(size, 5)
+    assert (np.isnan(edges).any(axis=1) != present).all()
+    assert (edges[:, 0] == -np.inf).all() and (edges[:, 4] == np.inf).all()
     # Slots the closure does not compute hold NaN and no post-state.
     assert (table.z_post.reshape(-1, 2)[np.isnan(table.z_p1)] == -1).all()
-    assert (table.bell_post[np.isnan(table.bell_total)] == -1).all()
     # Posts of a measurement keep their register's size.
     for slot in np.flatnonzero(~np.isnan(table.z_p1)):
         for post in table.z_post[2 * slot : 2 * slot + 2]:
             assert post < 0 or table.qubits[post] == table.qubits[slot // 4]
+    # The register TP measures: the pair's own, or the pair merged with the
+    # forgeries returned in its place, Alice's qubit first.
+    for pair, a, b in itertools.product(range(size), (-1, 0, 1), (-1, 0, 1)):
+        register = table.bell_register[pair, 1 + a, 1 + b]
+        if table.qubits[pair] != 2:
+            assert register == -1
+        elif a < 0 and b < 0:
+            assert register == pair
+        else:
+            assert register == table.kron[pair if a < 0 else a, pair if b < 0 else b]
+            assert table.qubits[register] == 2 + (a < 0) + (b < 0)
     # Ids 0 and 1 are |0> and |1>, 2 to 5 the Bell states in BellKind order.
     prepared = [qsim._Z_BASIS[0], qsim._Z_BASIS[1], *qsim._BELL_BASIS]
     for state, amplitudes in zip(table.states, prepared):
@@ -116,7 +132,10 @@ def test_table_is_closed_and_within_its_bound():
 
 def test_table_entries_equal_the_scalar_engines_memos(monkeypatch):
     """A 12-pair scalar run, on an empty intern table, memoizes the
-    transitions it takes; each equals the table's, float for float."""
+    transitions it takes; each equals the table's, float for float. Every
+    Bell measurement it memoizes is TP's, of a register's first and last
+    qubit. Only TP's Bell post-states lie outside the table, and the run
+    measures and merges none of them."""
     table = transition_table()
     monkeypatch.setattr(qsim, "_STATES", {})
     monkeypatch.setattr(qsim, "_PREPARED", [None] * 6)
@@ -128,8 +147,12 @@ def test_table_entries_equal_the_scalar_engines_memos(monkeypatch):
     def id_of(state):
         return -1 if state is None else ids[state.key]
 
-    seen = 0
+    seen = outside = 0
     for state in qsim._STATES.values():
+        if state.key not in ids:
+            assert not (state.z or state.bell or state.kron)
+            outside += 1
+            continue
         i = ids[state.key]
         for pos, (p1, posts) in state.z.items():
             assert table.z_p1[4 * i + pos] == p1
@@ -137,16 +160,15 @@ def test_table_entries_equal_the_scalar_engines_memos(monkeypatch):
                 id_of(p) for p in posts
             ]
             seen += 1
-        for (a, b), (total, cumulative, posts) in state.bell.items():
-            slot = 16 * i + 4 * a + b
-            assert table.bell_total[slot] == total
-            assert table.bell_cum[slot].tolist() == cumulative
-            assert table.bell_post[slot].tolist() == [id_of(p) for p in posts]
+        for (a, b), (total, cumulative, _) in state.bell.items():
+            assert (a, b) == (0, state.num_qubits - 1)
+            assert table.bell_total[i] == total
+            assert table.bell_edges[5 * i : 5 * i + 5].tolist() == [-np.inf, *cumulative[:3], np.inf]
             seen += 1
         for key, merged in state.kron.items():
             assert table.kron[i, ids[key]] == ids[merged.key]
             seen += 1
-    assert len(qsim._STATES) >= 30 and seen >= 45
+    assert len(qsim._STATES) >= 30 and seen >= 45 and outside > 0
 
 
 def _first_kind(draw, cumulative) -> int:
@@ -159,27 +181,45 @@ def _first_kind(draw, cumulative) -> int:
 
 
 def test_bell_edges_give_measure_bells_kind():
-    """For every Bell slot the table holds and each prepared kind, a draw
-    counts as wrong by the edges rule exactly when `measure_bell`'s loop
-    picks another kind: at 0, the total, each cumulative bound and one
+    """For every register the table Bell-measures and each prepared kind, a
+    draw counts as wrong by the edges rule exactly when `measure_bell`'s
+    loop picks another kind: at 0, the total, each cumulative bound and one
     float either side of it. The id columns are int16, and so is every
-    index into the edges."""
+    index into the edges and the registers."""
     table = transition_table()
-    for column in (table.z_post, table.bell_post, table.kron, table.bell_slot):
+    for column in (table.z_post, table.kron, table.bell_register):
         assert column.dtype == np.int16
-    assert 5 * table.bell_slot.max() + 5 <= len(table.bell_edges) <= np.iinfo(np.int16).max
+    assert len(table.bell_edges) == 5 * len(table.states)
+    assert table.bell_register.size == 9 * len(table.states) <= np.iinfo(np.int16).max
     checked = 0
-    for slot in np.flatnonzero(~np.isnan(table.bell_total)):
-        total, cumulative = table.bell_total[slot], table.bell_cum[slot].tolist()
+    for i in np.flatnonzero(~np.isnan(table.bell_total)):
+        state = table.states[i]
+        total, cumulative, _ = state.bell[(0, state.num_qubits - 1)]
+        assert table.bell_total[i] == total
         draws = {0.0, total}
         for bound in cumulative:
             draws |= {bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)}
         for draw, kind in itertools.product(sorted(draws), range(4)):
-            lower, upper = table.bell_edges[5 * slot + kind : 5 * slot + kind + 2]
+            lower, upper = table.bell_edges[5 * i + kind : 5 * i + kind + 2]
             wrong = draw < lower or draw >= upper
-            assert wrong == (_first_kind(draw, cumulative) != kind), (slot, draw, kind)
+            assert wrong == (_first_kind(draw, cumulative) != kind), (i, draw, kind)
             checked += 1
     assert checked >= 1000
+
+
+def test_z_of_a_basis_state_is_its_bit_whatever_the_draw():
+    """Ids 0 and 1 hold p1 exactly 0.0 and 1.0 at position 0, and each keeps
+    its own state for its own outcome, so no uniform in [0, 1) changes the
+    Z measurement of a forgery or of Alice's outgoing qubit: the batched
+    engine reads no word for either."""
+    table = transition_table()
+    assert table.z_p1[[0, 4]].tolist() == [0.0, 1.0]
+    assert table.z_post[[0, 9]].tolist() == [0, 1]  # [(id * 4 + 0) * 2 + id]
+    u = np.array([0.0, 2.0**-53, 0.5, 1 - 2.0**-53])
+    for bit in (0, 1):
+        outcome, post = batch._measure_z(table, np.full(len(u), bit, np.int16), 0, u)
+        assert outcome.tolist() == [bool(bit)] * len(u)
+        assert post.tolist() == [bit] * len(u)
 
 
 def test_table_is_built_lazily():
