@@ -71,13 +71,16 @@ each a function of arrays:
        measurement, so each round's word offset is a cumulative sum over the
        played choices, from where the play ended, past an insider's words
        (its Z measurements of Alice's outgoing qubits, skipped unread: see
-       below). TP's Bell check of a double-CTRL round finds its register
-       with one flat lookup and compares the draw ``u * total`` with the
-       two edges of the prepared kind (`Table.bell_edges`): `measure_bell`
-       picks the first kind whose cumulative weight exceeds the draw, and
-       those weights never decrease, so the draw gives that kind exactly
-       when it lies between them. Its slices are twice the round program's;
-    6. `check_lanes`: the checks and the comparison values, per lane.
+       below). Its Z of a return yields one bit, whether it differs from
+       the bit sent. Its Bell check of a double-CTRL round finds its
+       register with one flat lookup and compares the draw ``u * total``
+       with the two edges of the prepared kind (`Table.bell_edges`):
+       `measure_bell` picks the first kind whose cumulative weight exceeds
+       the draw, and those weights never decrease, so the draw gives that
+       kind exactly when it lies between them. Its slices are twice the
+       round program's;
+    6. `check_lanes`: the checks and the comparison values, per lane, from
+       TP's Bell errors and those bits.
 
 Each draw the scalar engine makes keeps its stream position, also when its
 result is unused, such as a Z measurement of an eigenstate; one of |0> or
@@ -121,8 +124,8 @@ SEED_BLOCK = 1024
 # 4,096), so one of more than 2**18 rounds grows past 33 MiB: at
 # `harness.MAX_ROUNDS`, to 116 MiB traced.
 MAX_LANE_ROUNDS = 1 << 18
-# Z columns per state, at positions 0-3.
-_Z_SLOTS = 4
+# Z columns per state: Z measures registers of up to 2 qubits.
+_Z_SLOTS = 2
 # The closure holds 42 states; the bound stops one that would not end.
 MAX_TABLE_STATES = 128
 # TP's int16 lookups stay below 2**15: 5 * id + kind + 1 into `bell_edges`,
@@ -159,8 +162,8 @@ class Table(NamedTuple):
 
     states: tuple  # the interned qsim state of each id
     qubits: np.ndarray  # register size
-    z_p1: np.ndarray  # [id * 4 + pos]
-    z_post: np.ndarray  # [(id * 4 + pos) * 2 + outcome]
+    z_p1: np.ndarray  # [id * 2 + pos]
+    z_post: np.ndarray  # [(id * 2 + pos) * 2 + outcome]
     kron: np.ndarray  # [id_a, id_b]: the merged register, a's qubits first
     # [pair, 1 + a, 1 + b]: the register TP Bell-measures in a double-CTRL
     # round, by the pair's register and what each side returns (-1: its half
@@ -606,15 +609,14 @@ def _slices(rounds: int, count: int, cells: int):
 
 
 class Keys(NamedTuple):
-    """Each lane's key and secret bits, (lanes x L), and where its play
+    """Each lane's secret bits, (lanes x L); jiang's calculate bits K ^ RA ^ x
+    and K ^ RB ^ y, (2 x lanes x L), None for improved; and where its play
     starts: its next word in the flat row matrix, and the index of its
     buffered half-word (-1 for none)."""
 
-    k: np.ndarray
-    ra: np.ndarray
-    rb: np.ndarray
     x: np.ndarray
     y: np.ndarray
+    encoded: np.ndarray | None
     word: np.ndarray
     half: np.ndarray
 
@@ -631,11 +633,11 @@ class Play(NamedTuple):
 
 
 class Returns(NamedTuple):
-    """TP's measurements, (rounds x lanes): each side's Z outcome and Bell
-    errors of the double-CTRL rounds."""
+    """TP's measurements: whether its Z of each side's SIFT return differs
+    from `Play.sent`, (2 x rounds x lanes), and its Bell errors of the
+    double-CTRL rounds, (rounds x lanes)."""
 
-    out_a: np.ndarray
-    out_b: np.ndarray
+    flip: np.ndarray
     wrong: np.ndarray
 
 
@@ -681,7 +683,8 @@ def draw_keys(spec, words, read) -> Keys:
         redraw = redraw[(x[redraw] == y[redraw]).all(1)]
     row_start = np.arange(count) * width - base
     half = np.where(consumed % 2 == 1, 2 * row_start + consumed, -1)
-    return Keys(k, ra, rb, x, y, row_start + (consumed + 1) // 2, half)
+    encoded = None if spec.protocol == "improved" else np.stack((k ^ ra ^ x, k ^ rb ^ y))
+    return Keys(x, y, encoded, row_start + (consumed + 1) // 2, half)
 
 
 def advance_cursors(spec, words, keys: Keys):
@@ -780,9 +783,7 @@ def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
     flat_words, flat_halves = words.reshape(-1), words.view("<u4").reshape(-1)
     ctrl, detect = _code_bounds(spec)
     swapped = [attack.swap_back and leg in attack.forged for leg in _LEGS]
-    encoded = None if improved else [
-        (keys.k ^ r ^ s).reshape(-1) for r, s in ((keys.ra, keys.x), (keys.rb, keys.y))
-    ]
+    encoded = None if improved else keys.encoded.reshape(2, -1)
     lane_bits = np.arange(count) * L
     play = Play(
         np.empty((rounds, count), np.int8),
@@ -846,8 +847,10 @@ def measure_returns(spec, words, play: Play, end) -> Returns:
     ended (`end`, its next word after the last round), past an insider's
     words: one per SIFT round of Alice's, whose Z measurement of her
     outgoing qubit the scalar engine draws. That qubit is |0> or |1>, so the
-    outcome is the bit she sent whatever the word (`check_lanes` reads
-    `Play.sent`), and the insider's words are skipped unread."""
+    outcome is the bit she sent whatever the word, and the insider's words
+    are skipped unread. So too a return other than the pair's half is the
+    |0> or |1> sent and never differs from it (`Returns.flip`): TP
+    Z-measures only the pair's register."""
     table = transition_table()
     attack = ATTACKS[spec.attack]
     count, width = words.shape
@@ -860,7 +863,7 @@ def measure_returns(spec, words, play: Play, end) -> Returns:
     if (pos - np.arange(count) * width + tp > trial_words(spec)).any():
         raise AssertionError("a lane read past its row of words")
     shape = sift.shape[1:]
-    returns = Returns(np.empty(shape, bool), np.empty(shape, bool), np.empty(shape, bool))
+    returns = Returns(np.empty(sift.shape, bool), np.empty(shape, bool))
 
     def tp_pass(rows, start):
         """TP's measurements of a slice of rounds, whose first round reads
@@ -875,12 +878,14 @@ def measure_returns(spec, words, play: Play, end) -> Returns:
         after = index[-1] + draws[-1]
         u_a = _uniforms(flat_words, index)  # Alice's Z, or the Bell measurement
         index += a
-        back, pair = play.back[:, rows], play.pair[rows]
+        back, pair, sent = play.back[:, rows], play.pair[rows], play.sent[:, rows]
         in_pair = back < 0
-        returns.out_a[rows], post = _measure_z(table, np.where(in_pair[0], pair, back[0]), 0, u_a)
+        out, post = _measure_z(table, pair, 0, u_a)
+        returns.flip[0, rows] = in_pair[0] & (out != sent[0])
         r0 = np.where(a & in_pair[0], post, pair)
         u_b = _uniforms(flat_words, index)
-        returns.out_b[rows] = _measure_z(table, np.where(in_pair[1], r0, back[1]), in_pair[1], u_b)[0]
+        out = _measure_z(table, r0, 1, u_b)[0]
+        returns.flip[1, rows] = in_pair[1] & (out != sent[1])
         del index, u_b  # not held through the Bell check
 
         # Bell measurements of the double-CTRL rounds. The other cells measure
@@ -913,19 +918,20 @@ def measure_returns(spec, words, play: Play, end) -> Returns:
 
 def check_lanes(spec, keys: Keys, play: Play, returns: Returns) -> Lanes:
     """The checks, Bell then traps then calculates, and each completed
-    lane's comparison values."""
+    lane's comparison values.
+
+    TP XORs its two outcomes with the published masks. Jiang's mask is RA,
+    and Alice's first L calculates send K ^ RA ^ x; the improved mask is
+    K ^ x ^ (the bit sent). Either way Alice's outcome XOR her mask is
+    K ^ x ^ flip, and Bob's K ^ y ^ flip, so in both protocols the j-th
+    comparison value is x_j ^ y_j ^ (each side's j-th calculate flip)."""
     L = spec.secret_bits
-    improved = spec.protocol == "improved"
-    k, ra, rb, x, y = keys[:5]
-    sift, detect, sent = play.sift, play.detect, play.sent
+    sift, detect, flip = play.sift, play.detect, returns.flip
     case1 = ~sift[0] & ~sift[1]
     case1_rounds = case1.sum(axis=0, dtype=np.int32)
     case1_errors = returns.wrong.sum(axis=0, dtype=np.int32)
     traps = detect.sum(axis=1, dtype=np.int32)
-    bad = [
-        (detect[s] & (out != sent[s])).sum(axis=0, dtype=np.int32)
-        for s, out in ((0, returns.out_a), (1, returns.out_b))
-    ]
+    bad = (detect & flip).sum(axis=1, dtype=np.int32)
     calc = sift & ~detect
     made = calc.sum(axis=1)
 
@@ -935,7 +941,7 @@ def check_lanes(spec, keys: Keys, play: Play, returns: Returns) -> Lanes:
     reason = np.select(
         [
             fails(case1_errors, case1_rounds),
-            improved & (fails(bad[0], traps[0]) | fails(bad[1], traps[1])),
+            fails(bad[0], traps[0]) | fails(bad[1], traps[1]),
             (made[0] < L) | (made[1] < L),
         ],
         [1, 2, 3],
@@ -944,27 +950,19 @@ def check_lanes(spec, keys: Keys, play: Play, returns: Returns) -> Lanes:
     done = reason == 0
     # each completed lane's first L calculate rounds per side, lane by lane
     paired = (calc & (np.cumsum(calc, axis=1, dtype=np.int32) <= L) & done).transpose(0, 2, 1)
-    ma = returns.out_a.T[paired[0]].reshape(-1, L)
-    mb = returns.out_b.T[paired[1]].reshape(-1, L)
-    if improved:  # masks RA ^ RA' = K ^ x ^ (calculate bit)
-        pub_a = k[done] ^ x[done] ^ sent[0].T[paired[0]].reshape(-1, L)
-        pub_b = k[done] ^ y[done] ^ sent[1].T[paired[1]].reshape(-1, L)
-    else:
-        pub_a, pub_b = ra[done], rb[done]
-    r = ma ^ mb ^ pub_a ^ pub_b
+    flips = flip.transpose(0, 2, 1)[paired].reshape(2, -1, L)
+    r = keys.x[done] ^ keys.y[done] ^ flips[0] ^ flips[1]
     count = len(reason)
     first_diff = np.zeros(count, np.int32)
     first_diff[done] = np.where(r.any(axis=1), r.argmax(axis=1) + 1, 0)
     recovered = np.full(count, -1, np.int8)
     attack = ATTACKS[spec.attack]
-    if not improved and attack.insider and attack.swap_back:
-        # a jiang insider's Z of Alice's outgoing qubit is the bit she sent
-        decoded = sent[0].T[paired[0]].reshape(-1, L) ^ ra[done] ^ k[done]
-        recovered[done] = (decoded == x[done]).all(axis=1)
+    if spec.protocol == "jiang" and attack.insider and attack.swap_back:
+        recovered[done] = 1  # the insider's Z of Alice's qubit gives K ^ RA ^ x
     return Lanes(
         reason,
         first_diff,
-        done & ((first_diff == 0) == (x == y).all(axis=1)),
+        done & ((first_diff == 0) == (keys.x == keys.y).all(axis=1)),
         traps[0],
         traps[1],
         case1_rounds,

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -72,12 +71,10 @@ MAX_ROUNDS = 1 << 20
 _HEX_DIGITS = re.compile(r"[0-9a-fA-F]+")
 
 
-@lru_cache(maxsize=64)
 def bits_from_hex(text: str, length: int) -> tuple[int, ...]:
     """Decode a hex string into `length` bits, most significant first.
 
     Only hex digits are accepted: no sign, prefix, underscore or whitespace.
-    Memoized, so an experiment decodes each explicit secret once, not per trial.
     """
     if _HEX_DIGITS.fullmatch(text) is None:
         raise ValidationError(f"invalid hex secret {text!r}")

@@ -241,6 +241,35 @@ def jiang_outside_wrong_result_single_bit() -> float:
     return sum(outcomes) / len(outcomes)
 
 
+def wrong_result_law(protocol: str, attack: str, length: int, secrets: str) -> Fraction | None:
+    """Exact P(a completed trial's verdict is wrong), for the pairs whose law
+    needs no conditioning on the trap checks; None for improved outside and
+    participant, whose completed trials passed every trap.
+
+    TP's j-th comparison value is x_j ^ y_j, flipped once for each side whose
+    j-th calculate TP measures differently from the bit that side sent; the
+    masks cancel the rest. Without swap-back every SIFT qubit returns as it
+    was sent, so nothing flips and no verdict is wrong. Under jiang's
+    swap-back TP measures the genuine Bell half, while the bit sent carries a
+    raw-key bit that is uniform and independent of everything else, so each
+    comparison value is a fair coin (`jiang_outside_wrong_result_single_bit`)
+    and the L values are independent. The verdict then says "equal" with
+    probability 2**-L whatever x and y are: wrong with 1 - 2**-L for equal
+    secrets, 2**-L for unequal ones, and for random secrets, equal with
+    probability 2**-L, the mixture 2 * 2**-L * (1 - 2**-L).
+    """
+    if attack not in SWAPPED_LEGS:
+        return Fraction(0)
+    if protocol == "improved":
+        return None
+    all_zero = Fraction(1, 2**length)
+    return {
+        "equal": 1 - all_zero,
+        "unequal": all_zero,
+        "random": 2 * all_zero * (1 - all_zero),
+    }[secrets]
+
+
 class CheckCounts(NamedTuple):
     n: int  # traps Alice sent
     m: int  # traps Bob sent

@@ -91,10 +91,11 @@ def test_table_is_closed_and_within_its_bound():
     # Every register of up to 2 qubits is Z-measured at every position, and
     # one of 3 qubits at none; every merge of two of them into 3 qubits is
     # present.
+    assert len(table.z_p1) == 2 * size and len(table.z_post) == 4 * size
     for state in range(size):
         n = table.qubits[state]
-        for pos in range(4):
-            assert np.isnan(table.z_p1[4 * state + pos]) == (pos >= n or n > 2)
+        for pos in range(2):
+            assert np.isnan(table.z_p1[2 * state + pos]) == (pos >= n or n > 2)
     for a, b in itertools.product(np.flatnonzero(small), repeat=2):
         merged = table.kron[a, b]
         assert (merged >= 0) == (table.qubits[a] + table.qubits[b] <= 3)
@@ -112,7 +113,7 @@ def test_table_is_closed_and_within_its_bound():
     # Posts of a measurement keep their register's size.
     for slot in np.flatnonzero(~np.isnan(table.z_p1)):
         for post in table.z_post[2 * slot : 2 * slot + 2]:
-            assert post < 0 or table.qubits[post] == table.qubits[slot // 4]
+            assert post < 0 or table.qubits[post] == table.qubits[slot // 2]
     # The register TP measures: the pair's own, or the pair merged with the
     # forgeries returned in its place, Alice's qubit first.
     for pair, a, b in itertools.product(range(size), (-1, 0, 1), (-1, 0, 1)):
@@ -155,8 +156,8 @@ def test_table_entries_equal_the_scalar_engines_memos(monkeypatch):
             continue
         i = ids[state.key]
         for pos, (p1, posts) in state.z.items():
-            assert table.z_p1[4 * i + pos] == p1
-            assert table.z_post[8 * i + 2 * pos : 8 * i + 2 * pos + 2].tolist() == [
+            assert table.z_p1[2 * i + pos] == p1
+            assert table.z_post[4 * i + 2 * pos : 4 * i + 2 * pos + 2].tolist() == [
                 id_of(p) for p in posts
             ]
             seen += 1
@@ -211,10 +212,11 @@ def test_z_of_a_basis_state_is_its_bit_whatever_the_draw():
     """Ids 0 and 1 hold p1 exactly 0.0 and 1.0 at position 0, and each keeps
     its own state for its own outcome, so no uniform in [0, 1) changes the
     Z measurement of a forgery or of Alice's outgoing qubit: the batched
-    engine reads no word for either."""
+    engine reads no word for either. So too TP's Z of a SIFT qubit returned
+    untouched is the bit sent, and TP's pass counts no flip for it."""
     table = transition_table()
-    assert table.z_p1[[0, 4]].tolist() == [0.0, 1.0]
-    assert table.z_post[[0, 9]].tolist() == [0, 1]  # [(id * 4 + 0) * 2 + id]
+    assert table.z_p1[[0, 2]].tolist() == [0.0, 1.0]
+    assert table.z_post[[0, 5]].tolist() == [0, 1]  # [(id * 2 + 0) * 2 + id]
     u = np.array([0.0, 2.0**-53, 0.5, 1 - 2.0**-53])
     for bit in (0, 1):
         outcome, post = batch._measure_z(table, np.full(len(u), bit, np.int16), 0, u)

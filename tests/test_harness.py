@@ -1,4 +1,5 @@
 """Tests for the experiment runner, aggregation, and analytic oracles."""
+import itertools
 import json
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
@@ -11,6 +12,7 @@ from sqpclab import batch, harness
 from sqpclab.adversary import ATTACKS
 from sqpclab.harness import (
     DEFAULT_ROUNDS_FACTOR,
+    SECRET_MODES,
     AggregateReport,
     ExperimentSpec,
     ValidationError,
@@ -159,7 +161,9 @@ def test_unequal_mode_at_one_bit():
 
 
 def test_explicit_secrets_are_decoded_once_per_experiment(monkeypatch):
-    """Each hex secret is parsed once per experiment, however many trials run."""
+    """Running an experiment of one chunk parses each hex secret once,
+    however many trials the chunk holds: the batched engine decodes the
+    secrets per chunk, not per trial."""
     pattern, parsed = harness._HEX_DIGITS, []
 
     class CountingPattern:
@@ -170,11 +174,9 @@ def test_explicit_secrets_are_decoded_once_per_experiment(monkeypatch):
     monkeypatch.setattr(harness, "_HEX_DIGITS", CountingPattern())
     counts = []
     for trials in (1, 40):
-        bits_from_hex.cache_clear()
-        parsed.clear()
-        run_experiment(
-            ExperimentSpec(protocol="jiang", secrets="explicit:A5,3C", trials=trials)
-        )
+        spec = ExperimentSpec(protocol="jiang", secrets="explicit:A5,3C", trials=trials)
+        parsed.clear()  # the spec's own check parsed them once
+        run_experiment(spec)
         counts.append(len(parsed))
     assert counts == [2, 2]
 
@@ -484,6 +486,38 @@ def test_abort_counts_follow_exact_joint_law(
     ):
         observed = round(rate * trials)
         assert min(oracles.binomial_tails(observed, trials, float(p))) >= oracles.TAIL / 2
+
+
+@pytest.mark.parametrize(
+    ("protocol", "attack"),
+    [(p, a) for p in ("jiang", "improved") for a in ATTACKS if a not in oracles.SWAPPED_LEGS]
+    + [("jiang", "outside"), ("jiang", "participant")],
+)
+def test_wrong_results_follow_exact_law(protocol, attack):
+    """Without swap-back no verdict is ever wrong, at L = 1 and 2 in every
+    random secrets mode. Under jiang's swap-back the wrong count of the
+    completed trials, at L = 1, 2 and 4, fits `oracles.wrong_result_law`
+    within an exact two-sided binomial tail of 5.7e-7."""
+    assert oracles.jiang_outside_wrong_result_single_bit() == 0.5
+    swapped = attack in oracles.SWAPPED_LEGS
+    trials = 4000
+    for length, secrets in itertools.product((1, 2, 4) if swapped else (1, 2), SECRET_MODES):
+        law = oracles.wrong_result_law(protocol, attack, length, secrets)
+        report = run_experiment(
+            ExperimentSpec(
+                protocol=protocol, attack=attack, secret_bits=length,
+                secrets=secrets, trials=trials, seed=7,
+            )
+        )
+        completed = report.completed_trials
+        if not swapped:
+            assert law == 0
+            assert report.wrong_result_rate == (0.0 if completed else None)
+            continue
+        assert completed > trials // 2
+        wrong = round(report.wrong_result_rate * completed)
+        tails = oracles.binomial_tails(wrong, completed, float(law))
+        assert min(tails) >= oracles.TAIL / 2, (length, secrets, wrong, completed, float(law))
 
 
 def test_insufficient_rounds_are_not_detections():
