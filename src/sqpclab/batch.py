@@ -54,19 +54,21 @@ each a function of arrays:
        L calculates, after which its SIFTs draw a filler bit), and which
        words a round reads depends only on that and on each word's choice
        and detect codes (u >= p_ctrl, u < p_detect). So tables built once
-       per pair by `_walk_round` give each word's two nodes a byte, looked
+       per pair from `_round_shapes` give each word's two nodes a byte, looked
        up once per chunk from the word's window of codes: an improved round
        is then one lookup of its step and one add; a jiang round looks up
        the step of its byte by whether each side draws filler bits, and
        counts SIFTs only while they can change that;
     4. `play_rounds`: the round program, over slices of (rounds x lanes)
-       cells at once: `_walk_round` from each cell's cursor gives every
-       draw's position, then the Bell kind, the forward legs as the `Attack`
-       columns say (a forgery bit, or a Z measurement in transit), each
-       participant's choice and SIFT, and the quantum updates as lookups in
-       the transition table. Only the kind can read a half-word that an
-       earlier round left buffered: every round's first draw either takes
-       the buffered half or buffers one;
+       cells at once. A round's draws lie at offsets from its word that
+       depend only on its key, its buffered bit and each side's choice code
+       and next bit, which `_round_shapes` tabulates once per pair; then
+       the Bell kind, the forward legs as the `Attack` columns say (a
+       forgery bit, or a Z measurement in transit), each participant's
+       choice and SIFT, and the quantum updates as lookups in the
+       transition table. Only the kind can read a half-word that an earlier
+       round left buffered: every round's first draw either takes the
+       buffered half or buffers one;
     5. `measure_returns`: TP's pass. It draws only `random()`, one word per
        measurement, so each round's word offset is a cumulative sum over the
        played choices, from where the play ended, past an insider's words
@@ -110,9 +112,9 @@ _UNIT = 2.0**-53
 # 256-lane chunk at L=1, where a lane costs 3.5-7 us, its seeding and row
 # read included; 1024 lanes pay it a quarter as often, for 2 MiB more
 # peak RSS (2048 would add near 4 MiB).
-# A full-width chunk at L=1 peaks near 1,900 KiB traced (1,706 measured,
-# improved measure-resend). The cap stays at or below SLICE_CELLS, so one
-# round of a chunk fits a slice.
+# A full-width chunk at L=1 peaks near 1,900 KiB traced (1,552 measured,
+# improved measure-resend, in TP's pass). The cap stays at or below
+# SLICE_CELLS, so one round of a chunk fits a slice.
 SEED_BLOCK = 1024
 # Lanes times rounds of one chunk, unless a single trial has more rounds.
 # Arrays of a chunk of many lanes take near 130 bytes per lane-round (the
@@ -120,7 +122,7 @@ SEED_BLOCK = 1024
 # lanes at L=4,096, and jiang measure-resend's 93 at L=64; improved's row
 # of words is 86 of them, and the cursor step's bytes, one per node, 21),
 # so they stay near 33 MiB. But a chunk holds at least one lane, and a
-# 1-lane chunk takes near 155 bytes per round (145 traced at L=1,024, 118 at
+# 1-lane chunk takes near 155 bytes per round (131 traced at L=1,024, 117 at
 # 4,096), so one of more than 2**18 rounds grows past 33 MiB: at
 # `harness.MAX_ROUNDS`, to 116 MiB traced.
 MAX_LANE_ROUNDS = 1 << 18
@@ -135,7 +137,8 @@ assert MAX_TABLE_STATES * 9 < 2**15, "TP's Bell indices outgrow int16"
 # as many, so their temporaries stay below 1 MiB however many rounds a
 # chunk plays. TP's pass keeps fewer bytes a cell (int16 state ids, two
 # compares a Bell check); the round program at TP's width would lift a
-# full-width L=1 chunk to 2,129 KiB traced, past the 1,900 stated above.
+# full-width L=1 chunk from 1,552 to 1,752 KiB traced, and a 1-lane chunk
+# at L=1,024 from 131 to 148 bytes per round.
 SLICE_CELLS = 1 << 11
 # Words that a row's read and the cursor step's windows of codes take at
 # once, so their temporaries stay below 256 KiB however long a row is.
@@ -482,7 +485,8 @@ def _walk_round(attack, improved: bool, p, hb, code, filler):
     measurement, None for an untouched leg), each side's (sift, detect,
     measured word, bit half, cells drawing that bit), and the cursor after
     the round. A measured word is a calculate's Z measurement; a bit is a
-    trap (improved) or filler (jiang) bit.
+    trap (improved) or filler (jiang) bit. It is the one description of a
+    round's draw order, and runs at table build (`_round_shapes`).
     """
     kind, p, hb = _half(p, hb)
     legs = []
@@ -511,6 +515,45 @@ def _walk_round(attack, improved: bool, p, hb, code, filler):
     return kind, legs, sides, p, hb
 
 
+class Shapes(NamedTuple):
+    """Where a round's draws fall, by its key (see `_round_shapes`): word
+    offsets from the round's word, half offsets from twice it."""
+
+    alice: np.ndarray  # [buffered]: Alice's choice word
+    bob: np.ndarray  # [key & 7]: Bob's choice word
+    legs: list  # each forward leg's draw, as `_walk_round` gives it
+    sides: list  # each side's (measured word or None, bit half, drawn)
+    left: np.ndarray  # the half the round leaves buffered, -1 for none
+    step: np.ndarray  # the round's node step (see `_round_steps`)
+
+
+@cache
+def _round_shapes(attack: str, improved: bool) -> Shapes:
+    """`Shapes` of a (protocol, attack) pair. From a round's cursor, where
+    each draw falls depends only on its key, five bits: whether a half-word
+    is buffered (1); Alice's choice code (2) and her next bit (4), the
+    detect code of the word after her choice word (improved) or whether
+    she draws a filler bit (jiang); Bob's choice code (8) and his next bit
+    (16). A next bit without its choice code changes nothing, so the 32
+    keys have 18 shapes. Built on first use, by one `_walk_round` over the
+    keys, whose codes and filler bits it returns in call order."""
+    key = np.arange(32)
+    bits = iter((key >> shift & 1).astype(bool) for shift in range(1, 5))
+    read = []  # the word of each code, in call order
+
+    def code(q, detect):
+        read.append(q)
+        return next(bits)
+
+    _, legs, sides, p, hb = _walk_round(
+        ATTACKS[attack], improved, 0 * key, (key & 1) - 1, code, lambda side, sift: sift & next(bits)
+    )
+    alice, bob = read[0], read[len(read) // 2]
+    assert (alice == alice[key & 1]).all() and (bob == bob[key & 7]).all(), "a choice word moved"
+    step = 2 * p + (hb >= 0) - (key & 1)
+    return Shapes(alice[:2], bob[:8], legs, [side[2:] for side in sides], hb, step)
+
+
 class Steps(NamedTuple):
     """A round's cursor step, by node (see `_round_steps`)."""
 
@@ -536,10 +579,10 @@ def _round_steps(attack: str, improved: bool) -> Steps:
     both are `_at_least` bits. A round reads no code before Alice's choice,
     and no detect code before a choice code, so never bit 0. A jiang entry
     is ``codes | buffered << 2 * window``; its step also depends on whether
-    Alice and Bob draw filler bits. Built on first use, by `_walk_round`
-    over every window, buffered bit and filler bits."""
-    row = ATTACKS[attack]
-    skip = (len(row.forged) + 1) // 2 + len(row.measured)  # with a half-word buffered
+    Alice and Bob draw filler bits. Built on first use: a window's step is
+    the step of its key in `_round_shapes`."""
+    shapes = _round_shapes(attack, improved)
+    skip = int(shapes.alice.min())  # with a half-word buffered
     # The words a round may read codes of, from `skip` on: Alice's choice
     # word comes a word later in some rows when no half-word is buffered,
     # and Bob's detect (improved) or choice (jiang) word ends them.
@@ -547,18 +590,18 @@ def _round_steps(attack: str, improved: bool) -> Steps:
     shift = 2 * window
     # codes | buffered << shift, then (jiang) Alice's and Bob's filler bits
     entry = np.arange(1 << shift + (1 if improved else 3), dtype=np.int32)
-    buffered = entry >> shift & 1
+    key = entry >> shift & 1
 
     def code(q, detect):
         bit = 2 * (q - skip) + 1 - detect
         assert 0 < bit.min() and bit.max() < shift, "a round reads past its window of codes"
-        return (entry >> bit & 1).astype(bool) ^ detect
+        return (entry >> bit & 1) ^ detect
 
-    def filler(side, sift):
-        return sift & (entry >> shift + 1 + side & 1).astype(bool)
-
-    *_, sides, p, hb = _walk_round(row, improved, np.zeros_like(entry), buffered - 1, code, filler)
-    step = 2 * p + (hb >= 0) - buffered
+    for side, choice in enumerate((shapes.alice, shapes.bob)):
+        at = choice[key]
+        later = code(at + 1, 1) if improved else entry >> shift + 1 + side & 1
+        key = key | code(at, 0) << 1 + 2 * side | later << 2 + 2 * side
+    step = shapes.step[key]
     assert 0 < step.min() and step.max() < 256, "a round's step outgrows its byte"
     if improved:
         step = step.astype("<u2")
@@ -566,7 +609,7 @@ def _round_steps(attack: str, improved: bool) -> Steps:
     codes = np.arange(1 << shift, dtype="<u2")
     return Steps(
         skip, window, codes | (codes | 1 << shift) << 8,
-        step.astype(np.intp), np.array([sides[0][0], sides[1][0]], np.uint8),
+        step.astype(np.intp), np.array([key >> 1 & 1, key >> 3 & 1], np.uint8),
     )
 
 
@@ -772,12 +815,14 @@ def advance_cursors(spec, words, keys: Keys):
 
 
 def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
-    """The round program, a slice of rounds at a time: every draw's
-    position from each round's cursor (`_walk_round`), then the draws and
-    the quantum updates, as lookups in the transition table."""
+    """The round program, a slice of rounds at a time: each round's key,
+    from its buffered bit and the codes of the words it reads, gives every
+    draw's position from the round's word (`_round_shapes`); then the draws
+    and the quantum updates, as lookups in the transition table."""
     table = transition_table()
     attack = ATTACKS[spec.attack]
     improved = spec.protocol == "improved"
+    shapes = _round_shapes(spec.attack, improved)
     rounds, count = buffered.shape
     L = spec.secret_bits
     flat_words, flat_halves = words.reshape(-1), words.view("<u4").reshape(-1)
@@ -793,26 +838,48 @@ def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
         np.full((2, rounds, count), -1, np.int16),
         np.empty((rounds, count), np.int16),
     )
-    left = keys.half  # the half-word each lane's next round may find buffered
-    made = np.zeros((2, count), np.int64)  # each side's SIFTs before the slice
+    made = np.zeros((2, count), np.int64)  # jiang: each side's SIFTs before the slice
     upto = [None, None]  # jiang: each side's SIFTs up to each round of the slice
 
-    def code(q, is_detect):
-        drawn = flat_words[q]
-        return ~_at_least(drawn, detect) if is_detect else _at_least(drawn, ctrl)
-
-    def filler(side, sift):
-        upto[side] = made[side] + np.cumsum(sift, axis=0)
-        return sift & (upto[side] > L)
-
-    for rows in _slices(rounds, count, SLICE_CELLS):
-        b = buffered[rows]
-        kind, legs, sides, _, hb = _walk_round(
-            attack, improved, word[:-1][rows], b.astype(np.int64) - 1, code, filler
-        )
+    def positions(rows, left):
+        """Where the draws of a slice of rounds fall, as `_walk_round` gives
+        them, and the half its last round leaves buffered; `left` is the
+        half the round before the slice left. Its temporaries go with it,
+        before the draws make their own."""
+        at, b = word[:-1][rows], buffered[rows]
+        key = b.astype(np.intp)
+        sides = []
+        for side, choice in enumerate((shapes.alice, shapes.bob)):
+            q = at + choice.take(key)
+            sift = _at_least(flat_words[q], ctrl)
+            if improved:
+                q += 1
+                later = ~_at_least(flat_words[q], detect)
+                sides.append([sift, sift & later])
+            else:
+                upto[side] = made[side] + np.cumsum(sift, axis=0)
+                made[side] = upto[side][-1]
+                later = upto[side] > L
+                sides.append([sift, None])
+            key |= sift << 1 + 2 * side
+            key |= later << 2 + 2 * side
+        half = 2 * at
+        lefts = half + shapes.left.take(key)
         # A kind that finds a half buffered reads the one the round before left.
-        kind = np.where(b, np.concatenate([left[None], hb[:-1]]), kind)
-        left = hb[-1]
+        kind = np.where(b, np.concatenate([left[None], lefts[:-1]]), half)
+        legs = [
+            None if offset is None else (half if leg in attack.forged else at) + offset.take(key)
+            for leg, offset in zip(_LEGS, shapes.legs)
+        ]
+        for side, (measured, bit, drawn) in zip(sides, shapes.sides):
+            measured = None if measured is None else at + measured.take(key)
+            side += [measured, half + bit.take(key), drawn.take(key)]
+        return kind, legs, sides, lefts[-1].copy()
+
+    def play_slice(rows, left):
+        """The draws of a slice of rounds; returns the half its last round
+        leaves buffered. Its arrays go with it, before the next slice's."""
+        kind, legs, sides, left = positions(rows, left)
         play.kinds[rows] = kinds = flat_halves[kind] >> 30
         r0 = kinds + 2
         fake = [None, None]
@@ -832,12 +899,16 @@ def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
                 play.detect[s, rows] = is_detect
             else:
                 out = encoded[s][lane_bits + np.minimum(upto[s] - sift, L - 1)]
-                made[s] = upto[s][-1]
             play.sift[s, rows] = sift
             play.sent[s, rows] = sent = np.where(drawn, bits, out)
             if not swapped[s]:
                 play.back[s, rows] = np.where(sift, sent, -1 if fake[s] is None else fake[s])
         play.pair[rows] = r0
+        return left
+
+    left = keys.half  # the half-word each lane's next round may find buffered
+    for rows in _slices(rounds, count, SLICE_CELLS):
+        left = play_slice(rows, left)
     return play
 
 

@@ -406,6 +406,80 @@ def test_cursor_step_equals_a_walk_of_every_round(protocol):
         assert len(fills) > 10 and -1 in fills
 
 
+# -- the round shapes --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("protocol, attack", PAIRS)
+def test_round_shapes_equal_a_walk_of_every_window(protocol, attack):
+    """`_walk_round` from a cursor 5 words in, over every window of codes
+    of the 8 words from the cursor on, buffered bit and (jiang) filler
+    bits, puts every draw where its key's row of `_round_shapes` says. The
+    walk reaches exactly 18 keys; a key whose next bit comes without its
+    choice code has the row of that key without the next bit."""
+    improved = protocol == "improved"
+    shapes = batch._round_shapes(attack, improved)
+    start, per_word = 5, 2 if improved else 1
+    first_filler = 1 + 8 * per_word
+    cells = np.arange(1 << first_filler + (0 if improved else 2))
+    buffered = (cells & 1).astype(bool)
+    read = []
+
+    def code(q, detect):  # bit 0 is the buffered bit; then each word's codes, choice code first
+        read.append(q - start)
+        return (cells >> 1 + (q - start) * per_word + detect & 1).astype(bool)
+
+    def filler(side, sift):
+        return sift & (cells >> first_filler + side & 1).astype(bool)
+
+    _, legs, sides, p, hb = batch._walk_round(
+        ATTACKS[attack], improved, np.full(len(cells), start), np.where(buffered, 2 * start - 1, -1), code, filler
+    )
+    key = buffered.astype(np.intp)
+    for side, (sift, detect, _, _, drawn) in enumerate(sides):
+        key |= sift << 1 + 2 * side
+        key |= (detect if improved else drawn) << 2 + 2 * side
+    assert len(np.unique(key)) == 18
+    assert np.array_equal(read[0], shapes.alice[key & 1])
+    assert np.array_equal(read[len(read) // 2], shapes.bob[key & 7])
+    for leg, index, offset in zip(batch._LEGS, legs, shapes.legs):
+        assert (index is None) == (offset is None)
+        if index is not None:
+            assert np.array_equal(index, (2 if leg in ATTACKS[attack].forged else 1) * start + offset[key])
+    for (_, _, measured, bit, drawn), (at, half, drawn_at) in zip(sides, shapes.sides):
+        assert (measured is None) == (at is None)
+        if measured is not None:
+            assert np.array_equal(measured, start + at[key])
+        assert np.array_equal(bit, 2 * start + half[key])
+        assert np.array_equal(drawn, drawn_at[key])
+    assert np.array_equal(hb, np.where(shapes.left[key] < 0, -1, 2 * start + shapes.left[key]))
+    assert np.array_equal(2 * (p - start) + (hb >= 0) - buffered, shapes.step[key])
+
+    def row(k):
+        return [
+            None if column is None else int(column[k])
+            for column in (*shapes.legs, *itertools.chain(*shapes.sides), shapes.left, shapes.step)
+        ]
+
+    for k in range(32):
+        for side in (0, 1):
+            if k >> 2 + 2 * side & 1 and not k >> 1 + 2 * side & 1:
+                assert k not in key and row(k) == row(k & ~(4 << 2 * side)), k
+
+
+def test_play_never_walks_a_round(monkeypatch):
+    """Once the tables are built, every pair's chunks at L=1 and 8 equal
+    the scalar reports with `_walk_round` refusing to run."""
+    for protocol, attack in PAIRS:
+        batch._round_steps(attack, protocol == "improved")
+
+    def refuse(*args):
+        raise AssertionError("a round was walked")
+
+    monkeypatch.setattr(batch, "_walk_round", refuse)
+    for (protocol, attack), L in itertools.product(PAIRS, (1, 8)):
+        _assert_equal(_spec(protocol, attack, L, 13), 0, 24)
+
+
 # -- one experiment path and its bounds ---------------------------------------------------
 
 
