@@ -16,13 +16,13 @@ words w:
 
 `pcg64_states` seeds PCG64 for consecutive indices i of
 ``SeedSequence([seed, i])`` at once, for indices that differ only in their
-low 32 bits: the SeedSequence mixing in numpy uint32 arithmetic over the
-vector of indices, PCG64's two-step seeding in 128-bit arithmetic on pairs
-of uint64 limbs. No Python int is built: `_pcg64_reader` writes each lane's
-limbs straight into one PCG64's state words and reads its row, 1.6-2.2 µs a
-lane at L=1 for the write, `random_raw` and the row copy. The scalar engine
-draws through numpy's own `Generator`, so the lane tests, which compare the
-two engines report for report, check this seeding and those rules.
+low 32 bits: the SeedSequence mixing in numpy uint32 arithmetic on a
+(4 x lanes) pool, in blocks of rows, PCG64's two-step seeding in 128-bit
+arithmetic on pairs of uint64 limbs. `_pcg64_reader` writes each lane's
+limbs straight into the state words of its thread's PCG64 and reads its
+row, 1.6-2.2 µs a lane at L=1. The scalar engine draws through numpy's
+own `Generator`, so the lane tests, which compare the two engines report
+for report, check this seeding and those rules.
 
 Every operation of the protocols is Clifford, and no register they build
 holds more than three qubits, so a round's quantum state is one of a few
@@ -79,8 +79,7 @@ each a function of arrays:
        with the two edges of the prepared kind (`Table.bell_edges`):
        `measure_bell` picks the first kind whose cumulative weight exceeds
        the draw, and those weights never decrease, so the draw gives that
-       kind exactly when it lies between them. Its slices are twice the
-       round program's;
+       kind exactly when it lies between them;
     6. `check_lanes`: the checks and the comparison values, per lane, from
        TP's Bell errors and those bits.
 
@@ -95,6 +94,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import threading
 from functools import cache
 from typing import NamedTuple
 
@@ -107,14 +107,14 @@ from .protocol import AbortReason, Leg
 _UNIT = 2.0**-53
 # Trials run in chunks that start at a multiple of their size, a power of
 # two up to SEED_BLOCK, so a chunk never straddles 2**32 and one
-# `pcg64_states` call seeds it. A chunk's fixed cost, 0.7-0.8 ms (seeding,
+# `pcg64_states` call seeds it. A chunk's fixed cost, 0.6-0.7 ms (seeding,
 # the stages' numpy calls, the harness's fold), is a quarter to a half of a
 # 256-lane chunk at L=1, where a lane costs 3.5-7 us, its seeding and row
 # read included; 1024 lanes pay it a quarter as often, for 2 MiB more
 # peak RSS (2048 would add near 4 MiB).
-# A full-width chunk at L=1 peaks near 1,900 KiB traced (1,552 measured,
-# improved measure-resend, in TP's pass). The cap stays at or below
-# SLICE_CELLS, so one round of a chunk fits a slice.
+# A full-width chunk at L=1 peaks near 1,900 KiB traced (1,751 measured,
+# improved measure-resend, in the round program). The cap stays at or
+# below SLICE_CELLS, so one round of a chunk fits a slice.
 SEED_BLOCK = 1024
 # Lanes times rounds of one chunk, unless a single trial has more rounds.
 # Arrays of a chunk of many lanes take near 130 bytes per lane-round (the
@@ -122,7 +122,7 @@ SEED_BLOCK = 1024
 # lanes at L=4,096, and jiang measure-resend's 93 at L=64; improved's row
 # of words is 86 of them, and the cursor step's bytes, one per node, 21),
 # so they stay near 33 MiB. But a chunk holds at least one lane, and a
-# 1-lane chunk takes near 155 bytes per round (131 traced at L=1,024, 117 at
+# 1-lane chunk takes near 155 bytes per round (148 traced at L=1,024, 118 at
 # 4,096), so one of more than 2**18 rounds grows past 33 MiB: at
 # `harness.MAX_ROUNDS`, to 116 MiB traced.
 MAX_LANE_ROUNDS = 1 << 18
@@ -133,13 +133,11 @@ MAX_TABLE_STATES = 128
 # TP's int16 lookups stay below 2**15: 5 * id + kind + 1 into `bell_edges`,
 # and 9 * pair + 8 into `bell_register`.
 assert MAX_TABLE_STATES * 9 < 2**15, "TP's Bell indices outgrow int16"
-# Lane-rounds that the round program takes at once, and TP's pass twice
-# as many, so their temporaries stay below 1 MiB however many rounds a
-# chunk plays. TP's pass keeps fewer bytes a cell (int16 state ids, two
-# compares a Bell check); the round program at TP's width would lift a
-# full-width L=1 chunk from 1,552 to 1,752 KiB traced, and a 1-lane chunk
-# at L=1,024 from 131 to 148 bytes per round.
-SLICE_CELLS = 1 << 11
+# Lane-rounds that the round program and TP's pass take at once, so their
+# temporaries stay below 1 MiB however many rounds a chunk plays. Half as
+# many would run an improved sweep-l8 chunk's rounds in 9 slices, not 5,
+# for an 11% lower traced peak at L=1 (1,552 KiB).
+SLICE_CELLS = 1 << 12
 # Words that a row's read and the cursor step's windows of codes take at
 # once, so their temporaries stay below 256 KiB however long a row is.
 SLICE_WORDS = 1 << 14
@@ -323,72 +321,80 @@ _LOW32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# 0-d arrays, which a ufunc takes in a third of a Python int's time
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+_OTHER_ROWS = [np.array([dst for dst in range(_POOL_SIZE) if dst != src]) for src in range(_POOL_SIZE)]
 
 # PCG64's 128-bit LCG multiplier, as (high, low) uint64 limbs.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MULT_HIGH, _MULT_LOW = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
+_THREAD = threading.local()  # each thread's PCG64 (`_pcg64_reader`)
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's hash step over uint32 arrays, with its running constant."""
+@cache
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """SeedSequence's running hash constant before each of its first `steps`
+    hash steps and after the last, as a read-only uint32 column."""
+    const = [init]
+    for _ in range(steps):
+        const.append(const[-1] * mult & _LOW32)
+    column = np.array(const, np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
-    def step(value):
-        nonlocal const
-        value = value ^ const
-        const = (const * mult) & _LOW32
-        value = value * const
-        return value ^ (value >> 16)
 
-    return step
+def _hash(value, const, step: int, count: int):
+    """Hash steps `step` to `step + count - 1` of `value`'s rows, in turn."""
+    value = value ^ const[step : step + count]
+    value *= const[step + 1 : step + count + 1]
+    value ^= value >> _XSHIFT
+    return value
 
 
-def _words32(value: int, count: int) -> list[np.ndarray]:
-    """`value`'s 32-bit words, least significant first, each repeated
-    `count` times; as SeedSequence coerces an int, 0 has one word."""
-    return [
-        np.full(count, value >> shift & _LOW32, dtype=np.uint32)
-        for shift in range(0, max(value.bit_length(), 1), 32)
-    ]
+def _mix(x, y):
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _words32(value: int) -> list[np.uint32]:
+    """`value`'s 32-bit words, low first, as SeedSequence coerces an int."""
+    return [np.uint32(value >> shift & _LOW32) for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def pcg64_states(seed: int, first: int, count: int) -> np.ndarray:
     """PCG64's state and inc for ``SeedSequence([seed, i])``, i from `first`
     to `first + count - 1`, which must share their bits above the low 32:
     a (count x 4) uint64 array of (state low, state high, inc low, inc
-    high), 0.25 ms for 1024 indices."""
+    high), 75 us warm for 8 indices and 0.14 ms for 1024 (timeit)."""
     high = first >> 32
     if first < 0 or (first + count - 1) >> 32 != high:
         raise ValueError("trial indices must be non-negative and share their high words")
     # The entropy words, as SeedSequence coerces [seed, i]: seed's 32-bit
     # words, least significant first, then i's.
-    words = _words32(seed, count)
+    words = _words32(seed)
     words.append(np.arange(first & _LOW32, (first & _LOW32) + count, dtype=np.uint32))
     if high:
-        words += _words32(high, count)
+        words += _words32(high)
 
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> 16)
+    # The pool as rows of lanes. numpy's mixing loop never changes a source's
+    # own row while it mixes it into the other three, so each source is one
+    # hash over three successive constants, and each extra word one over four.
+    const = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(len(words), _POOL_SIZE))
+    pool = np.zeros((_POOL_SIZE, count), np.uint32)
+    for row, word in enumerate(words[:_POOL_SIZE]):
+        pool[row] = word
+    pool = _hash(pool, const, 0, _POOL_SIZE)
+    for src, step in enumerate(range(_POOL_SIZE, _POOL_SIZE**2, _POOL_SIZE - 1)):
+        others = _OTHER_ROWS[src]  # in numpy's order
+        pool[others] = _mix(pool[others], _hash(pool[src], const, step, _POOL_SIZE - 1))
+    for at, word in enumerate(words[_POOL_SIZE:], _POOL_SIZE):
+        pool = _mix(pool, _hash(word, const, _POOL_SIZE * at, _POOL_SIZE))
 
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(count, dtype=np.uint32)
-    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # generate_state(4, uint64): eight uint32 outputs, paired low word first,
-    # give PCG64's seed (two words) and stream (two words), high word first.
-    output = _hasher(_INIT_B, _MULT_B)
-    out = [output(pool[k % _POOL_SIZE]).astype(np.uint64) for k in range(8)]
-    seed_high, seed_low, inc_high, inc_low = (
-        out[k] | out[k + 1] << np.uint64(32) for k in range(0, 8, 2)
-    )
+    # generate_state(4, uint64), of rows 0 to 3 twice: eight uint32 outputs,
+    # paired low word first, give PCG64's seed and stream, high word first.
+    out = _hash(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 8), 0, 8)
+    out = out.astype(np.uint64).reshape(4, 2, count)
+    seed_high, seed_low, inc_high, inc_low = out[:, 0] | out[:, 1] << np.uint64(32)
     # PCG64's seeding, mod 2**128 on (high, low) limbs: inc from the stream,
     # then two LCG steps around adding the seed to the state.
     inc = (inc_high << np.uint64(1) | inc_low >> np.uint64(63), inc_low << np.uint64(1) | np.uint64(1))
@@ -418,25 +424,32 @@ def _mul128(a):
 def _pcg64_reader(limbs):
     """`read(lanes, starts, width)`: `width` raw words of each lane's PCG64,
     from word `start` of its stream on, as (lanes x width); `limbs` holds
-    each lane's state and inc as `pcg64_states` gives them."""
-    source = np.random.PCG64(0)
-    # Each lane writes its limbs straight into the four uint64 words that
-    # hold the state and inc, which the first field of the struct at
-    # `state_address` points at; numpy's state-dict setter would take
-    # 2.9-3.7 us a lane with its read at L=1. numpy does not document their
-    # order (it differs without 128-bit integers), so a known state set
-    # through that setter finds it, and leaves no buffered half-word; a
-    # layout that is not a permutation of the known limbs raises before any
-    # word is read.
-    known = [1, 2, 3, 4]  # in `pcg64_states` order
-    state = {"state": known[1] << 64 | known[0], "inc": known[3] << 64 | known[2]}
-    source.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
-    words = ctypes.c_void_p.from_address(source.ctypes.state_address).value
-    memory = np.frombuffer((ctypes.c_uint64 * 4).from_address(words), dtype=np.uint64)
-    order = memory.tolist()
-    if sorted(order) != known:
-        raise RuntimeError(f"unknown PCG64 state layout: read {order} back for limbs {known}")
-    limbs = limbs[:, [known.index(limb) for limb in order]]
+    each lane's state and inc as `pcg64_states` gives them. Each thread keeps
+    its own PCG64 of the class in use: 20-24 us a chunk in an experiment, not
+    the 150-210 us of building one a chunk."""
+    pcg64 = np.random.PCG64
+    kept = getattr(_THREAD, "pcg64", None)
+    if kept is None or kept[0] is not pcg64:
+        source = pcg64(0)
+        # Each lane writes its limbs straight into the four uint64 words that
+        # hold the state and inc, which the first field of the struct at
+        # `state_address` points at; numpy's state-dict setter would take
+        # 2.9-3.7 us a lane with its read at L=1. numpy does not document
+        # their order (it differs without 128-bit integers), so a known state
+        # set through that setter finds it, and leaves no buffered half-word;
+        # a layout that is not a permutation of the known limbs raises, unkept,
+        # before any word is read.
+        known = [1, 2, 3, 4]  # in `pcg64_states` order
+        state = {"state": known[1] << 64 | known[0], "inc": known[3] << 64 | known[2]}
+        source.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        words = ctypes.c_void_p.from_address(source.ctypes.state_address).value
+        memory = np.frombuffer((ctypes.c_uint64 * 4).from_address(words), dtype=np.uint64)
+        order = memory.tolist()
+        if sorted(order) != known:
+            raise RuntimeError(f"unknown PCG64 state layout: read {order} back for limbs {known}")
+        kept = _THREAD.pcg64 = pcg64, source, memory, [known.index(limb) for limb in order]
+    _, source, memory, columns = kept
+    limbs = limbs[:, columns]
 
     def read(lanes, starts, width: int) -> np.ndarray:
         rows = np.empty((len(lanes), width), dtype="<u8")
@@ -642,9 +655,9 @@ def _measure_z(table, state, position, u):
     return outcome, table.z_post[2 * slot + outcome]
 
 
-def _slices(rounds: int, count: int, cells: int):
-    """Slices of the rounds, each of about `cells` lane-rounds."""
-    step = max(1, cells // count)
+def _slices(rounds: int, count: int):
+    """Slices of the rounds, each of about SLICE_CELLS lane-rounds."""
+    step = max(1, SLICE_CELLS // count)
     return [slice(r, r + step) for r in range(0, rounds, step)]
 
 
@@ -871,8 +884,8 @@ def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
             None if offset is None else (half if leg in attack.forged else at) + offset.take(key)
             for leg, offset in zip(_LEGS, shapes.legs)
         ]
-        for side, (measured, bit, drawn) in zip(sides, shapes.sides):
-            measured = None if measured is None else at + measured.take(key)
+        for leg, side, (measured, bit, drawn) in zip(_LEGS, sides, shapes.sides):
+            measured = None if measured is None or leg in attack.forged else at + measured.take(key)
             side += [measured, half + bit.take(key), drawn.take(key)]
         return kind, legs, sides, lefts[-1].copy()
 
@@ -907,7 +920,7 @@ def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
         return left
 
     left = keys.half  # the half-word each lane's next round may find buffered
-    for rows in _slices(rounds, count, SLICE_CELLS):
+    for rows in _slices(rounds, count):
         left = play_slice(rows, left)
     return play
 
@@ -982,7 +995,7 @@ def measure_returns(spec, words, play: Play, end) -> Returns:
         returns.wrong[rows] = wrong & case1
         return after
 
-    for rows in _slices(*shape, 2 * SLICE_CELLS):
+    for rows in _slices(*shape):
         pos = tp_pass(rows, pos)
     return returns
 
@@ -1009,15 +1022,11 @@ def check_lanes(spec, keys: Keys, play: Play, returns: Returns) -> Lanes:
     def fails(errors, checked):
         return (errors > 0) & (errors / np.maximum(checked, 1) > spec.threshold)
 
-    reason = np.select(
-        [
-            fails(case1_errors, case1_rounds),
-            fails(bad[0], traps[0]) | fails(bad[1], traps[1]),
-            (made[0] < L) | (made[1] < L),
-        ],
-        [1, 2, 3],
-        0,
-    ).astype(np.int8)
+    # each lane's first failed check, set last to first
+    reason = np.zeros(len(case1_rounds), np.int8)
+    reason[(made[0] < L) | (made[1] < L)] = 3
+    reason[fails(bad[0], traps[0]) | fails(bad[1], traps[1])] = 2
+    reason[fails(case1_errors, case1_rounds)] = 1
     done = reason == 0
     # each completed lane's first L calculate rounds per side, lane by lane
     paired = (calc & (np.cumsum(calc, axis=1, dtype=np.int32) <= L) & done).transpose(0, 2, 1)

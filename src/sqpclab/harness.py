@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -84,6 +84,11 @@ def bits_from_hex(text: str, length: int) -> tuple[int, ...]:
             f"secret {text!r} does not fit in {length} bits"
         )
     return tuple((value >> (length - 1 - i)) & 1 for i in range(length))
+
+
+def _fields(record) -> dict:
+    """`dataclasses.asdict` of a record of immutable leaves, uncopied."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 @dataclass(frozen=True)
@@ -146,7 +151,7 @@ class ExperimentSpec:
         return x, y
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _fields(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
@@ -204,7 +209,8 @@ class AggregateReport:
             raise ValidationError("report counts are inconsistent")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        rows = tuple(map(_fields, self.detection_by_trap_count))
+        return {**_fields(self), "spec": _fields(self.spec), "detection_by_trap_count": rows}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AggregateReport":

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -642,6 +643,44 @@ def test_an_unknown_state_layout_raises(monkeypatch):
         run_chunk(_spec("jiang", "none", 1), 0, 8)
     assert "\n" not in str(error.value)
     assert not calls
+
+
+def test_threads_read_their_own_pcg64():
+    """Threads that run chunks of different pairs at once, again and again,
+    get the lanes of a sequential run: each writes its lanes' limbs into
+    the state words of a PCG64 of its own, which it builds on its first
+    chunk only. A shared one would hand one lane's words to another."""
+    specs = [
+        _spec("improved", "measure-resend", 8, mode="unequal"),
+        _spec("jiang", "participant", 8, 2**32 + 5),
+        _spec("improved", "outside", 1, 17),
+        _spec("jiang", "none", 64, mode="equal"),
+    ]
+    expected = [run_chunk(spec, 0, 32) for spec in specs]
+    got, sources = [[] for _ in specs], [[] for _ in specs]
+
+    def work(k):
+        for _ in range(8):
+            got[k].append(run_chunk(specs[k], 0, 32))
+            sources[k].append(batch._THREAD.pcg64[1])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(specs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, runs, kept in zip(expected, got, sources):
+        assert len(runs) == 8
+        for lanes in runs:
+            assert all(np.array_equal(a, b) for a, b in zip(lanes, want))
+        assert all(source is kept[0] for source in kept)
+    assert len({id(kept[0]) for kept in sources}) == len(specs)
 
 
 @pytest.mark.parametrize("L, trials", [(1, 40), (8, 12), (64, 4)])

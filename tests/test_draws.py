@@ -48,8 +48,10 @@ def test_interleaved_draws_equal_numpy(seed):
         _replay_matches(replay, np.random.default_rng(source), rng, 2000)
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3, 2**200 + 7])
 def test_blocked_seeding_equals_seed_sequence(seed):
+    """Seeds of one to seven 32-bit words: from four on, the entropy words
+    past the pool's four, the index's among them, mix in as extra words."""
     blocks = ((0, 300), (4000, 40), (2**32 - 30, 30), (2**32, 256), (2**40 + 512, 256))
     for first, count in blocks:
         limbs = pcg64_states(seed, first, count)

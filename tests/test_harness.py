@@ -2,7 +2,7 @@
 import itertools
 import json
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from fractions import Fraction
 from math import comb
 
@@ -278,6 +278,28 @@ def test_aggregate_report_round_trip():
     )
     report = run_experiment(spec)
     assert AggregateReport.from_dict(report.to_dict()) == report
+
+
+def _typed(value):
+    """`value` with the type of every dict, tuple and leaf spelled out."""
+    if isinstance(value, dict):
+        return dict, [(key, _typed(item)) for key, item in value.items()]
+    if isinstance(value, (tuple, list)):
+        return type(value), [_typed(item) for item in value]
+    return type(value), value
+
+
+def test_to_dict_equals_asdict():
+    """`to_dict` gives what `dataclasses.asdict` gives, key order and types
+    included: trap-count rows stay a tuple of dicts."""
+    rows = run_experiment(ExperimentSpec(protocol="improved", attack="outside", trials=60, secret_bits=2, seed=1))
+    bare = run_experiment(ExperimentSpec(protocol="jiang", trials=5, rounds_factor=1, seed=2))
+    assert rows.detection_by_trap_count
+    assert not bare.detection_by_trap_count and bare.completed_trials == 0
+    assert bare.wrong_result_rate is None and bare.secret_recovery_rate is None
+    spec = ExperimentSpec(protocol="jiang", secret_bits=8, secrets="explicit:A5,3C")
+    for record in (rows, bare, spec):
+        assert _typed(record.to_dict()) == _typed(asdict(record))
 
 
 # Faults of a report's shape rather than of a field's value.
