@@ -5,7 +5,7 @@ Every random decision of the lab is one of three numpy `Generator` calls,
 and each is a fixed function of the PCG64 bit generator's 64-bit output
 words w:
 
-    - ``random()`` takes one word: ``(w >> 11) * 2**-53`` (`_uniforms`);
+    - ``random()`` takes one word: ``k * 2**-53``, k = w >> 11 (`_draws`);
     - ``integers(high)``, for a power of two ``high``, takes one 32-bit
       half-word u: ``(u * high) >> 32`` (numpy's Lemire method never rejects
       for such a range), so a bit is ``u >> 31`` and a Bell kind ``u >> 30``.
@@ -31,9 +31,10 @@ each transition as numpy arrays indexed by state id: a Z measurement's
 p1 and post-states per position, the state of two registers merged, and
 the total and cumulative weights of TP's Bell measurement of a register's
 first and last qubit, the only pair TP measures. Every float is the
-simulator's own memo entry (`qsim._z_memo`, `qsim._bell_memo`), so the
-engine's `u < p1` and `u * total < bound` compare the same floats as
-`Simulator.measure_z` and `measure_bell`.
+simulator's own memo entry (`qsim._z_memo`, `qsim._bell_memo`); the
+stages compare k with integer bounds derived exactly from them (`Table`),
+so they give `Simulator.measure_z`'s and `measure_bell`'s outcomes and
+convert no word to a float.
 
 `run_chunks` runs an experiment as chunks of trials (`SEED_BLOCK`,
 `MAX_LANE_ROUNDS`), and `run_chunk` runs trials `first` to
@@ -75,11 +76,11 @@ each a function of arrays:
        (its Z measurements of Alice's outgoing qubits, skipped unread: see
        below). Its Z of a return yields one bit, whether it differs from
        the bit sent. Its Bell check of a double-CTRL round finds its
-       register with one flat lookup and compares the draw ``u * total``
-       with the two edges of the prepared kind (`Table.bell_edges`):
+       register's entry with one flat lookup and compares the draw k with
+       the entry's two bounds of the prepared kind (`Table.bell_k`):
        `measure_bell` picks the first kind whose cumulative weight exceeds
-       the draw, and those weights never decrease, so the draw gives that
-       kind exactly when it lies between them;
+       the draw ``u * total``, and those weights never decrease, so the
+       draw gives that kind exactly when k lies between the bounds;
     6. `check_lanes`: the checks and the comparison values, per lane, from
        TP's Bell errors and those bits.
 
@@ -104,7 +105,6 @@ from . import qsim
 from .adversary import ATTACKS
 from .protocol import AbortReason, Leg
 
-_UNIT = 2.0**-53
 # Trials run in chunks that start at a multiple of their size, a power of
 # two up to SEED_BLOCK, so a chunk never straddles 2**32 and one
 # `pcg64_states` call seeds it. A chunk's fixed cost, 0.6-0.7 ms (seeding,
@@ -130,9 +130,9 @@ MAX_LANE_ROUNDS = 1 << 18
 _Z_SLOTS = 2
 # The closure holds 42 states; the bound stops one that would not end.
 MAX_TABLE_STATES = 128
-# TP's int16 lookups stay below 2**15: 5 * id + kind + 1 into `bell_edges`,
-# and 9 * pair + 8 into `bell_register`.
-assert MAX_TABLE_STATES * 9 < 2**15, "TP's Bell indices outgrow int16"
+# TP's int16 lookups stay below 2**15: 9 * pair + 8 into `bell_register`,
+# and 5 times that + kind + 1 into `bell_k`.
+assert MAX_TABLE_STATES * 45 < 2**15, "TP's Bell indices outgrow int16"
 # Lane-rounds that the round program and TP's pass take at once, so their
 # temporaries stay below 1 MiB however many rounds a chunk plays. Half as
 # many would run an improved sweep-l8 chunk's rounds in 9 slices, not 5,
@@ -156,14 +156,17 @@ class Table(NamedTuple):
     register of 2 or 3 qubits at its first and last qubit, Alice's and
     Bob's, so the Bell columns hold that one measurement per id. Columns
     that the closure does not compute hold -1 (ids) or NaN. The id columns
-    (`z_post`, `kron`, `bell_register`) are int16, as is every state id the
-    stages compute from them: ids stay below 2**15, and so do the indices
-    into `bell_edges`.
+    (`z_post`, `kron`, `bell_register`) are int16, as is every state id and
+    Bell index the stages compute from them. The stages read no float, but
+    uint64 bounds on the draw k derived exactly from the floats: u < p1
+    exactly when k < `z_k`, and a Bell draw gives a kind exactly when k
+    lies in its `bell_k` range.
     """
 
     states: tuple  # the interned qsim state of each id
     qubits: np.ndarray  # register size
     z_p1: np.ndarray  # [id * 2 + pos]
+    z_k: np.ndarray  # [pos, id]: ceil(p1 * 2**53), which is exact; 0 for NaN
     z_post: np.ndarray  # [(id * 2 + pos) * 2 + outcome]
     kron: np.ndarray  # [id_a, id_b]: the merged register, a's qubits first
     # [pair, 1 + a, 1 + b]: the register TP Bell-measures in a double-CTRL
@@ -171,10 +174,13 @@ class Table(NamedTuple):
     # of the pair, 0 or 1: a forgery), Alice's qubit first; -1 for none
     bell_register: np.ndarray
     bell_total: np.ndarray  # [id]
-    # [5 * id + kind], [5 * id + kind + 1]: the draws u * total that give
-    # `kind` lie in [lower, upper), from -inf, the first three cumulative
-    # weights, +inf
+    # [5 * id + kind], [.. + 1]: the draws u * total that give `kind` lie in
+    # [lower, upper), from -inf, the first three cumulative weights, +inf
     bell_edges: np.ndarray
+    # [5 * entry + kind], [.. + 1], by flat `bell_register` entry: the ks
+    # that give `kind` lie in [lower, upper), `_least_draws` of the edges; 0s
+    # for an entry without a register
+    bell_k: np.ndarray
 
 
 @cache
@@ -224,39 +230,46 @@ def transition_table() -> Table:
                 merge(first, second)
 
     size = len(states)
-    table = Table(
-        tuple(states),
-        np.array([s.num_qubits for s in states]),
-        np.full(size * _Z_SLOTS, np.nan),
-        np.full(size * _Z_SLOTS * 2, -1, np.int16),
-        np.full((size, size), -1, np.int16),
-        None,
-        np.full(size, np.nan),
-        np.full((size, 5), np.nan),
-    )
+    z_p1, z_post = np.full(size * _Z_SLOTS, np.nan), np.full(size * _Z_SLOTS * 2, -1, np.int16)
     for slot, (p1, posts) in z.items():
-        table.z_p1[slot] = p1
-        table.z_post[2 * slot : 2 * slot + 2] = posts
+        z_p1[slot] = p1
+        z_post[2 * slot : 2 * slot + 2] = posts
+    merges = np.full((size, size), -1, np.int16)
     for pair, merged in kron.items():
-        table.kron[pair] = merged
-    table.bell_edges[:, 0], table.bell_edges[:, 4] = -np.inf, np.inf
+        merges[pair] = merged
+    qubits = np.array([s.num_qubits for s in states])
+    totals, edges = np.full((size, 1), np.nan), np.full((size, 5), np.nan)
+    edges[:, 0], edges[:, 4] = -np.inf, np.inf
     for i, state in enumerate(states):
         last = state.num_qubits - 1
         if last > 0:
-            total, cumulative, _ = state.bell.get((0, last)) or qsim._bell_memo(state, 0, last)
-            table.bell_total[i] = total
-            table.bell_edges[i, 1:4] = cumulative[:3]
+            totals[i], cumulative, _ = state.bell.get((0, last)) or qsim._bell_memo(state, 0, last)
+            edges[i, 1:4] = cumulative[:3]
     pair = np.arange(size)[:, None, None]
     a, b = np.arange(-1, 2)[:, None], np.arange(-1, 2)
-    same = (a < 0) & (b < 0)
-    merged = np.where(same, pair, table.kron[np.where(a < 0, pair, a), np.where(b < 0, pair, b)])
-    table = table._replace(
-        bell_register=np.where(table.qubits[pair] != 2, -1, merged).astype(np.int16),
-        bell_edges=table.bell_edges.reshape(-1),
+    merged = np.where((a < 0) & (b < 0), pair, merges[np.where(a < 0, pair, a), np.where(b < 0, pair, b)])
+    register = np.where(qubits[pair] != 2, -1, merged).astype(np.int16)
+    bell_k = np.where(register.reshape(-1, 1) < 0, 0, _least_draws(edges, totals)[register.reshape(-1)])
+    z_k = np.ceil(np.nan_to_num(z_p1.reshape(size, _Z_SLOTS).T) * 2**53).astype(np.uint64, order="C")
+    table = Table(
+        tuple(states), qubits, z_p1, z_k, z_post, merges, register,
+        totals.reshape(-1), edges.reshape(-1), bell_k.reshape(-1),
     )
     for column in table[1:]:
         column.flags.writeable = False
     return table
+
+
+def _least_draws(edges, total):
+    """Each least k in [0, 2**53] whose draw fl(k * 2**-53 * total) reaches
+    its edge, 2**53 for none, by bisection: float products are monotone."""
+    low, high = np.zeros(edges.shape, np.int64), np.full(edges.shape, 1 << 53)
+    for _ in range(54):
+        mid = (low + high) >> 1
+        reached = mid * 2.0**-53 * total >= edges
+        high = np.where(reached, mid, high)
+        low = np.where(reached, low, mid + 1)
+    return high.astype(np.uint64)
 
 
 class Lanes(NamedTuple):
@@ -325,9 +338,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _XSHIFT = (np.array(c, np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
 _OTHER_ROWS = [np.array([dst for dst in range(_POOL_SIZE) if dst != src]) for src in range(_POOL_SIZE)]
 
-# PCG64's 128-bit LCG multiplier, as (high, low) uint64 limbs.
+# PCG64's 128-bit LCG multiplier; as 0-d uint64 arrays, its (high, low)
+# limbs and the low one's 32-bit halves, and `_mul128`'s shifts and mask
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HIGH, _MULT_LOW = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & (2**64 - 1))
+_MULT_HIGH, _MULT_LOW, _MULT_0, _MULT_1, _ONE, _HALF, _LAST, _MASK = (np.array(c, np.uint64) for c in (
+    _PCG_MULT >> 64, _PCG_MULT & 2**64 - 1, _PCG_MULT & _LOW32, _PCG_MULT >> 32 & _LOW32, 1, 32, 63, _LOW32))
 _THREAD = threading.local()  # each thread's PCG64 (`_pcg64_reader`)
 
 
@@ -394,10 +409,10 @@ def pcg64_states(seed: int, first: int, count: int) -> np.ndarray:
     # paired low word first, give PCG64's seed and stream, high word first.
     out = _hash(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 8), 0, 8)
     out = out.astype(np.uint64).reshape(4, 2, count)
-    seed_high, seed_low, inc_high, inc_low = out[:, 0] | out[:, 1] << np.uint64(32)
+    seed_high, seed_low, inc_high, inc_low = out[:, 0] | out[:, 1] << _HALF
     # PCG64's seeding, mod 2**128 on (high, low) limbs: inc from the stream,
     # then two LCG steps around adding the seed to the state.
-    inc = (inc_high << np.uint64(1) | inc_low >> np.uint64(63), inc_low << np.uint64(1) | np.uint64(1))
+    inc = (inc_high << _ONE | inc_low >> _LAST, inc_low << _ONE | _ONE)
     state = _add128(_mul128(_add128(inc, (seed_high, seed_low))), inc)
     return np.stack((state[1], state[0], inc[1], inc[0]), axis=1)
 
@@ -411,13 +426,11 @@ def _add128(a, b):
 def _mul128(a):
     """a * PCG64's multiplier mod 2**128: the full 128-bit product of the low
     limbs, from 32-bit halves, plus the cross products in the high limb."""
-    half, mask = np.uint64(32), np.uint64(_LOW32)
-    a0, a1 = a[1] & mask, a[1] >> half
-    m0, m1 = _MULT_LOW & mask, _MULT_LOW >> half
-    p00, p01, p10, p11 = a0 * m0, a0 * m1, a1 * m0, a1 * m1
-    mid = (p00 >> half) + (p01 & mask) + (p10 & mask)
-    low = (p00 & mask) | mid << half
-    high = p11 + (p01 >> half) + (p10 >> half) + (mid >> half)
+    a0, a1 = a[1] & _MASK, a[1] >> _HALF
+    p00, p01, p10, p11 = a0 * _MULT_0, a0 * _MULT_1, a1 * _MULT_0, a1 * _MULT_1
+    mid = (p00 >> _HALF) + (p01 & _MASK) + (p10 & _MASK)
+    low = (p00 & _MASK) | mid << _HALF
+    high = p11 + (p01 >> _HALF) + (p10 >> _HALF) + (mid >> _HALF)
     return high + a[1] * _MULT_HIGH + a[0] * _MULT_LOW, low
 
 
@@ -456,8 +469,8 @@ def _pcg64_reader(limbs):
         pieces = [
             (slice(at, at + SLICE_WORDS), min(SLICE_WORDS, width - at)) for at in range(0, width, SLICE_WORDS)
         ]
-        for row, lane, start in zip(rows, lanes, np.asarray(starts).tolist()):
-            memory[:] = limbs[lane]
+        for row, lane, start in zip(rows, limbs[lanes], np.asarray(starts).tolist()):
+            memory[...] = lane
             if start:
                 source.advance(start)
             for piece, size in pieces:
@@ -641,18 +654,17 @@ def _code_bounds(spec) -> tuple[int, int]:
     return tuple(math.ceil(p * 2**53) << 11 for p in (spec.p_ctrl, spec.p_detect))
 
 
-def _uniforms(flat_words, index):
-    """`random()` of the words at flat `index`."""
-    word = flat_words[index]
-    word >>= 11
-    return word * _UNIT
+def _draws(flat_words, index):
+    """k = w >> 11 of the words at flat `index`: `random()` is k * 2**-53."""
+    k = flat_words.take(index)
+    k >>= 11
+    return k
 
 
-def _measure_z(table, state, position, u):
-    """Outcome and post-state of a Z measurement with uniform u."""
-    slot = state * _Z_SLOTS + position
-    outcome = u < table.z_p1[slot]
-    return outcome, table.z_post[2 * slot + outcome]
+def _measure_z(table, state, position, k):
+    """Outcome and post-state of a Z measurement of draw k."""
+    outcome = k < table.z_k[position].take(state)
+    return outcome, table.z_post.take((state * _Z_SLOTS + position) * 2 + outcome)
 
 
 def _slices(rounds: int, count: int):
@@ -864,10 +876,10 @@ def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
         sides = []
         for side, choice in enumerate((shapes.alice, shapes.bob)):
             q = at + choice.take(key)
-            sift = _at_least(flat_words[q], ctrl)
+            sift = _at_least(flat_words.take(q), ctrl)
             if improved:
                 q += 1
-                later = ~_at_least(flat_words[q], detect)
+                later = ~_at_least(flat_words.take(q), detect)
                 sides.append([sift, sift & later])
             else:
                 upto[side] = made[side] + np.cumsum(sift, axis=0)
@@ -893,25 +905,25 @@ def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
         """The draws of a slice of rounds; returns the half its last round
         leaves buffered. Its arrays go with it, before the next slice's."""
         kind, legs, sides, left = positions(rows, left)
-        play.kinds[rows] = kinds = flat_halves[kind] >> 30
+        play.kinds[rows] = kinds = flat_halves.take(kind) >> 30
         r0 = kinds + 2
         fake = [None, None]
         for s, (leg, index) in enumerate(zip(_LEGS, legs)):
             if leg in attack.forged:
-                fake[s] = flat_halves[index] >> 31
+                fake[s] = flat_halves.take(index) >> 31
             elif index is not None:
-                r0 = _measure_z(table, r0, s, _uniforms(flat_words, index))[1]
+                r0 = _measure_z(table, r0, s, _draws(flat_words, index))[1]
         for s, (sift, is_detect, measured, bit, drawn) in enumerate(sides):
-            bits = flat_halves[bit] >> 31
+            bits = flat_halves.take(bit) >> 31
             if improved:
                 if fake[s] is None:
-                    out, post = _measure_z(table, r0, s, _uniforms(flat_words, measured))
+                    out, post = _measure_z(table, r0, s, _draws(flat_words, measured))
                     r0 = np.where(sift & ~is_detect, post, r0)
                 else:  # a forgery is |0> or |1>, so its Z is its bit
                     out = fake[s]
                 play.detect[s, rows] = is_detect
             else:
-                out = encoded[s][lane_bits + np.minimum(upto[s] - sift, L - 1)]
+                out = encoded[s].take(lane_bits + np.minimum(upto[s] - sift, L - 1))
             play.sift[s, rows] = sift
             play.sent[s, rows] = sent = np.where(drawn, bits, out)
             if not swapped[s]:
@@ -954,44 +966,42 @@ def measure_returns(spec, words, play: Play, end) -> Returns:
         each lane's word `start` on; returns each lane's next word after
         it. Its temporaries go with it, before the next slice makes its own."""
         a, b = sift[0, rows], sift[1, rows]
-        case1 = ~a & ~b
-        draws = np.maximum(a + b.astype(np.int8), case1)
+        case1 = ~(a | b)
+        draws = np.add(a & b, 1, dtype=np.int64)  # 1 draw a round, 2 if both SIFT
         index = np.cumsum(draws, axis=0)
         index -= draws
         index += start
         after = index[-1] + draws[-1]
-        u_a = _uniforms(flat_words, index)  # Alice's Z, or the Bell measurement
+        k_a = _draws(flat_words, index)  # Alice's Z, or the Bell measurement
         index += a
         back, pair, sent = play.back[:, rows], play.pair[rows], play.sent[:, rows]
         in_pair = back < 0
-        out, post = _measure_z(table, pair, 0, u_a)
+        out, post = _measure_z(table, pair, 0, k_a)
         returns.flip[0, rows] = in_pair[0] & (out != sent[0])
         r0 = np.where(a & in_pair[0], post, pair)
-        u_b = _uniforms(flat_words, index)
-        out = _measure_z(table, r0, 1, u_b)[0]
+        out = _draws(flat_words, index) < table.z_k[1].take(r0)
         returns.flip[1, rows] = in_pair[1] & (out != sent[1])
-        del index, u_b  # not held through the Bell check
+        del index, out  # not held through the Bell check
 
         # Bell measurements of the double-CTRL rounds. The other cells measure
         # their pair too and are not counted, so the arrays of every slice
         # have its size, which keeps the heap from fragmenting. A cell is
-        # wrong when its draw falls outside the edges of its prepared kind.
-        held = np.where(case1, back, -1)
-        held[0] *= 3
-        entry = pair * 9  # bell_register[pair, 1 + a, 1 + b], flat
-        entry += held[0]
-        entry += held[1]
-        entry += 4
-        register = table.bell_register.reshape(-1)[entry]
-        if (register < 0).any():
+        # wrong when its draw falls outside the bounds of its prepared kind.
+        # Its entry is bell_register[pair, 1 + a, 1 + b], flat, where a and b
+        # are what each side returns in a case-1 round, and -1 otherwise.
+        held = back[0] * 3
+        held += back[1]
+        held += 4
+        held *= case1
+        entry = pair * 9
+        entry += held
+        if (table.bell_register.reshape(-1).take(entry) < 0).any():
             raise ValueError(f"attack {spec.attack!r} merges registers outside the table")
-        draw = u_a  # u * total, in place
-        draw *= table.bell_total[register]
-        edge = register * 5
-        edge += play.kinds[rows]
-        wrong = draw < table.bell_edges[edge]
-        edge += 1
-        wrong |= draw >= table.bell_edges[edge]
+        bound = entry * 5
+        bound += play.kinds[rows]
+        wrong = k_a < table.bell_k.take(bound)
+        bound += 1
+        wrong |= k_a >= table.bell_k.take(bound)
         returns.wrong[rows] = wrong & case1
         return after
 

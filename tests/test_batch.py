@@ -209,20 +209,65 @@ def test_bell_edges_give_measure_bells_kind():
     assert checked >= 1000
 
 
+def test_bounds_give_the_float_rules_exactly():
+    """Each integer bound gives what the float rule it stands for gives, for
+    the draws k = w >> 11 of `random()`, u = k * 2**-53: at 0, the bound and
+    one draw either side of it, and the last draw. For every computed Z
+    slot, k < z_k exactly when u < p1; for every register entry TP Bell-
+    measures and each kind, k lies in the kind's `bell_k` range exactly when
+    the draw fl(u * total) lies between its edges."""
+    table = transition_table()
+    size, last = len(table.states), 2**53 - 1
+    assert table.z_k.dtype == table.bell_k.dtype == np.uint64
+    assert table.z_k.shape == (2, size)
+    assert len(table.bell_k) == 5 * table.bell_register.size <= np.iinfo(np.int16).max
+
+    def near(*bounds):
+        return sorted({0, last} | {min(max(b + d, 0), last) for b in bounds for d in (-1, 0, 1)})
+
+    checked = 0
+    for slot in np.flatnonzero(~np.isnan(table.z_p1)):
+        p1, bound = table.z_p1[slot], int(table.z_k[slot % 2, slot // 2])
+        for k in near(bound):
+            assert (k < bound) == (k * 2.0**-53 < p1), (slot, k)
+            checked += 1
+    for entry, register in enumerate(table.bell_register.reshape(-1).tolist()):
+        if register < 0:
+            continue
+        total = table.bell_total[register]
+        for kind in range(4):
+            lower, upper = table.bell_edges[5 * register + kind : 5 * register + kind + 2]
+            low_k, high_k = (int(k) for k in table.bell_k[5 * entry + kind : 5 * entry + kind + 2])
+            for k in near(low_k, high_k):
+                assert (low_k <= k < high_k) == (lower <= k * 2.0**-53 * total < upper), (entry, kind, k)
+                checked += 1
+    assert checked >= 1600
+
+
 def test_z_of_a_basis_state_is_its_bit_whatever_the_draw():
     """Ids 0 and 1 hold p1 exactly 0.0 and 1.0 at position 0, and each keeps
-    its own state for its own outcome, so no uniform in [0, 1) changes the
+    its own state for its own outcome, so no draw k = w >> 11 changes the
     Z measurement of a forgery or of Alice's outgoing qubit: the batched
     engine reads no word for either. So too TP's Z of a SIFT qubit returned
     untouched is the bit sent, and TP's pass counts no flip for it."""
     table = transition_table()
     assert table.z_p1[[0, 2]].tolist() == [0.0, 1.0]
     assert table.z_post[[0, 5]].tolist() == [0, 1]  # [(id * 2 + 0) * 2 + id]
-    u = np.array([0.0, 2.0**-53, 0.5, 1 - 2.0**-53])
+    k = np.array([0, 1 << 11, 1 << 63, 2**64 - 1], np.uint64) >> 11  # u = 0, 2**-53, 0.5, 1 - 2**-53
     for bit in (0, 1):
-        outcome, post = batch._measure_z(table, np.full(len(u), bit, np.int16), 0, u)
-        assert outcome.tolist() == [bool(bit)] * len(u)
-        assert post.tolist() == [bit] * len(u)
+        outcome, post = batch._measure_z(table, np.full(len(k), bit, np.int16), 0, k)
+        assert outcome.tolist() == [bool(bit)] * len(k)
+        assert post.tolist() == [bit] * len(k)
+
+
+def test_tp_pass_rejects_a_register_outside_the_table(monkeypatch):
+    """A Bell check whose register entry the table does not hold raises
+    before any bound is read, not a check against another entry's bounds."""
+    table = transition_table()
+    unknown = table._replace(bell_register=np.full_like(table.bell_register, -1))
+    monkeypatch.setattr(batch, "transition_table", lambda: unknown)
+    with pytest.raises(ValueError, match="merges registers outside the table"):
+        run_chunk(_spec("improved", "none", 1), 0, 4)
 
 
 def test_table_is_built_lazily():
@@ -316,8 +361,12 @@ def test_small_experiments_equal_the_scalar_fold(protocol, attack, monkeypatch):
 
 # u = 0.0 exactly, u = 0.0 from the largest word below 2**11, u = 0.5 - 2**-53
 # (|10>'s Psi+ bound, which only `u * total` keeps below the bound), and the
-# largest word.
-TIES = (0, 2**11 - 1, 0x7FFFFFFFFFFFF800, 2**64 - 1)
+# largest word; then u = 0.25, 0.5 and 0.75 and one word-ulp (2**11, a u of
+# 2**-53) either side of each, where p1s and edges of 0.5 +- 2**-53 decide.
+TIES = (0, 2**11 - 1, 0x7FFFFFFFFFFFF800, 2**64 - 1) + tuple(
+    tie + ulp for tie in (1 << 62, 1 << 63, 3 << 62) for ulp in (-(1 << 11), 0, 1 << 11)
+    if tie + ulp != 0x7FFFFFFFFFFFF800
+)
 
 
 @pytest.mark.parametrize("protocol, attack", PAIRS)
