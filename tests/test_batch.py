@@ -215,7 +215,9 @@ def test_bounds_give_the_float_rules_exactly():
     one draw either side of it, and the last draw. For every computed Z
     slot, k < z_k exactly when u < p1; for every register entry TP Bell-
     measures and each kind, k lies in the kind's `bell_k` range exactly when
-    the draw fl(u * total) lies between its edges."""
+    the draw fl(u * total) lies between its edges. The table's p1s are all
+    0, 0.5 or 1, where a floor would give the same bound as `_least_k`'s
+    ceiling, so the rule is checked on non-dyadic p1s too."""
     table = transition_table()
     size, last = len(table.states), 2**53 - 1
     assert table.z_k.dtype == table.bell_k.dtype == np.uint64
@@ -228,9 +230,14 @@ def test_bounds_give_the_float_rules_exactly():
     checked = 0
     for slot in np.flatnonzero(~np.isnan(table.z_p1)):
         p1, bound = table.z_p1[slot], int(table.z_k[slot % 2, slot // 2])
+        assert bound == batch._least_k(p1), slot
         for k in near(bound):
             assert (k < bound) == (k * 2.0**-53 < p1), (slot, k)
             checked += 1
+    for p1 in (1 / 3, 0.1, np.nextafter(0.5, 1), 2.0**-60, 1 - 2.0**-53):
+        bound = batch._least_k(p1)
+        for k in (bound - 1, bound, bound + 1):
+            assert (k < bound) == (k * 2.0**-53 < p1), (p1, k)
     for entry, register in enumerate(table.bell_register.reshape(-1).tolist()):
         if register < 0:
             continue
@@ -427,26 +434,28 @@ def _walked_cursors(spec, words, keys):
 def test_cursor_step_equals_a_walk_of_every_round(protocol):
     """`advance_cursors` gives the cursors that walking every round gives:
     at p_ctrl and p_detect 0, 0.5 and 1, rounds factors 1 and 2 and the
-    default, L of 1, 3 and 64, for every attack. Jiang lanes make their L-th
-    SIFT at different rounds, or (p_ctrl 1) never; unequal-mode lanes at
-    L=1 re-read their rows from further on."""
+    default, L of 1, 3 and 64, for every attack, in a chunk narrow enough
+    to walk lane by lane and in one that takes the numpy walk. Jiang lanes
+    make their L-th SIFT at different rounds, or (p_ctrl 1) never;
+    unequal-mode lanes at L=1 re-read their rows from further on."""
+    narrow, wide = batch.NARROW_LANES - 1, 64
+    assert 0 < narrow < batch.NARROW_LANES <= wide
     fills, rereads = set(), 0
-    for attack, L, factor, p_ctrl, p_detect in itertools.product(
-        ATTACKS, (1, 3, 64), (1, 2, None), (0.0, 0.5, 1.0), (0.0, 0.5, 1.0)
+    for attack, L, factor, p_ctrl, p_detect, count in itertools.product(
+        ATTACKS, (1, 3, 64), (1, 2, None), (0.0, 0.5, 1.0), (0.0, 0.5, 1.0), (narrow, wide)
     ):
         if (L == 64 and factor is None) or (protocol == "jiang" and p_detect != 0.5):
             continue
         settings = {"rounds_factor": factor} if factor else {}
         mode = "unequal" if L == 1 else "random"
         spec = _spec(protocol, attack, L, 2**32 + 1, mode=mode, p_ctrl=p_ctrl, p_detect=p_detect, **settings)
-        count = 8 if L == 64 else 64
         calls = []
         words, read = batch.seed_and_read(spec, 0, count)
         keys = batch.draw_keys(spec, words, lambda *args: calls.append(args) or read(*args))
         word, buffered = batch.advance_cursors(spec, words, keys)
         expected_word, expected_buffered, last = _walked_cursors(spec, words, keys)
-        assert np.array_equal(word, expected_word), (attack, L, factor, p_ctrl, p_detect)
-        assert np.array_equal(buffered, expected_buffered), (attack, L, factor, p_ctrl, p_detect)
+        assert np.array_equal(word, expected_word), (attack, L, factor, p_ctrl, p_detect, count)
+        assert np.array_equal(buffered, expected_buffered), (attack, L, factor, p_ctrl, p_detect, count)
         rereads += len(calls)
         if p_ctrl == 1:
             assert (last < 0).all()
