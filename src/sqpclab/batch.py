@@ -27,14 +27,14 @@ for report, check this seeding and those rules.
 Every operation of the protocols is Clifford, and no register they build
 holds more than three qubits, so a round's quantum state is one of a few
 dozen vectors. `transition_table` numbers them once, lazily, and stores
-each transition as numpy arrays indexed by state id: a Z measurement's
-p1 and post-states per position, the state of two registers merged, and
-the total and cumulative weights of TP's Bell measurement of a register's
-first and last qubit, the only pair TP measures. Every float is the
-simulator's own memo entry (`qsim._z_memo`, `qsim._bell_memo`); the
-stages compare k with integer bounds derived exactly from them (`Table`),
-so they give `Simulator.measure_z`'s and `measure_bell`'s outcomes and
-convert no word to a float.
+only what the stages read, as numpy arrays indexed by state id: a Z
+measurement's bound and post-states per position, the register TP
+Bell-measures in a double-CTRL round by what each side returns, and that
+measurement's bounds per kind, of the register's first and last qubit,
+the only pair TP measures. Each bound is derived exactly from the
+simulator's own memo entry (`qsim._z_memo`, `qsim._bell_memo`; `Table`),
+so the stages give `Simulator.measure_z`'s and `measure_bell`'s outcomes
+and convert no word to a float.
 
 `run_chunks` runs an experiment as chunks of trials (`SEED_BLOCK`,
 `MAX_LANE_ROUNDS`), and `run_chunk` runs trials `first` to
@@ -97,6 +97,7 @@ back as `Lanes` arrays.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import threading
 from array import array
@@ -159,47 +160,40 @@ _LEGS = (Leg.FORWARD_TP_TO_ALICE, Leg.FORWARD_TP_TO_BOB)
 
 
 class Table(NamedTuple):
-    """The protocols' register states and their transitions, by state id.
+    """The protocols' register states and the transitions the stages read,
+    by state id.
 
     Ids 0 and 1 are |0> and |1>, so a basis bit is its state's id, and ids
-    2 to 5 are the Bell states in BellKind order. TP Bell-measures a
-    register of 2 or 3 qubits at its first and last qubit, Alice's and
-    Bob's, so the Bell columns hold that one measurement per id. Columns
-    that the closure does not compute hold -1 (ids) or NaN. The id columns
-    (`z_post`, `kron`, `bell_register`) are int16, as is every state id and
-    Bell index the stages compute from them. The stages read no float, but
-    uint64 bounds on the draw k derived exactly from the floats: u < p1
-    exactly when k < `z_k`, and a Bell draw gives a kind exactly when k
-    lies in its `bell_k` range.
+    2 to 5 are the Bell states in BellKind order. Z measures registers of
+    up to 2 qubits; TP Bell-measures the register of a double-CTRL round at
+    its first and last qubit, Alice's and Bob's. The id columns (`z_post`,
+    `bell_register`) are int16, as is every state id and Bell index the
+    stages compute from them, and hold -1 for none. The stages read no
+    float, but uint64 bounds on the draw k derived exactly from the
+    simulator's own memo entries (`qsim._z_memo`, `qsim._bell_memo`): u < p1
+    exactly when k < `z_k`, and a Bell draw gives a kind exactly when k lies
+    in its `bell_k` range.
     """
 
     states: tuple  # the interned qsim state of each id
-    qubits: np.ndarray  # register size
-    z_p1: np.ndarray  # [id * 2 + pos]
-    z_k: np.ndarray  # [pos, id]: `_least_k(p1)`; 0 for NaN
+    z_k: np.ndarray  # [pos, id]: `_least_k(p1)`; 0 for no measurement
     z_post: np.ndarray  # [(id * 2 + pos) * 2 + outcome]
-    kron: np.ndarray  # [id_a, id_b]: the merged register, a's qubits first
     # [pair, 1 + a, 1 + b]: the register TP Bell-measures in a double-CTRL
     # round, by the pair's register and what each side returns (-1: its half
     # of the pair, 0 or 1: a forgery), Alice's qubit first; -1 for none
     bell_register: np.ndarray
-    bell_total: np.ndarray  # [id]
-    # [5 * id + kind], [.. + 1]: the draws u * total that give `kind` lie in
-    # [lower, upper), from -inf, the first three cumulative weights, +inf
-    bell_edges: np.ndarray
     # [5 * entry + kind], [.. + 1], by flat `bell_register` entry: the ks
-    # that give `kind` lie in [lower, upper), `_least_draws` of the edges; 0s
-    # for an entry without a register
+    # that give `kind` lie in [lower, upper), the `_least_draws` of the
+    # memo's total and its cumulative weights; 0s for an entry without one
     bell_k: np.ndarray
 
 
 @cache
 def transition_table() -> Table:
     """The closure of the 2 basis states and the 4 Bell states under Z
-    measurement at each position (of registers of up to 2 qubits) and under
-    merging two registers into one of 3 qubits at most; each register of 2
-    or 3 qubits gets TP's Bell measurement of its first and last qubit,
-    whose post-states no stage reads. Built on first use."""
+    measurement at each position, then, for each register of 2 qubits, the
+    registers TP Bell-measures: the pair itself, or it merged with the
+    forgeries returned in place of its halves. Built on first use."""
     states, ids = [], {}
 
     def number(state):
@@ -211,59 +205,41 @@ def transition_table() -> Table:
             states.append(state)
         return ids[state.key]
 
-    z, kron = {}, {}
-
     def merge(first, second):
-        merged = first.kron.get(second.key) or qsim._kron(first, second)
-        kron[number(first), number(second)] = number(merged)
+        return number(first.kron.get(second.key) or qsim._kron(first, second))
 
-    prepared = [qsim._intern(1, row) for row in qsim._Z_BASIS]
-    prepared += [qsim._intern(2, row) for row in qsim._BELL_BASIS]
-    for state in prepared:  # ids 0 and 1: |0> and |1>; 2 to 5: the Bell states
-        number(state)
-    done = 0
-    while done < len(states):  # registers of up to 2 qubits
+    basis = [qsim._intern(1, row) for row in qsim._Z_BASIS]
+    for state in basis + [qsim._intern(2, row) for row in qsim._BELL_BASIS]:
+        number(state)  # ids 0 and 1: |0> and |1>; 2 to 5: the Bell states
+    z, done = {}, 0
+    while done < len(states):  # registers of 1 and 2 qubits
         state = states[done]
-        done += 1
         for pos in range(state.num_qubits):
             p1, posts = state.z.get(pos) or qsim._z_memo(state, pos)
-            z[number(state) * _Z_SLOTS + pos] = (p1, list(map(number, posts)))
-        if state.num_qubits == 1:
-            for other in states[:done]:
-                for first, second in ((state, other), (other, state)):
-                    if first.num_qubits == 1 and second.num_qubits == 1:
-                        merge(first, second)
-    small = states[:done]
-    for first in small:
-        for second in small:
-            if first.num_qubits + second.num_qubits == 3:
-                merge(first, second)
+            z[done, pos] = _least_k(p1), list(map(number, posts))
+        done += 1
+    registers = {}  # flat `bell_register` entry: id
+    for i, pair in enumerate(states[:done]):
+        if pair.num_qubits == 2:
+            returned = itertools.product((None, *basis), repeat=2)  # 1 + a, 1 + b
+            for entry, (a, b) in enumerate(returned, 9 * i):
+                registers[entry] = i if a is None and b is None else merge(a or pair, b or pair)
 
     size = len(states)
-    z_p1, z_post = np.full(size * _Z_SLOTS, np.nan), np.full(size * _Z_SLOTS * 2, -1, np.int16)
-    z_k = np.zeros(size * _Z_SLOTS, np.uint64)
-    for slot, (p1, posts) in z.items():
-        z_p1[slot], z_k[slot] = p1, _least_k(p1)
-        z_post[2 * slot : 2 * slot + 2] = posts
-    merges = np.full((size, size), -1, np.int16)
-    for pair, merged in kron.items():
-        merges[pair] = merged
-    qubits = np.array([s.num_qubits for s in states])
-    totals, edges = np.full((size, 1), np.nan), np.full((size, 5), np.nan)
-    edges[:, 0], edges[:, 4] = -np.inf, np.inf
-    for i, state in enumerate(states):
-        last = state.num_qubits - 1
-        if last > 0:
-            totals[i], cumulative, _ = state.bell.get((0, last)) or qsim._bell_memo(state, 0, last)
-            edges[i, 1:4] = cumulative[:3]
-    pair = np.arange(size)[:, None, None]
-    a, b = np.arange(-1, 2)[:, None], np.arange(-1, 2)
-    merged = np.where((a < 0) & (b < 0), pair, merges[np.where(a < 0, pair, a), np.where(b < 0, pair, b)])
-    register = np.where(qubits[pair] != 2, -1, merged).astype(np.int16)
-    bell_k = np.where(register.reshape(-1, 1) < 0, 0, _least_draws(edges, totals)[register.reshape(-1)])
+    z_k, z_post = np.zeros((_Z_SLOTS, size), np.uint64), np.full((size, _Z_SLOTS, 2), -1, np.int16)
+    for (i, pos), (k, posts) in z.items():
+        z_k[pos, i], z_post[i, pos] = k, posts
+    bell_register, bell_k = np.full(9 * size, -1, np.int16), np.zeros((9 * size, 5), np.uint64)
+    totals, edges = [], []  # by entry; edges: -inf, the first 3 cumulative weights, +inf
+    for entry, i in registers.items():
+        state, last = states[i], states[i].num_qubits - 1
+        bell_register[entry] = i
+        total, cumulative, _ = state.bell.get((0, last)) or qsim._bell_memo(state, 0, last)
+        totals.append([total])
+        edges.append([-np.inf, *cumulative[:3], np.inf])
+    bell_k[list(registers)] = _least_draws(np.array(edges), np.array(totals))
     table = Table(
-        tuple(states), qubits, z_p1, z_k.reshape(size, _Z_SLOTS).T.copy(), z_post, merges, register,
-        totals.reshape(-1), edges.reshape(-1), bell_k.reshape(-1),
+        tuple(states), z_k, z_post.reshape(-1), bell_register.reshape(size, 3, 3), bell_k.reshape(-1)
     )
     for column in table[1:]:
         column.flags.writeable = False

@@ -1,10 +1,12 @@
 """Tests for the channel attack strategies."""
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sqpclab.adversary import ATTACKS, make_strategy
+from sqpclab.batch import transition_table
 from sqpclab.harness import detection_model
 from sqpclab.protocol import (
     Choice,
@@ -393,3 +395,43 @@ def test_attack_table_matches_oracles():
         assert extract(report) == statistic[stat](report), (protocol, name)
         for k in range(6):
             assert predict(k) == pytest.approx(1.0 - (1.0 - p) ** k, abs=1e-15)
+
+
+def test_case1_error_follows_from_the_transition_table():
+    """Each row's case-1 error, derived from its structure and the batched
+    engine's transition table: a Bell pair of each of the 4 kinds, each
+    forward leg forged (a uniform bit, which the side returns unless swapped
+    back) or Z-measured in transit (each outcome with its share of the 2**53
+    draws, by `z_k`), and then TP's Bell measurement of the register it
+    receives, wrong outside the prepared kind's `bell_k` range. Averaged
+    exactly, it equals each row's literal."""
+    table, draws = transition_table(), 2**53
+    for attack in ATTACKS.values():
+        error = Fraction(0)
+        for kind in range(4):
+            # (probability, the pair's state id, what each side returns:
+            # -1 for its half of the pair, else a forgery's bit)
+            branches = [(Fraction(1, 4), kind + 2, (-1, -1))]
+            for side, leg in enumerate((Leg.FORWARD_TP_TO_ALICE, Leg.FORWARD_TP_TO_BOB)):
+                grown = []
+                for p, pair, back in branches:
+                    if leg in attack.forged:
+                        for bit in (0, 1):
+                            returned = list(back)
+                            returned[side] = -1 if attack.swap_back else bit
+                            grown.append((p / 2, pair, tuple(returned)))
+                    elif leg in attack.measured:
+                        p1 = Fraction(int(table.z_k[side, pair]), draws)
+                        for outcome, share in ((0, 1 - p1), (1, p1)):
+                            if share:
+                                post = table.z_post[(pair * 2 + side) * 2 + outcome]
+                                grown.append((p * share, post, back))
+                    else:
+                        grown.append((p, pair, back))
+                branches = grown
+            for p, pair, (a, b) in branches:
+                entry = pair * 9 + (1 + a) * 3 + (1 + b)
+                assert table.bell_register[pair, 1 + a, 1 + b] >= 0
+                low, high = (int(k) for k in table.bell_k[5 * entry + kind : 5 * entry + kind + 2])
+                error += p * (1 - Fraction(high - low, draws))
+        assert error == Fraction(attack.case1_error), attack.name

@@ -81,51 +81,54 @@ def _assert_equal(spec, first, count, read=None):
 # -- the transition table ------------------------------------------------------------
 
 
+def _bell_memo(state):
+    """The memo of TP's Bell measurement of a register, of its first and
+    last qubit: (total, cumulative weights, post-states)."""
+    return state.bell[(0, state.num_qubits - 1)]
+
+
 def test_table_is_closed_and_within_its_bound():
     table = transition_table()
     size = len(table.states)
     stated = re.search(r"closure holds (\d+) states", inspect.getsource(batch)).group(1)
     assert size == int(stated) <= batch.MAX_TABLE_STATES
-    small = table.qubits <= 2
-    for column in (table.z_post, table.kron, table.bell_register):
+    qubits = [state.num_qubits for state in table.states]
+    for column in (table.z_post, table.bell_register):
         assert column.max() < size and column.min() >= -1
     # Every register of up to 2 qubits is Z-measured at every position, and
-    # one of 3 qubits at none; every merge of two of them into 3 qubits is
-    # present.
-    assert len(table.z_p1) == 2 * size and len(table.z_post) == 4 * size
-    for state in range(size):
-        n = table.qubits[state]
-        for pos in range(2):
-            assert np.isnan(table.z_p1[2 * state + pos]) == (pos >= n or n > 2)
-    for a, b in itertools.product(np.flatnonzero(small), repeat=2):
-        merged = table.kron[a, b]
-        assert (merged >= 0) == (table.qubits[a] + table.qubits[b] <= 3)
-        if merged >= 0:
-            assert table.qubits[merged] == table.qubits[a] + table.qubits[b]
-    # TP's Bell measurement is present exactly for registers of 2 or 3
-    # qubits, and its edges with it.
-    present = (table.qubits == 2) | (table.qubits == 3)
-    assert (np.isnan(table.bell_total) != present).all()
-    edges = table.bell_edges.reshape(size, 5)
-    assert (np.isnan(edges).any(axis=1) != present).all()
-    assert (edges[:, 0] == -np.inf).all() and (edges[:, 4] == np.inf).all()
-    # Slots the closure does not compute hold NaN and no post-state.
-    assert (table.z_post.reshape(-1, 2)[np.isnan(table.z_p1)] == -1).all()
-    # Posts of a measurement keep their register's size.
-    for slot in np.flatnonzero(~np.isnan(table.z_p1)):
-        for post in table.z_post[2 * slot : 2 * slot + 2]:
-            assert post < 0 or table.qubits[post] == table.qubits[slot // 2]
+    # one of 3 qubits at none; a position without a measurement has no
+    # post-state and a bound of 0.
+    assert table.z_k.shape == (2, size) and len(table.z_post) == 4 * size
+    for state, pos in itertools.product(range(size), range(2)):
+        posts = table.z_post[4 * state + 2 * pos : 4 * state + 2 * pos + 2]
+        if pos < qubits[state] <= 2:
+            assert (posts >= 0).any(), (state, pos)
+            # Posts of a measurement keep their register's size.
+            assert all(post < 0 or qubits[post] == qubits[state] for post in posts)
+        else:
+            assert (posts == -1).all() and table.z_k[pos, state] == 0, (state, pos)
     # The register TP measures: the pair's own, or the pair merged with the
-    # forgeries returned in its place, Alice's qubit first.
+    # forgeries returned in its place, Alice's qubit first, as the
+    # simulator's merge memo holds it. TP's Bell bounds are present exactly
+    # with a register, from the edges -inf and +inf at either end.
+    basis = table.states[:2]
+    bounds = table.bell_k.reshape(size, 3, 3, 5)
     for pair, a, b in itertools.product(range(size), (-1, 0, 1), (-1, 0, 1)):
         register = table.bell_register[pair, 1 + a, 1 + b]
-        if table.qubits[pair] != 2:
+        if qubits[pair] != 2:
             assert register == -1
-        elif a < 0 and b < 0:
+            assert not bounds[pair, 1 + a, 1 + b].any()
+            continue
+        if a < 0 and b < 0:
             assert register == pair
         else:
-            assert register == table.kron[pair if a < 0 else a, pair if b < 0 else b]
-            assert table.qubits[register] == 2 + (a < 0) + (b < 0)
+            first = table.states[pair] if a < 0 else basis[a]
+            second = table.states[pair] if b < 0 else basis[b]
+            merged = table.states[register]
+            assert merged.key == first.kron[second.key].key, (pair, a, b)
+            assert np.array_equal(merged.amplitudes, np.kron(first.amplitudes, second.amplitudes))
+            assert qubits[register] == 2 + (a < 0) + (b < 0)
+        assert bounds[pair, 1 + a, 1 + b, [0, 4]].tolist() == [0, 2**53]
     # Ids 0 and 1 are |0> and |1>, 2 to 5 the Bell states in BellKind order.
     prepared = [qsim._Z_BASIS[0], qsim._Z_BASIS[1], *qsim._BELL_BASIS]
     for state, amplitudes in zip(table.states, prepared):
@@ -134,10 +137,13 @@ def test_table_is_closed_and_within_its_bound():
 
 def test_table_entries_equal_the_scalar_engines_memos(monkeypatch):
     """A 12-pair scalar run, on an empty intern table, memoizes the
-    transitions it takes; each equals the table's, float for float. Every
-    Bell measurement it memoizes is TP's, of a register's first and last
-    qubit. Only TP's Bell post-states lie outside the table, and the run
-    measures and merges none of them."""
+    transitions it takes; each is the table's: a Z measurement's bound is
+    `_least_k` of its p1 and its post-states are the table's, a Bell
+    measurement's bounds are `_least_draws` of its total and cumulative
+    weights, and each merge is the register the table gives TP. Every Bell
+    measurement it memoizes is TP's, of a register's first and last qubit.
+    Only TP's Bell post-states lie outside the table, and the run measures
+    and merges none of them."""
     table = transition_table()
     monkeypatch.setattr(qsim, "_STATES", {})
     monkeypatch.setattr(qsim, "_PREPARED", [None] * 6)
@@ -145,6 +151,8 @@ def test_table_entries_equal_the_scalar_engines_memos(monkeypatch):
         for t in range(12):
             run_trial(_spec(protocol, attack, L), t)
     ids = {state.key: i for i, state in enumerate(table.states)}
+    pairs = [i for i, state in enumerate(table.states) if state.num_qubits == 2]
+    entries = table.bell_register.reshape(-1)
 
     def id_of(state):
         return -1 if state is None else ids[state.key]
@@ -157,18 +165,28 @@ def test_table_entries_equal_the_scalar_engines_memos(monkeypatch):
             continue
         i = ids[state.key]
         for pos, (p1, posts) in state.z.items():
-            assert table.z_p1[2 * i + pos] == p1
+            assert table.z_k[pos, i] == batch._least_k(p1)
             assert table.z_post[4 * i + 2 * pos : 4 * i + 2 * pos + 2].tolist() == [
                 id_of(p) for p in posts
             ]
             seen += 1
         for (a, b), (total, cumulative, _) in state.bell.items():
             assert (a, b) == (0, state.num_qubits - 1)
-            assert table.bell_total[i] == total
-            assert table.bell_edges[5 * i : 5 * i + 5].tolist() == [-np.inf, *cumulative[:3], np.inf]
+            least = batch._least_draws(np.array([-np.inf, *cumulative[:3], np.inf]), total)
+            for entry in np.flatnonzero(entries == i):
+                assert table.bell_k[5 * entry : 5 * entry + 5].tolist() == least.tolist()
             seen += 1
         for key, merged in state.kron.items():
-            assert table.kron[i, ids[key]] == ids[merged.key]
+            # What each side returns: its half of the pair, or a forgery.
+            other = ids[key]
+            if state.num_qubits == 2:
+                cells = [(i, -1, other)]
+            elif table.states[other].num_qubits == 2:
+                cells = [(other, i, -1)]
+            else:
+                cells = [(pair, i, other) for pair in pairs]
+            for pair, a, b in cells:
+                assert table.bell_register[pair, 1 + a, 1 + b] == ids[merged.key]
             seen += 1
     assert len(qsim._STATES) >= 30 and seen >= 45 and outside > 0
 
@@ -183,28 +201,27 @@ def _first_kind(draw, cumulative) -> int:
 
 
 def test_bell_edges_give_measure_bells_kind():
-    """For every register the table Bell-measures and each prepared kind, a
-    draw counts as wrong by the edges rule exactly when `measure_bell`'s
-    loop picks another kind: at 0, the total, each cumulative bound and one
-    float either side of it. The id columns are int16, and so is every
-    index into the edges and the registers."""
+    """For every register entry TP Bell-measures and each prepared kind,
+    the draw k = w >> 11 lies in the kind's `bell_k` range exactly when
+    `measure_bell`'s loop, on the draw fl(k * 2**-53 * total) and the
+    register's memo, picks that kind: at 0, the last draw, each bound of
+    the entry and one k either side of it. The id columns are int16, and
+    so is every index into the registers and their bounds."""
     table = transition_table()
-    for column in (table.z_post, table.kron, table.bell_register):
+    for column in (table.z_post, table.bell_register):
         assert column.dtype == np.int16
-    assert len(table.bell_edges) == 5 * len(table.states)
     assert table.bell_register.size == 9 * len(table.states) <= np.iinfo(np.int16).max
+    last = 2**53 - 1
     checked = 0
-    for i in np.flatnonzero(~np.isnan(table.bell_total)):
-        state = table.states[i]
-        total, cumulative, _ = state.bell[(0, state.num_qubits - 1)]
-        assert table.bell_total[i] == total
-        draws = {0.0, total}
-        for bound in cumulative:
-            draws |= {bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)}
-        for draw, kind in itertools.product(sorted(draws), range(4)):
-            lower, upper = table.bell_edges[5 * i + kind : 5 * i + kind + 2]
-            wrong = draw < lower or draw >= upper
-            assert wrong == (_first_kind(draw, cumulative) != kind), (i, draw, kind)
+    for entry, register in enumerate(table.bell_register.reshape(-1).tolist()):
+        if register < 0:
+            continue
+        total, cumulative, _ = _bell_memo(table.states[register])
+        bounds = [int(k) for k in table.bell_k[5 * entry : 5 * entry + 5]]
+        near = sorted({0, last} | {min(max(b + d, 0), last) for b in bounds for d in (-1, 0, 1)})
+        for k, kind in itertools.product(near, range(4)):
+            inside = bounds[kind] <= k < bounds[kind + 1]
+            assert inside == (_first_kind(k * 2.0**-53 * total, cumulative) == kind), (entry, k, kind)
             checked += 1
     assert checked >= 1000
 
@@ -212,12 +229,14 @@ def test_bell_edges_give_measure_bells_kind():
 def test_bounds_give_the_float_rules_exactly():
     """Each integer bound gives what the float rule it stands for gives, for
     the draws k = w >> 11 of `random()`, u = k * 2**-53: at 0, the bound and
-    one draw either side of it, and the last draw. For every computed Z
-    slot, k < z_k exactly when u < p1; for every register entry TP Bell-
-    measures and each kind, k lies in the kind's `bell_k` range exactly when
-    the draw fl(u * total) lies between its edges. The table's p1s are all
-    0, 0.5 or 1, where a floor would give the same bound as `_least_k`'s
-    ceiling, so the rule is checked on non-dyadic p1s too."""
+    one draw either side of it, and the last draw. For every Z slot of the
+    table, k < z_k exactly when u < p1, the memo's; for every register
+    entry TP Bell-measures and each kind, k lies in the kind's `bell_k`
+    range exactly when the draw fl(u * total) lies between its edges, the
+    memo's cumulative weights with -inf and +inf at either end. The table's
+    p1s are all 0, 0.5 or 1, where a floor would give the same bound as
+    `_least_k`'s ceiling, so the Z rule is checked on non-dyadic p1s too,
+    and `_least_draws` on totals and edges other than the table's."""
     table = transition_table()
     size, last = len(table.states), 2**53 - 1
     assert table.z_k.dtype == table.bell_k.dtype == np.uint64
@@ -228,11 +247,12 @@ def test_bounds_give_the_float_rules_exactly():
         return sorted({0, last} | {min(max(b + d, 0), last) for b in bounds for d in (-1, 0, 1)})
 
     checked = 0
-    for slot in np.flatnonzero(~np.isnan(table.z_p1)):
-        p1, bound = table.z_p1[slot], int(table.z_k[slot % 2, slot // 2])
-        assert bound == batch._least_k(p1), slot
+    for slot in np.flatnonzero((table.z_post.reshape(-1, 2) >= 0).any(axis=1)):
+        i, pos = divmod(int(slot), 2)
+        p1, bound = table.states[i].z[pos][0], int(table.z_k[pos, i])
+        assert bound == batch._least_k(p1), (i, pos)
         for k in near(bound):
-            assert (k < bound) == (k * 2.0**-53 < p1), (slot, k)
+            assert (k < bound) == (k * 2.0**-53 < p1), (i, pos, k)
             checked += 1
     for p1 in (1 / 3, 0.1, np.nextafter(0.5, 1), 2.0**-60, 1 - 2.0**-53):
         bound = batch._least_k(p1)
@@ -241,24 +261,34 @@ def test_bounds_give_the_float_rules_exactly():
     for entry, register in enumerate(table.bell_register.reshape(-1).tolist()):
         if register < 0:
             continue
-        total = table.bell_total[register]
+        total, cumulative, _ = _bell_memo(table.states[register])
+        edges = [-np.inf, *cumulative[:3], np.inf]
         for kind in range(4):
-            lower, upper = table.bell_edges[5 * register + kind : 5 * register + kind + 2]
+            lower, upper = edges[kind : kind + 2]
             low_k, high_k = (int(k) for k in table.bell_k[5 * entry + kind : 5 * entry + kind + 2])
             for k in near(low_k, high_k):
                 assert (low_k <= k < high_k) == (lower <= k * 2.0**-53 * total < upper), (entry, kind, k)
+                checked += 1
+    # `_least_draws` gives each least k whose draw reaches its edge.
+    edges = np.array([-np.inf, 1 / 3, 0.1, np.nextafter(0.5, 1), 1 - 2.0**-53, np.inf])
+    for total in (1.0, 1 - 2.0**-53, 1 / 3, np.nextafter(1.0, 2)):
+        for edge, bound in zip(edges, batch._least_draws(edges, total).tolist()):
+            for k in near(bound):
+                assert (k * 2.0**-53 * total >= edge) == (k >= bound), (total, edge, k)
                 checked += 1
     assert checked >= 1600
 
 
 def test_z_of_a_basis_state_is_its_bit_whatever_the_draw():
-    """Ids 0 and 1 hold p1 exactly 0.0 and 1.0 at position 0, and each keeps
-    its own state for its own outcome, so no draw k = w >> 11 changes the
-    Z measurement of a forgery or of Alice's outgoing qubit: the batched
-    engine reads no word for either. So too TP's Z of a SIFT qubit returned
-    untouched is the bit sent, and TP's pass counts no flip for it."""
+    """Ids 0 and 1 hold p1 exactly 0.0 and 1.0 at position 0, so bounds 0
+    and 2**53, and each keeps its own state for its own outcome, so no draw
+    k = w >> 11 changes the Z measurement of a forgery or of Alice's
+    outgoing qubit: the batched engine reads no word for either. So too
+    TP's Z of a SIFT qubit returned untouched is the bit sent, and TP's
+    pass counts no flip for it."""
     table = transition_table()
-    assert table.z_p1[[0, 2]].tolist() == [0.0, 1.0]
+    assert [table.states[bit].z[0][0] for bit in (0, 1)] == [0.0, 1.0]
+    assert table.z_k[0, [0, 1]].tolist() == [0, 2**53]
     assert table.z_post[[0, 5]].tolist() == [0, 1]  # [(id * 2 + 0) * 2 + id]
     k = np.array([0, 1 << 11, 1 << 63, 2**64 - 1], np.uint64) >> 11  # u = 0, 2**-53, 0.5, 1 - 2**-53
     for bit in (0, 1):
