@@ -285,35 +285,27 @@ class Lanes(NamedTuple):
         return (self.reason == 1) | (self.reason == 2)
 
 
-def _half_words_per_round(attack, improved: bool) -> int:
-    """A worst case of one round's play draws, in half-words (a `random()`
-    is 2, an `integers` draw 1): the kind, a forgery bit per forged leg, a
-    measurement per measured leg, and each side's choice and SIFT (improved:
-    the detect draw, then a measurement or a trap bit; jiang: a filler bit).
-    h half-word draws read at most ceil(h / 2) words, so a round's play
-    reads at most half this many words, however its draws interleave."""
-    side = 6 if improved else 3
-    return 1 + len(attack.forged) + 2 * len(attack.measured) + 2 * side
-
-
 def _key_words(spec) -> int:
     """The words of a trial's key and secret bits, a half-word each."""
     return (spec.drawn_blocks() * spec.secret_bits + 1) // 2
 
 
 def _play_words(spec) -> int:
-    """A proven worst case of the words one trial's play reads."""
-    half_words = _half_words_per_round(ATTACKS[spec.attack], spec.protocol == "improved")
-    return -(-spec.num_rounds() * half_words // 2)
+    """A proven worst case of the words one trial's play reads: no round
+    draws more than its pair's `Shapes.halves` half-words (a `random()` is
+    2, an `integers` draw 1), and h half-word draws read at most ceil(h / 2)
+    words, however they interleave."""
+    halves = _round_shapes(spec.attack, spec.protocol == "improved").halves
+    return -(-spec.num_rounds() * halves // 2)
 
 
 def trial_words(spec) -> int:
     """A proven worst case of the raw words one trial reads, unequal-mode
-    redraws of y aside: its key and secret bits, a half-word each; its play
-    (`_half_words_per_round`); TP's pass, one word per case-1 round and per
-    SIFT qubit, so at most 2 a round; and an insider's measurement of each
-    of Alice's held returns, at most 1 a round, which `measure_returns`
-    counts and skips. It is the width of a lane's row."""
+    redraws of y aside: its key and secret bits, a half-word each; its play,
+    as the round walk counts it (`_play_words`); TP's pass, one word per
+    case-1 round and per SIFT qubit, so at most 2 a round; and an insider's
+    measurement of each of Alice's held returns, at most 1 a round, which
+    `measure_returns` counts and skips. It is the width of a lane's row."""
     attack = ATTACKS[spec.attack]
     later = (2 + (attack.insider and attack.swap_back)) * spec.num_rounds()
     return _key_words(spec) + _play_words(spec) + later
@@ -505,7 +497,8 @@ def _walk_round(attack, improved: bool, p, hb, code, filler):
     measured word, bit half, cells drawing that bit), and the cursor after
     the round. A measured word is a calculate's Z measurement; a bit is a
     trap (improved) or filler (jiang) bit. It is the one description of a
-    round's draw order, and runs at table build (`_round_shapes`).
+    round's draw order, and runs at table build (`_round_shapes`), which the
+    word budget and the cursor step's window of codes are read from too.
     """
     kind, p, hb = _half(p, hb)
     legs = []
@@ -544,6 +537,7 @@ class Shapes(NamedTuple):
     sides: list  # each side's (measured word or None, bit half, drawn)
     left: np.ndarray  # the half the round leaves buffered, -1 for none
     step: np.ndarray  # the round's node step (see `_round_steps`)
+    halves: int  # the most half-words a key's round draws
 
 
 @cache
@@ -555,7 +549,8 @@ def _round_shapes(attack: str, improved: bool) -> Shapes:
     she draws a filler bit (jiang); Bob's choice code (8) and his next bit
     (16). A next bit without its choice code changes nothing, so the 32
     keys have 18 shapes. Built on first use, by one `_walk_round` over the
-    keys, whose codes and filler bits it returns in call order."""
+    keys, whose codes and filler bits it returns in call order. A cursor at
+    word w with bit b buffered has drawn 2w - b half-words."""
     key = np.arange(32)
     bits = iter((key >> shift & 1).astype(bool) for shift in range(1, 5))
     read = []  # the word of each code, in call order
@@ -570,14 +565,15 @@ def _round_shapes(attack: str, improved: bool) -> Shapes:
     alice, bob = read[0], read[len(read) // 2]
     assert (alice == alice[key & 1]).all() and (bob == bob[key & 7]).all(), "a choice word moved"
     step = 2 * p + (hb >= 0) - (key & 1)
-    return Shapes(alice[:2], bob[:8], legs, [side[2:] for side in sides], hb, step)
+    halves = int((2 * p - (hb >= 0) + (key & 1)).max())
+    return Shapes(alice[:2], bob[:8], legs, [side[2:] for side in sides], hb, step, halves)
 
 
 class Steps(NamedTuple):
     """A round's cursor step, by node (see `_round_steps`)."""
 
     skip: int  # words a round reads before its first code, at the fewest
-    window: int  # words whose codes a window holds
+    window: int  # words whose codes a window holds, from `skip` to Bob's last code word
     # [codes]: a byte for each of a word's two nodes, buffered 0 in the low
     # byte and 1 in the high: improved, the node's step; jiang, its entry
     pair: np.ndarray
@@ -604,8 +600,8 @@ def _round_steps(attack: str, improved: bool) -> Steps:
     skip = int(shapes.alice.min())  # with a half-word buffered
     # The words a round may read codes of, from `skip` on: Alice's choice
     # word comes a word later in some rows when no half-word is buffered,
-    # and Bob's detect (improved) or choice (jiang) word ends them.
-    window = 6 if improved else 3
+    # and Bob's last detect (improved) or choice (jiang) word ends them.
+    window = int(shapes.bob.max()) + improved + 1 - skip
     shift = 2 * window
     # codes | buffered << shift, then (jiang) Alice's and Bob's filler bits
     entry = np.arange(1 << shift + (1 if improved else 3), dtype=np.int32)

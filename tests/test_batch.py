@@ -200,47 +200,27 @@ def _first_kind(draw, cumulative) -> int:
     return len(cumulative) - 1
 
 
-def test_bell_edges_give_measure_bells_kind():
-    """For every register entry TP Bell-measures and each prepared kind,
-    the draw k = w >> 11 lies in the kind's `bell_k` range exactly when
-    `measure_bell`'s loop, on the draw fl(k * 2**-53 * total) and the
-    register's memo, picks that kind: at 0, the last draw, each bound of
-    the entry and one k either side of it. The id columns are int16, and
-    so is every index into the registers and their bounds."""
-    table = transition_table()
-    for column in (table.z_post, table.bell_register):
-        assert column.dtype == np.int16
-    assert table.bell_register.size == 9 * len(table.states) <= np.iinfo(np.int16).max
-    last = 2**53 - 1
-    checked = 0
-    for entry, register in enumerate(table.bell_register.reshape(-1).tolist()):
-        if register < 0:
-            continue
-        total, cumulative, _ = _bell_memo(table.states[register])
-        bounds = [int(k) for k in table.bell_k[5 * entry : 5 * entry + 5]]
-        near = sorted({0, last} | {min(max(b + d, 0), last) for b in bounds for d in (-1, 0, 1)})
-        for k, kind in itertools.product(near, range(4)):
-            inside = bounds[kind] <= k < bounds[kind + 1]
-            assert inside == (_first_kind(k * 2.0**-53 * total, cumulative) == kind), (entry, k, kind)
-            checked += 1
-    assert checked >= 1000
-
-
 def test_bounds_give_the_float_rules_exactly():
     """Each integer bound gives what the float rule it stands for gives, for
     the draws k = w >> 11 of `random()`, u = k * 2**-53: at 0, the bound and
     one draw either side of it, and the last draw. For every Z slot of the
     table, k < z_k exactly when u < p1, the memo's; for every register
-    entry TP Bell-measures and each kind, k lies in the kind's `bell_k`
-    range exactly when the draw fl(u * total) lies between its edges, the
-    memo's cumulative weights with -inf and +inf at either end. The table's
-    p1s are all 0, 0.5 or 1, where a floor would give the same bound as
-    `_least_k`'s ceiling, so the Z rule is checked on non-dyadic p1s too,
-    and `_least_draws` on totals and edges other than the table's."""
+    entry TP Bell-measures and each kind, at each bound of the entry and
+    one k either side, k lies in the kind's `bell_k` range exactly when the
+    draw fl(u * total) lies between its edges, the memo's cumulative
+    weights with -inf and +inf at either end, and exactly when
+    `measure_bell`'s loop picks that kind for it. The table's p1s are all
+    0, 0.5 or 1, where a floor would give the same bound as `_least_k`'s
+    ceiling, so the Z rule is checked on non-dyadic p1s too, and
+    `_least_draws` on totals and edges other than the table's. The id
+    columns are int16, and so is every index into the registers and their
+    bounds."""
     table = transition_table()
     size, last = len(table.states), 2**53 - 1
     assert table.z_k.dtype == table.bell_k.dtype == np.uint64
+    assert table.z_post.dtype == table.bell_register.dtype == np.int16
     assert table.z_k.shape == (2, size)
+    assert table.bell_register.size == 9 * size
     assert len(table.bell_k) == 5 * table.bell_register.size <= np.iinfo(np.int16).max
 
     def near(*bounds):
@@ -258,17 +238,21 @@ def test_bounds_give_the_float_rules_exactly():
         bound = batch._least_k(p1)
         for k in (bound - 1, bound, bound + 1):
             assert (k < bound) == (k * 2.0**-53 < p1), (p1, k)
+    picked = 0
     for entry, register in enumerate(table.bell_register.reshape(-1).tolist()):
         if register < 0:
             continue
         total, cumulative, _ = _bell_memo(table.states[register])
         edges = [-np.inf, *cumulative[:3], np.inf]
-        for kind in range(4):
-            lower, upper = edges[kind : kind + 2]
-            low_k, high_k = (int(k) for k in table.bell_k[5 * entry + kind : 5 * entry + kind + 2])
-            for k in near(low_k, high_k):
-                assert (low_k <= k < high_k) == (lower <= k * 2.0**-53 * total < upper), (entry, kind, k)
-                checked += 1
+        bounds = [int(k) for k in table.bell_k[5 * entry : 5 * entry + 5]]
+        for k, kind in itertools.product(near(*bounds), range(4)):
+            draw = k * 2.0**-53 * total
+            inside = bounds[kind] <= k < bounds[kind + 1]
+            assert inside == (edges[kind] <= draw < edges[kind + 1]), (entry, kind, k)
+            assert inside == (_first_kind(draw, cumulative) == kind), (entry, kind, k)
+            checked += 1
+            picked += 1
+    assert picked >= 1000
     # `_least_draws` gives each least k whose draw reaches its edge.
     edges = np.array([-np.inf, 1 / 3, 0.1, np.nextafter(0.5, 1), 1 - 2.0**-53, np.inf])
     for total in (1.0, 1 - 2.0**-53, 1 / 3, np.nextafter(1.0, 2)):
@@ -502,9 +486,10 @@ def test_cursor_step_equals_a_walk_of_every_round(protocol):
 def test_round_shapes_equal_a_walk_of_every_window(protocol, attack):
     """`_walk_round` from a cursor 5 words in, over every window of codes
     of the 8 words from the cursor on, buffered bit and (jiang) filler
-    bits, puts every draw where its key's row of `_round_shapes` says. The
-    walk reaches exactly 18 keys; a key whose next bit comes without its
-    choice code has the row of that key without the next bit."""
+    bits, puts every draw where its key's row of `_round_shapes` says, and
+    draws at most its `halves`, as some window does. The walk reaches
+    exactly 18 keys; a key whose next bit comes without its choice code has
+    the row of that key without the next bit."""
     improved = protocol == "improved"
     shapes = batch._round_shapes(attack, improved)
     start, per_word = 5, 2 if improved else 1
@@ -542,6 +527,7 @@ def test_round_shapes_equal_a_walk_of_every_window(protocol, attack):
         assert np.array_equal(drawn, drawn_at[key])
     assert np.array_equal(hb, np.where(shapes.left[key] < 0, -1, 2 * start + shapes.left[key]))
     assert np.array_equal(2 * (p - start) + (hb >= 0) - buffered, shapes.step[key])
+    assert (2 * (p - start) - (hb >= 0) + buffered).max() == shapes.halves
 
     def row(k):
         return [
@@ -634,7 +620,7 @@ def test_a_lane_never_reads_past_its_row_unnoticed(monkeypatch):
     instead of reading another lane's words: a play budget that is too
     small, and a row that holds the play but not TP's pass."""
     with monkeypatch.context() as patch:
-        patch.setattr(batch, "_half_words_per_round", lambda attack, improved: 4)
+        patch.setattr(batch, "_play_words", lambda spec: 2 * spec.num_rounds())
         with pytest.raises((AssertionError, IndexError)):
             run_chunk(_spec("improved", "measure-resend", 8), 0, 40)
 
@@ -845,12 +831,16 @@ def test_a_chunks_lanes_are_narrow():
 
 
 def test_word_budget_is_a_worst_case():
-    """The per-round bound covers the pair's most word-hungry round: the
-    improved measure-resend round plays with 8.5 words at most."""
-    hungry = batch._half_words_per_round(ATTACKS["measure-resend"], True)
-    assert hungry == 17
-    assert all(
-        batch._half_words_per_round(attack, improved) <= hungry
-        for attack in ATTACKS.values()
-        for improved in (False, True)
-    )
+    """The round walk's most half-words a round equal a hand count of the
+    round's worst case (a `random()` is 2, an `integers` draw 1): the kind,
+    a forgery bit per forged leg, a measurement per measured leg, and each
+    side's choice and SIFT (improved: the detect draw, then a measurement;
+    jiang: a filler bit). The improved measure-resend round plays with 8.5
+    words at most, the most of any pair."""
+    halves = {}
+    for protocol, name in PAIRS:
+        attack, improved = ATTACKS[name], protocol == "improved"
+        side = 6 if improved else 3
+        halves[protocol, name] = batch._round_shapes(name, improved).halves
+        assert halves[protocol, name] == 1 + len(attack.forged) + 2 * len(attack.measured) + 2 * side, name
+    assert max(halves.values()) == halves["improved", "measure-resend"] == 17
