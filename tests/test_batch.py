@@ -200,6 +200,46 @@ def _first_kind(draw, cumulative) -> int:
     return len(cumulative) - 1
 
 
+_LAST = 2**53 - 1
+
+
+def _near(*bounds):
+    """0, the last draw, and each bound with one k either side of it."""
+    return sorted({0, _LAST} | {min(max(b + d, 0), _LAST) for b in bounds for d in (-1, 0, 1)})
+
+
+def _bell_cases(table):
+    """For every register entry TP Bell-measures, each kind and each k near
+    any of the entry's bounds: whether k lies in the kind's `bell_k` range,
+    the draw fl(k * 2**-53 * total) and the register's memo weights."""
+    for entry, register in enumerate(table.bell_register.reshape(-1).tolist()):
+        if register < 0:
+            continue
+        total, cumulative, _ = _bell_memo(table.states[register])
+        bounds = [int(k) for k in table.bell_k[5 * entry : 5 * entry + 5]]
+        for k, kind in itertools.product(_near(*bounds), range(4)):
+            inside = bounds[kind] <= k < bounds[kind + 1]
+            yield entry, kind, k, inside, k * 2.0**-53 * total, cumulative
+
+
+def test_bell_edges_give_measure_bells_kind():
+    """For every register entry TP Bell-measures and each kind, at 0, the
+    last draw, each bound of the entry and one k either side, the draw
+    k = w >> 11 lies in the kind's `bell_k` range exactly when
+    `measure_bell`'s loop, on the draw fl(k * 2**-53 * total) and the
+    register's memo, picks that kind. The id columns are int16, and so is
+    every index into the registers and their bounds."""
+    table = transition_table()
+    assert table.z_post.dtype == table.bell_register.dtype == np.int16
+    assert table.bell_register.size == 9 * len(table.states)
+    assert len(table.bell_k) == 5 * table.bell_register.size <= np.iinfo(np.int16).max
+    picked = 0
+    for entry, kind, k, inside, draw, cumulative in _bell_cases(table):
+        assert inside == (_first_kind(draw, cumulative) == kind), (entry, kind, k)
+        picked += 1
+    assert picked >= 1000
+
+
 def test_bounds_give_the_float_rules_exactly():
     """Each integer bound gives what the float rule it stands for gives, for
     the draws k = w >> 11 of `random()`, u = k * 2**-53: at 0, the bound and
@@ -208,56 +248,35 @@ def test_bounds_give_the_float_rules_exactly():
     entry TP Bell-measures and each kind, at each bound of the entry and
     one k either side, k lies in the kind's `bell_k` range exactly when the
     draw fl(u * total) lies between its edges, the memo's cumulative
-    weights with -inf and +inf at either end, and exactly when
-    `measure_bell`'s loop picks that kind for it. The table's p1s are all
-    0, 0.5 or 1, where a floor would give the same bound as `_least_k`'s
+    weights with -inf and +inf at either end. The table's p1s are all 0,
+    0.5 or 1, where a floor would give the same bound as `_least_k`'s
     ceiling, so the Z rule is checked on non-dyadic p1s too, and
-    `_least_draws` on totals and edges other than the table's. The id
-    columns are int16, and so is every index into the registers and their
-    bounds."""
+    `_least_draws` on totals and edges other than the table's."""
     table = transition_table()
-    size, last = len(table.states), 2**53 - 1
+    size = len(table.states)
     assert table.z_k.dtype == table.bell_k.dtype == np.uint64
-    assert table.z_post.dtype == table.bell_register.dtype == np.int16
     assert table.z_k.shape == (2, size)
-    assert table.bell_register.size == 9 * size
-    assert len(table.bell_k) == 5 * table.bell_register.size <= np.iinfo(np.int16).max
-
-    def near(*bounds):
-        return sorted({0, last} | {min(max(b + d, 0), last) for b in bounds for d in (-1, 0, 1)})
-
     checked = 0
     for slot in np.flatnonzero((table.z_post.reshape(-1, 2) >= 0).any(axis=1)):
         i, pos = divmod(int(slot), 2)
         p1, bound = table.states[i].z[pos][0], int(table.z_k[pos, i])
         assert bound == batch._least_k(p1), (i, pos)
-        for k in near(bound):
+        for k in _near(bound):
             assert (k < bound) == (k * 2.0**-53 < p1), (i, pos, k)
             checked += 1
     for p1 in (1 / 3, 0.1, np.nextafter(0.5, 1), 2.0**-60, 1 - 2.0**-53):
         bound = batch._least_k(p1)
         for k in (bound - 1, bound, bound + 1):
             assert (k < bound) == (k * 2.0**-53 < p1), (p1, k)
-    picked = 0
-    for entry, register in enumerate(table.bell_register.reshape(-1).tolist()):
-        if register < 0:
-            continue
-        total, cumulative, _ = _bell_memo(table.states[register])
+    for entry, kind, k, inside, draw, cumulative in _bell_cases(table):
         edges = [-np.inf, *cumulative[:3], np.inf]
-        bounds = [int(k) for k in table.bell_k[5 * entry : 5 * entry + 5]]
-        for k, kind in itertools.product(near(*bounds), range(4)):
-            draw = k * 2.0**-53 * total
-            inside = bounds[kind] <= k < bounds[kind + 1]
-            assert inside == (edges[kind] <= draw < edges[kind + 1]), (entry, kind, k)
-            assert inside == (_first_kind(draw, cumulative) == kind), (entry, kind, k)
-            checked += 1
-            picked += 1
-    assert picked >= 1000
+        assert inside == (edges[kind] <= draw < edges[kind + 1]), (entry, kind, k)
+        checked += 1
     # `_least_draws` gives each least k whose draw reaches its edge.
     edges = np.array([-np.inf, 1 / 3, 0.1, np.nextafter(0.5, 1), 1 - 2.0**-53, np.inf])
     for total in (1.0, 1 - 2.0**-53, 1 / 3, np.nextafter(1.0, 2)):
         for edge, bound in zip(edges, batch._least_draws(edges, total).tolist()):
-            for k in near(bound):
+            for k in _near(bound):
                 assert (k * 2.0**-53 * total >= edge) == (k >= bound), (total, edge, k)
                 checked += 1
     assert checked >= 1600
