@@ -19,10 +19,11 @@ arrays. `run_trial` is the scalar engine: one trial through
 through numpy's own Generator. It is the reference the batched engine's
 lanes must equal, and the way to replay any single trial.
 
-Aggregation streams: `run_experiment` folds each chunk's report fields
-(`batch.Lanes`) into integer `TrialCounts` as the chunk finishes, and
-`aggregate` turns those counts into the `AggregateReport`, so memory does
-not grow with T.
+Aggregation streams: `fold_report` folds an experiment's report from an
+iterable of report fields (`batch.Lanes`), a chunk at a time, into integer
+counts, and drops each chunk before the next one runs, so memory does not
+grow with T. `run_experiment` folds the batched engine's chunks through it;
+the tests fold the scalar engine's reports through the same function.
 
 Specs and reports are frozen and check themselves when built; `from_dict`
 only parses and constructs.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .adversary import ATTACKS, make_strategy
-from .batch import REASONS, Lanes, run_chunks
+from .batch import REASONS, run_chunks
 from .protocol import (
     AbortReason,
     Leg,
@@ -291,22 +292,6 @@ def run_trial(spec: ExperimentSpec, trial_index: int) -> TrialReport:
     return run_protocol(Variant(spec.protocol), cfg, strategy, rng)[2]
 
 
-@dataclass
-class TrialCounts:
-    """Integer tallies of an experiment's trials; `wrong` and `recovered`
-    count completed trials, `cells` maps (k, detected) to a trial count."""
-
-    trials: int = 0
-    detected: int = 0
-    aborted: int = 0
-    insufficient: int = 0
-    wrong: int = 0
-    recovered: int = 0
-    case1_rounds: int = 0
-    case1_errors: int = 0
-    cells: dict[tuple[int, bool], int] = field(default_factory=dict)
-
-
 def run_experiment(spec: ExperimentSpec) -> AggregateReport:
     """Run all trials and aggregate; per-trial aborts are data, not errors.
 
@@ -314,63 +299,53 @@ def run_experiment(spec: ExperimentSpec) -> AggregateReport:
     plans. A lane draws only from its own trial's stream, so its report
     equals the one `run_trial` gives.
     """
-    model = detection_model(Variant(spec.protocol), spec.attack)
-    extract = None if model is None else model[0]
-    counts = TrialCounts()
-    for lanes in run_chunks(spec):
-        _fold(counts, lanes, extract)
+    return fold_report(spec, run_chunks(spec))
+
+
+def fold_report(spec: ExperimentSpec, chunks) -> AggregateReport:
+    """The report of `spec`'s experiment, folded from its trials' report
+    fields, an iterable of `batch.Lanes`, one chunk at a time."""
+    extract, predict = detection_model(Variant(spec.protocol), spec.attack) or (None, None)
+    outcomes = np.zeros(len(REASONS), np.int64)
+    wrong = recovered = case1_rounds = case1_errors = 0
+    cells: dict[int, int] = {}  # trials by 2 * k + detected
+    for lanes in chunks:
+        outcomes += np.bincount(lanes.reason, minlength=len(REASONS))
+        done = lanes.reason == REASONS.index(None)
+        wrong += int((done & ~lanes.correct).sum())
+        recovered += int((done & (lanes.recovered == 1)).sum())
+        case1_rounds += int(lanes.case1_rounds.sum())
+        case1_errors += int(lanes.case1_errors.sum())
+        if extract is not None:
+            found, tally = np.unique(2 * extract(lanes) + lanes.detected, return_counts=True)
+            for cell, trials in zip(found.tolist(), tally.tolist()):
+                cells[cell] = cells.get(cell, 0) + trials
         del lanes  # not held while the next chunk runs
-    return aggregate(spec, counts)
-
-
-def _fold(counts: TrialCounts, lanes: Lanes, extract) -> None:
-    """Add a chunk's trials to the tallies."""
-    done, detected = lanes.reason == 0, lanes.detected
-    counts.trials += len(done)
-    counts.detected += int(detected.sum())
-    counts.aborted += int((~done).sum())
-    counts.insufficient += int((lanes.reason == REASONS.index(AbortReason.INSUFFICIENT_ROUNDS)).sum())
-    counts.wrong += int((done & ~lanes.correct).sum())
-    counts.recovered += int((done & (lanes.recovered == 1)).sum())
-    counts.case1_rounds += int(lanes.case1_rounds.sum())
-    counts.case1_errors += int(lanes.case1_errors.sum())
-    if extract is not None:
-        cells, tally = np.unique(2 * extract(lanes) + detected, return_counts=True)
-        for cell, trials in zip(cells.tolist(), tally.tolist()):
-            key = (cell // 2, bool(cell % 2))
-            counts.cells[key] = counts.cells.get(key, 0) + trials
-
-
-def aggregate(spec: ExperimentSpec, counts: TrialCounts) -> AggregateReport:
-    """The report of an experiment, from its trial tallies."""
-    trials, completed = counts.trials, counts.trials - counts.aborted
-    detection_rate = counts.detected / trials
-    wrong_rate = counts.wrong / completed if completed else None
+    count = dict(zip(REASONS, outcomes.tolist()))
+    trials, completed = sum(count.values()), count[None]
+    detected = count[AbortReason.BELL_CHECK_FAILED] + count[AbortReason.TRAP_CHECK_FAILED]
+    detection_rate = detected / trials
+    wrong_rate = wrong / completed if completed else None
     insider = spec.protocol == "jiang" and ATTACKS[spec.attack].insider
     table = []
-    if counts.cells:
-        _, predict = detection_model(Variant(spec.protocol), spec.attack)
-        for k in sorted({k for k, _ in counts.cells}):
-            hits = counts.cells.get((k, True), 0)
-            group = hits + counts.cells.get((k, False), 0)
-            rate = hits / group
-            stderr = binomial_stderr(rate, group)
-            table.append(TrapCountRow(k, group, hits, rate, stderr, predict(k)))
+    for k in sorted({cell // 2 for cell in cells}):
+        hits = cells.get(2 * k + 1, 0)
+        group = hits + cells.get(2 * k, 0)
+        rate = hits / group
+        table.append(TrapCountRow(k, group, hits, rate, binomial_stderr(rate, group), predict(k)))
     return AggregateReport(
         spec=spec,
         trials=trials,
         detection_rate=detection_rate,
         detection_stderr=binomial_stderr(detection_rate, trials),
-        abort_rate=counts.aborted / trials,
-        insufficient_rounds_rate=counts.insufficient / trials,
+        abort_rate=(trials - completed) / trials,
+        insufficient_rounds_rate=count[AbortReason.INSUFFICIENT_ROUNDS] / trials,
         completed_trials=completed,
         wrong_result_rate=wrong_rate,
         wrong_result_stderr=binomial_stderr(wrong_rate, completed) if completed else None,
-        secret_recovery_rate=counts.recovered / completed if insider and completed else None,
-        case1_rounds_total=counts.case1_rounds,
-        case1_errors_total=counts.case1_errors,
-        case1_error_rate=(
-            counts.case1_errors / counts.case1_rounds if counts.case1_rounds else None
-        ),
+        secret_recovery_rate=recovered / completed if insider and completed else None,
+        case1_rounds_total=case1_rounds,
+        case1_errors_total=case1_errors,
+        case1_error_rate=case1_errors / case1_rounds if case1_rounds else None,
         detection_by_trap_count=tuple(table),
     )

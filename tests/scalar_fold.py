@@ -5,8 +5,7 @@ that compare the two engines: `lanes_of` gives `run_trial` reports as
 import numpy as np
 
 from sqpclab.batch import REASONS, Lanes
-from sqpclab.harness import TrialCounts, _fold, aggregate, detection_model, run_trial
-from sqpclab.protocol import Variant
+from sqpclab.harness import fold_report, run_trial
 
 
 def lanes_of(reports) -> Lanes:
@@ -31,8 +30,4 @@ def lanes_of(reports) -> Lanes:
 
 def scalar_report(spec):
     """The experiment's report, folded from `run_trial` reports."""
-    model = detection_model(Variant(spec.protocol), spec.attack)
-    counts = TrialCounts()
-    lanes = lanes_of(run_trial(spec, t) for t in range(spec.trials))
-    _fold(counts, lanes, None if model is None else model[0])
-    return aggregate(spec, counts)
+    return fold_report(spec, [lanes_of(run_trial(spec, t) for t in range(spec.trials))])

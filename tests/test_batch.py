@@ -650,7 +650,25 @@ def test_a_lane_never_reads_past_its_row_unnoticed(monkeypatch):
             run_chunk(_spec("jiang", attack, 8), 0, 40)
 
 
-@pytest.mark.parametrize("mode", ["random", "equal", "explicit", "unequal"])
+@pytest.mark.parametrize("count", [40, 4])
+def test_the_cursor_step_checks_the_play_budget(count, monkeypatch):
+    """With a play budget of 4 words a round, a lane reading all-ones words
+    (a calculate SIFT of 6.5 words every round) overruns it into the next
+    lane's row, while the last lane reads zeros (double CTRL, 2.5 words a
+    round) and stays within the words, so the cursor step's own check
+    raises, for the wide walk and for the narrow one."""
+    monkeypatch.setattr(batch, "_play_words", lambda spec: 4 * spec.num_rounds())
+
+    def read(lanes, starts, width):
+        rows = np.full((len(lanes), width), 2**64 - 1, dtype=np.uint64)
+        rows[np.asarray(lanes) == count - 1] = 0
+        return rows
+
+    with pytest.raises(AssertionError, match="past its row"):
+        run_chunk(_spec("improved", "none", 8), 0, count, read)
+
+
+@pytest.mark.parametrize("mode",["random", "equal", "explicit", "unequal"])
 def test_each_lane_is_read_once(mode, monkeypatch):
     """A chunk reads every lane's row in one call; only unequal-mode lanes
     whose redraws outgrow their rows are read again, from further on."""

@@ -2,22 +2,27 @@
 import itertools
 import json
 import tracemalloc
+import weakref
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from sqpclab import batch, harness
 from sqpclab.adversary import ATTACKS
+from sqpclab.batch import Lanes
 from sqpclab.harness import (
     DEFAULT_ROUNDS_FACTOR,
     SECRET_MODES,
     AggregateReport,
     ExperimentSpec,
+    TrapCountRow,
     ValidationError,
     binomial_stderr,
     bits_from_hex,
+    fold_report,
     run_experiment,
     run_trial,
 )
@@ -270,6 +275,93 @@ def test_experiment_memory_does_not_grow_with_trials():
     grown = peak(10 * block) - peak(block)
     print(f"peak grew {grown:,} bytes with ten times the trials, {64 * 1024:,} allowed")
     assert grown <= 64 * 1024
+
+
+# -- the fold ---------------------------------------------------------------------
+
+
+def _lanes(reason, correct, n, m, case1_rounds, case1_errors, recovered) -> Lanes:
+    """Hand-made report fields, one list entry a lane; reason codes index
+    `batch.REASONS`: 0 completed, 1 Bell check, 2 trap check, 3 short."""
+    size = len(reason)
+    return Lanes(
+        np.array(reason, np.int8), np.zeros(size, np.int32), np.array(correct, bool),
+        np.array(n, np.int32), np.array(m, np.int32), np.array(case1_rounds, np.int32),
+        np.array(case1_errors, np.int32), np.zeros(size, np.int32), np.array(recovered, np.int8),
+    )
+
+
+def _case1_chunks():
+    """Six jiang intercept-resend trials in two chunks: case-1 rounds k = 2
+    and 5, each detected once and passed twice (once by a short abort)."""
+    yield _lanes([0, 1, 0], [True, False, False], [3, 1, 2], [0, 4, 1],
+                 [2, 2, 5], [0, 1, 0], [-1, -1, -1])
+    yield _lanes([1, 3, 0], [False, False, True], [2, 0, 1], [2, 1, 0],
+                 [5, 2, 5], [2, 0, 0], [-1, -1, -1])
+
+
+def test_fold_counts_a_case1_statistic_by_hand():
+    spec = ExperimentSpec(protocol="jiang", attack="intercept-resend", trials=6)
+    third = binomial_stderr(1 / 3, 3)
+    assert fold_report(spec, _case1_chunks()) == AggregateReport(
+        spec=spec, trials=6, detection_rate=1 / 3, detection_stderr=binomial_stderr(1 / 3, 6),
+        abort_rate=0.5, insufficient_rounds_rate=1 / 6, completed_trials=3,
+        wrong_result_rate=1 / 3, wrong_result_stderr=third, secret_recovery_rate=None,
+        case1_rounds_total=21, case1_errors_total=3, case1_error_rate=1 / 7,
+        detection_by_trap_count=(
+            TrapCountRow(2, 3, 1, 1 / 3, third, 1 - 0.25**2),
+            TrapCountRow(5, 3, 1, 1 / 3, third, 1 - 0.25**5),
+        ),
+    )
+
+
+def test_fold_counts_the_improved_trap_statistic_by_hand():
+    """The outsider forges both legs, so k = n + m: 1 for three trials (two
+    trap aborts), 3 for two (one Bell abort)."""
+    spec = ExperimentSpec(protocol="improved", attack="outside", trials=5)
+    lanes = _lanes([2, 0, 2, 0, 1], [False, True, False, False, False], [1, 1, 0, 2, 0],
+                   [0, 0, 1, 1, 3], [0, 0, 0, 1, 2], [0, 0, 0, 0, 1], [-1] * 5)
+    assert fold_report(spec, [lanes]) == AggregateReport(
+        spec=spec, trials=5, detection_rate=0.6, detection_stderr=binomial_stderr(0.6, 5),
+        abort_rate=0.6, insufficient_rounds_rate=0.0, completed_trials=2,
+        wrong_result_rate=0.5, wrong_result_stderr=binomial_stderr(0.5, 2),
+        secret_recovery_rate=None, case1_rounds_total=3, case1_errors_total=1,
+        case1_error_rate=1 / 3,
+        detection_by_trap_count=(
+            TrapCountRow(1, 3, 2, 2 / 3, binomial_stderr(2 / 3, 3), 0.5),
+            TrapCountRow(3, 2, 1, 0.5, binomial_stderr(0.5, 2), 0.875),
+        ),
+    )
+
+
+def test_fold_counts_a_jiang_insider_by_hand():
+    """Recovery counts completed trials only: the short abort's 1 is not one."""
+    spec = ExperimentSpec(protocol="jiang", attack="participant", trials=5)
+    lanes = _lanes([0, 0, 0, 3, 1], [True, True, False, False, False], [0] * 5,
+                   [0] * 5, [0] * 5, [0] * 5, [1, 1, 0, 1, -1])
+    assert fold_report(spec, [lanes]) == AggregateReport(
+        spec=spec, trials=5, detection_rate=0.2, detection_stderr=binomial_stderr(0.2, 5),
+        abort_rate=0.4, insufficient_rounds_rate=0.2, completed_trials=3,
+        wrong_result_rate=1 / 3, wrong_result_stderr=binomial_stderr(1 / 3, 3),
+        secret_recovery_rate=2 / 3, case1_rounds_total=0, case1_errors_total=0,
+        case1_error_rate=None,
+    )
+
+
+def test_fold_drops_each_chunk_before_the_next():
+    """The fold drops each chunk before it asks for the next one."""
+    spec = ExperimentSpec(protocol="jiang", attack="intercept-resend", trials=18)
+
+    def chunks():
+        previous = None
+        for _ in range(3):
+            for lanes in _case1_chunks():
+                assert previous is None or previous() is None, "the fold kept a chunk"
+                previous = weakref.ref(lanes.reason)
+                yield lanes
+                del lanes
+
+    assert fold_report(spec, chunks()).trials == 18
 
 
 def test_aggregate_report_round_trip():
