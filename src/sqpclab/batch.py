@@ -55,7 +55,7 @@ each a function of arrays:
        L calculates, after which its SIFTs draw a filler bit), and which
        words a round reads depends only on that and on each word's choice
        and detect codes (u >= p_ctrl, u < p_detect). So tables built once
-       per pair from `_round_shapes` give each word's two nodes a byte, looked
+       per pair by `_round_shapes` give each word's two nodes a byte, looked
        up once per chunk from the word's window of codes: an improved round
        is then one lookup of its step and one add; a jiang round looks up
        the step of its byte by whether each side draws filler bits, and
@@ -117,17 +117,17 @@ from .protocol import AbortReason, Leg
 # 256-lane chunk at L=1, where a lane costs 3.5-7 us, its seeding and row
 # read included; 1024 lanes pay it a quarter as often, for 2 MiB more
 # peak RSS (2048 would add near 4 MiB).
-# A full-width chunk at L=1 peaks near 1,900 KiB traced (1,751 measured,
+# A full-width chunk at L=1 peaks near 1,900 KiB traced (1,718 measured,
 # improved measure-resend, in the round program). The cap stays at or
 # below SLICE_CELLS, so one round of a chunk fits a slice.
 SEED_BLOCK = 1024
 # Lanes times rounds of one chunk, unless a single trial has more rounds.
 # Arrays of a chunk of many lanes take near 130 bytes per lane-round (the
-# traced peak of improved measure-resend is 116 at L=64 and 128 and with 4
-# lanes at L=4,096, and jiang measure-resend's 93 at L=64; improved's row
+# traced peak of improved measure-resend is 116 at L=64 and 128 and 120 with
+# 4 lanes at L=4,096, and jiang measure-resend's 93 at L=64; improved's row
 # of words is 86 of them, and the cursor step's bytes, one per node, 21),
 # so they stay near 33 MiB. But a chunk holds at least one lane, and a
-# 1-lane chunk takes near 155 bytes per round (148 traced at L=1,024, 118 at
+# 1-lane chunk takes near 155 bytes per round (145 traced at L=1,024, 134 at
 # 4,096), so one of more than 2**18 rounds grows past 33 MiB: at
 # `harness.MAX_ROUNDS`, to 116 MiB traced.
 MAX_LANE_ROUNDS = 1 << 18
@@ -528,16 +528,26 @@ def _walk_round(attack, improved: bool, p, hb, code, filler):
 
 
 class Shapes(NamedTuple):
-    """Where a round's draws fall, by its key (see `_round_shapes`): word
-    offsets from the round's word, half offsets from twice it."""
+    """Where a round's draws fall, by its key, and how it steps a lane's
+    cursor, by its window of codes (see `_round_shapes`): word offsets from
+    the round's word, half offsets from twice it."""
 
     alice: np.ndarray  # [buffered]: Alice's choice word
     bob: np.ndarray  # [key & 7]: Bob's choice word
     legs: list  # each forward leg's draw, as `_walk_round` gives it
     sides: list  # each side's (measured word or None, bit half, drawn)
     left: np.ndarray  # the half the round leaves buffered, -1 for none
-    step: np.ndarray  # the round's node step (see `_round_steps`)
+    step: np.ndarray  # the round's node step
     halves: int  # the most half-words a key's round draws
+    skip: int  # words a round reads before its first code, at the fewest
+    window: int  # words whose codes a window holds, from `skip` to Bob's last code word
+    # [codes]: a byte for each of a word's two nodes, buffered 0 in the low
+    # byte and 1 in the high: improved, the node's step; jiang, its entry
+    pair: np.ndarray
+    # jiang, by entry | Alice's and Bob's filler bits << 2 * window + 1: the
+    # node's step, and whether Alice (row 0) and Bob (row 1) SIFT
+    entry_step: np.ndarray | None
+    sifts: np.ndarray | None
 
 
 @cache
@@ -549,7 +559,8 @@ def _round_shapes(attack: str, improved: bool) -> Shapes:
     she draws a filler bit (jiang); Bob's choice code (8) and his next bit
     (16). A next bit without its choice code changes nothing, so the 32
     keys have 18 shapes. Built on first use, by one `_walk_round` over the
-    keys, whose codes and filler bits it returns in call order. A cursor at
+    keys, whose codes and filler bits it returns in call order, then the
+    cursor step's tables from its rows (`_cursor_tables`). A cursor at
     word w with bit b buffered has drawn 2w - b half-words."""
     key = np.arange(32)
     bits = iter((key >> shift & 1).astype(bool) for shift in range(1, 5))
@@ -566,26 +577,15 @@ def _round_shapes(attack: str, improved: bool) -> Shapes:
     assert (alice == alice[key & 1]).all() and (bob == bob[key & 7]).all(), "a choice word moved"
     step = 2 * p + (hb >= 0) - (key & 1)
     halves = int((2 * p - (hb >= 0) + (key & 1)).max())
-    return Shapes(alice[:2], bob[:8], legs, [side[2:] for side in sides], hb, step, halves)
+    return Shapes(
+        alice[:2], bob[:8], legs, [side[2:] for side in sides], hb, step, halves,
+        *_cursor_tables(alice, bob, step, improved),
+    )
 
 
-class Steps(NamedTuple):
-    """A round's cursor step, by node (see `_round_steps`)."""
-
-    skip: int  # words a round reads before its first code, at the fewest
-    window: int  # words whose codes a window holds, from `skip` to Bob's last code word
-    # [codes]: a byte for each of a word's two nodes, buffered 0 in the low
-    # byte and 1 in the high: improved, the node's step; jiang, its entry
-    pair: np.ndarray
-    # jiang, by entry | Alice's and Bob's filler bits << 2 * window + 1: the
-    # node's step, and whether Alice (row 0) and Bob (row 1) SIFT
-    step: np.ndarray | None
-    sifts: np.ndarray | None
-
-
-@cache
-def _round_steps(attack: str, improved: bool) -> Steps:
-    """`Steps` of a (protocol, attack) pair. A lane's cursor is the node
+def _cursor_tables(alice, bob, step, improved: bool):
+    """The cursor step's fields of `Shapes`, `skip` to `sifts`, from a
+    pair's choice words and per-key steps. A lane's cursor is the node
     ``2 * word + buffered``, and its round steps it by twice the words the
     round reads plus the change in its buffered bit. The step depends on a
     window of codes: the detect and choice codes of the `window` words from
@@ -594,14 +594,12 @@ def _round_steps(attack: str, improved: bool) -> Steps:
     both are `_at_least` bits. A round reads no code before Alice's choice,
     and no detect code before a choice code, so never bit 0. A jiang entry
     is ``codes | buffered << 2 * window``; its step also depends on whether
-    Alice and Bob draw filler bits. Built on first use: a window's step is
-    the step of its key in `_round_shapes`."""
-    shapes = _round_shapes(attack, improved)
-    skip = int(shapes.alice.min())  # with a half-word buffered
+    Alice and Bob draw filler bits. A window's step is the step of its key."""
+    skip = int(alice.min())  # with a half-word buffered
     # The words a round may read codes of, from `skip` on: Alice's choice
     # word comes a word later in some rows when no half-word is buffered,
     # and Bob's last detect (improved) or choice (jiang) word ends them.
-    window = int(shapes.bob.max()) + improved + 1 - skip
+    window = int(bob.max()) + improved + 1 - skip
     shift = 2 * window
     # codes | buffered << shift, then (jiang) Alice's and Bob's filler bits
     entry = np.arange(1 << shift + (1 if improved else 3), dtype=np.int32)
@@ -612,20 +610,18 @@ def _round_steps(attack: str, improved: bool) -> Steps:
         assert 0 < bit.min() and bit.max() < shift, "a round reads past its window of codes"
         return (entry >> bit & 1) ^ detect
 
-    for side, choice in enumerate((shapes.alice, shapes.bob)):
+    for side, choice in enumerate((alice, bob)):
         at = choice[key]
         later = code(at + 1, 1) if improved else entry >> shift + 1 + side & 1
         key = key | code(at, 0) << 1 + 2 * side | later << 2 + 2 * side
-    step = shapes.step[key]
+    step = step[key]
     assert 0 < step.min() and step.max() < 256, "a round's step outgrows its byte"
     if improved:
         step = step.astype("<u2")
-        return Steps(skip, window, step[: 1 << shift] | step[1 << shift :] << 8, None, None)
+        return skip, window, step[: 1 << shift] | step[1 << shift :] << 8, None, None
     codes = np.arange(1 << shift, dtype="<u2")
-    return Steps(
-        skip, window, codes | (codes | 1 << shift) << 8,
-        step.astype(np.intp), np.array([key >> 1 & 1, key >> 3 & 1], np.uint8),
-    )
+    sifts = np.array([key >> 1 & 1, key >> 3 & 1], np.uint8)
+    return skip, window, codes | (codes | 1 << shift) << 8, step.astype(np.intp), sifts
 
 
 def _at_least(words, bound: int, out=None):
@@ -749,15 +745,15 @@ def advance_cursors(spec, words, keys: Keys):
     and after the last, (rounds + 1 x lanes), and whether it has a half-word
     buffered at the start of every round, (rounds x lanes). A lane's cursor
     is a node, ``2 * word + buffered``. Each word's window of codes is
-    looked up once in `_round_steps`' pair table, which gives a byte for
-    each of the word's two nodes, so a node indexes the bytes directly:
-    improved, its step; jiang, its entry, whose step also depends on each
-    side's filler bits. A chunk of fewer than `NARROW_LANES` lanes walks
-    one lane at a time (`_walk_lanes`); a wider one steps every lane a
-    round at a time, in numpy."""
+    looked up once in `Shapes.pair`, which gives a byte for each of the
+    word's two nodes, so a node indexes the bytes directly: improved, its
+    step; jiang, its entry, whose step (`Shapes.entry_step`) also depends on
+    each side's filler bits. A chunk of fewer than `NARROW_LANES` lanes
+    walks one lane at a time (`_walk_lanes`); a wider one steps every lane
+    a round at a time, in numpy."""
     improved = spec.protocol == "improved"
-    steps = _round_steps(spec.attack, improved)
-    skip, window = steps.skip, steps.window
+    shapes = _round_shapes(spec.attack, improved)
+    skip, window = shapes.skip, shapes.window
     count, width = words.shape
     L, rounds = spec.secret_bits, spec.num_rounds()
     play_end = _key_words(spec) + _play_words(spec)
@@ -786,13 +782,13 @@ def advance_cursors(spec, words, keys: Keys):
             codes[:-span] |= later[:-span]
             span *= 2
         codes &= (1 << 2 * window) - 1
-        np.take(steps.pair, codes[: 1 - window], out=by_node[at : at + SLICE_WORDS], mode="clip")
+        np.take(shapes.pair, codes[: 1 - window], out=by_node[at : at + SLICE_WORDS], mode="clip")
     by_node = by_node.view(np.uint8)
 
     node = np.empty((rounds + 1, count), np.int64)
     node[0] = 2 * keys.word + (keys.half >= 0)
     if count < NARROW_LANES:
-        _walk_lanes(node, by_node, steps, L, improved)
+        _walk_lanes(node, by_node, shapes, L, improved)
     elif improved:
         for now, after in zip(node[:-1], node[1:]):
             np.add(now, by_node[now], out=after)
@@ -800,7 +796,7 @@ def advance_cursors(spec, words, keys: Keys):
         alice = 2 << 2 * window  # Alice's filler bit; Bob's is twice it
 
         def walk(first, last, fills):
-            table = steps.step[fills : fills + alice]
+            table = shapes.entry_step[fills : fills + alice]
             for now, after in zip(node[first:last], node[first + 1 : last + 1]):
                 np.add(now, table.take(by_node[now]), out=after)
 
@@ -809,15 +805,15 @@ def advance_cursors(spec, words, keys: Keys):
         # sides of every lane draw them: `made` holds each side's SIFTs so
         # far, Bob's offset by rounds + 1, so that both index `filled`.
         walk(0, L - 1, 0)
-        made = steps.sifts.take(by_node[node[: L - 1]], axis=1).sum(axis=1, dtype=np.intp)
+        made = shapes.sifts.take(by_node[node[: L - 1]], axis=1).sum(axis=1, dtype=np.intp)
         made += [[0], [rounds + 1]]
         filled = np.where(np.arange(rounds + 1) >= L, [[alice], [2 * alice]], 0).reshape(-1)
         fill = np.zeros(count, np.intp)
         r = L - 1
         while r < rounds:
             entry = by_node[node[r]] | fill
-            np.add(node[r], steps.step.take(entry), out=node[r + 1])
-            made += steps.sifts.take(entry, axis=1)
+            np.add(node[r], shapes.entry_step.take(entry), out=node[r + 1])
+            made += shapes.sifts.take(entry, axis=1)
             fills = filled.take(made)
             r += 1
             if np.count_nonzero(fills) == 2 * count:
@@ -832,23 +828,23 @@ def advance_cursors(spec, words, keys: Keys):
     return node, buffered
 
 
-def _walk_lanes(node, by_node, steps: Steps, L: int, improved: bool):
+def _walk_lanes(node, by_node, shapes: Shapes, L: int, improved: bool):
     """`advance_cursors`' walk of a narrow chunk, one lane at a time in
     Python: each round is ``n += step[n]``, with the step read from a view
     of the node bytes, and a lane's nodes go into one reused column before
     they are copied into `node`. A jiang lane counts each side's SIFTs by
-    the entries it steps through, and looks its step up by whether each
-    side draws filler bits, until both do; from then on every entry's step
-    is in the table's last quarter."""
+    the entries it steps through, and looks its step up in
+    `Shapes.entry_step` by whether each side draws filler bits, until both
+    do; from then on every entry's step is in that table's last quarter."""
     rounds = len(node) - 1
     column = array("q", bytes(8 * (rounds + 1)))
     byte = memoryview(by_node)
     if not improved:
-        alice = 2 << 2 * steps.window  # Alice's filler bit; Bob's is twice it
+        alice = 2 << 2 * shapes.window  # Alice's filler bit; Bob's is twice it
         both = 3 * alice
-        step = steps.step.tolist()
+        step = shapes.entry_step.tolist()
         filled = step[both:]
-        sift_a, sift_b = steps.sifts.tolist()
+        sift_a, sift_b = shapes.sifts.tolist()
     for lane, n in enumerate(node[0].tolist()):
         if improved:
             for r in range(rounds):
@@ -892,7 +888,7 @@ def play_rounds(spec, words, word, buffered, keys: Keys) -> Play:
         np.empty((2, rounds, count), bool),
         np.zeros((2, rounds, count), bool),
         np.empty((2, rounds, count), np.int8),
-        np.full((2, rounds, count), -1, np.int16),
+        np.full((2, rounds, count), -1, np.int8),
         np.empty((rounds, count), np.int16),
     )
     made = np.zeros((2, count), np.int64)  # jiang: each side's SIFTs before the slice

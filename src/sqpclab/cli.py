@@ -21,6 +21,7 @@ from functools import cache
 
 from .adversary import ATTACKS
 from .harness import (
+    DEFAULT_ROUNDS_FACTOR,
     AggregateReport,
     ExperimentSpec,
     ValidationError,
@@ -49,46 +50,47 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared: parsing leaves it
     unchanged, and building it costs more than a parse."""
+    default = ExperimentSpec  # its fields' defaults
+    factor = ", ".join(f"{n} for {protocol}" for protocol, n in DEFAULT_ROUNDS_FACTOR.items())
     parser = _Parser(
         prog="sqpclab",
         description="Run a private-comparison protocol experiment.",
+        argument_default=argparse.SUPPRESS,  # an unset flag takes the spec's default
     )
     parser.add_argument(
         "--protocol", required=True, choices=("jiang", "improved"),
         help="protocol variant to execute",
     )
     parser.add_argument(
-        "--attack", default="none", choices=ATTACKS,
-        help="channel strategy (default: none)",
+        "--attack", choices=ATTACKS,
+        help=f"channel strategy (default: {default.attack})",
     )
     parser.add_argument(
-        "--secret-bits", type=int, default=8, metavar="L",
-        help="length of each secret in bits (default: 8)",
+        "--secret-bits", type=int, metavar="L",
+        help=f"length of each secret in bits (default: {default.secret_bits})",
     )
     parser.add_argument(
-        "--rounds-factor", type=int, default=None, metavar="F",
-        help="Bell pairs per secret bit (default: 5 for jiang, 11 for improved)",
+        "--rounds-factor", type=int, metavar="F",
+        help=f"Bell pairs per secret bit (default: {factor})",
+    )
+    parser.add_argument("--trials", type=int, help=f"Monte Carlo trials (default: {default.trials})")
+    parser.add_argument("--seed", type=int, help=f"master seed (default: {default.seed})")
+    parser.add_argument(
+        "--p-ctrl", type=float, metavar="P",
+        help=f"per-round probability of CTRL (default: {default.p_ctrl})",
     )
     parser.add_argument(
-        "--trials", type=int, default=1000, help="Monte Carlo trials (default: 1000)"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-    parser.add_argument(
-        "--p-ctrl", type=float, default=0.5, metavar="P",
-        help="per-round probability of CTRL (default: 0.5)",
-    )
-    parser.add_argument(
-        "--p-detect", type=float, default=None, metavar="P",
+        "--p-detect", type=float, metavar="P",
         help="probability a SIFT round is a trap round; improved protocol only"
-        " (default: 0.5)",
+        f" (default: {default.p_detect})",
     )
     parser.add_argument(
-        "--secrets", default="random", metavar="MODE",
-        help="equal | unequal | random | explicit:HEX,HEX (default: random)",
+        "--secrets", metavar="MODE",
+        help=f"equal | unequal | random | explicit:HEX,HEX (default: {default.secrets})",
     )
     parser.add_argument(
-        "--threshold", type=float, default=0.0,
-        help="abort threshold for check error rates (default: 0.0)",
+        "--threshold", type=float,
+        help=f"abort threshold for check error rates (default: {default.threshold})",
     )
     parser.add_argument(
         "--output", default="table", choices=("table", "json", "csv"),
@@ -101,9 +103,7 @@ def parse_args(argv: list[str]) -> tuple[ExperimentSpec, str]:
     """Map flags to an ExperimentSpec (checked when built) and the --output format."""
     args = vars(build_parser().parse_args(argv))
     fmt = args.pop("output")
-    if args["p_detect"] is None:
-        del args["p_detect"]  # the spec default applies
-    elif args["protocol"] == "jiang":
+    if "p_detect" in args and args["protocol"] == "jiang":
         raise ValidationError("--p-detect is not accepted for the jiang protocol")
     return ExperimentSpec(**args), fmt
 

@@ -564,7 +564,7 @@ def test_play_never_walks_a_round(monkeypatch):
     """Once the tables are built, every pair's chunks at L=1 and 8 equal
     the scalar reports with `_walk_round` refusing to run."""
     for protocol, attack in PAIRS:
-        batch._round_steps(attack, protocol == "improved")
+        batch._round_shapes(attack, protocol == "improved")
 
     def refuse(*args):
         raise AssertionError("a round was walked")

@@ -382,6 +382,15 @@ def test_equal_vectors_share_one_state():
     assert len(vectors) == len(qsim._STATES) > 50
 
 
+def test_a_vector_off_the_unit_norm_is_never_interned():
+    """A new state whose norm has drifted raises, and the table keeps no
+    entry for it."""
+    before = dict(qsim._STATES)
+    with pytest.raises(qsim.QsimError, match="state norm drifted"):
+        qsim._intern(1, np.array([1.0, 1.0]))
+    assert qsim._STATES == before
+
+
 def test_amplitudes_are_a_writable_copy():
     """Editing a copy touches neither its register nor other Simulators."""
     first, second = Simulator(seed=0), Simulator(seed=1)
